@@ -38,21 +38,21 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.suite:
+            cfg = replace(cfg, suites=list(dict.fromkeys(args.suite)))
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
+        if args.workers is not None:
+            if args.workers < 1:
+                raise ValidationError("--workers must be >= 1")
+            cfg = replace(cfg, workers=args.workers)
+        # suite parameters are converted, and may be rejected, as suites run
+        return execute(cfg)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.suite:
-        cfg = replace(cfg, suites=list(dict.fromkeys(args.suite)))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be >= 1", file=sys.stderr)
-            return 2
-        cfg = replace(cfg, workers=args.workers)
-    return execute(cfg)
 
 
 if __name__ == "__main__":

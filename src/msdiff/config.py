@@ -54,6 +54,10 @@ class ValidationError(ValueError):
     """Well-formed configuration with inadmissible values."""
 
 
+class ParamText(str):
+    """Raw text of a suite parameter; ``line`` is the config line that set it."""
+
+
 @dataclass
 class RunConfig:
     scenario: Scenario
@@ -101,12 +105,7 @@ class _Reader:
             if required:
                 raise ValidationError(f"missing required key {key!r}")
             return default
-        try:
-            return conv(value)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"line {lineno}: {key} must be a {conv.__name__}, got {value!r}"
-            ) from None
+        return _convert(key, value, conv, lineno)
 
     def list(self, key, conv, default=None):
         value, lineno = self.take(key)
@@ -114,21 +113,28 @@ class _Reader:
             return default
         try:
             return [conv(tok) for tok in value.split()]
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValidationError(
-                f"line {lineno}: {key} must be a list of {conv.__name__}, got {value!r}"
+                f"line {lineno}: {key} must be a list of {_EXPECTED[conv][1]}, "
+                f"got {value!r}"
             ) from None
 
     def line_of(self, key):
         return self.entries[key][1] if key in self.entries else "?"
 
 
-def _parse_int(s):
-    return int(s)
+# how error messages name each converter: (one value, a list of them)
+_EXPECTED = {int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
-def _parse_float(s):
-    return float(s)
+def _convert(key, text, conv, lineno):
+    """Convert one raw value; a failure names the key, its line and the type."""
+    try:
+        return conv(text)
+    except ValueError:
+        raise ValidationError(
+            f"line {lineno}: {key} must be {_EXPECTED[conv][0]}, got {text!r}"
+        ) from None
 
 
 def parse_config(text):
@@ -136,13 +142,13 @@ def parse_config(text):
     entries = _split_lines(text)
     rd = _Reader(entries)
 
-    n = rd.scalar("n", _parse_int, required=True)
+    n = rd.scalar("n", int, required=True)
     if n < 2:
         raise ValidationError(f"line {rd.line_of('n')}: need at least two species")
-    dim = rd.scalar("dim", _parse_int, default=1)
+    dim = rd.scalar("dim", int, default=1)
     if not 1 <= dim <= 3:
         raise ValidationError(f"line {rd.line_of('dim')}: dim must be 1, 2, or 3")
-    cells = rd.list("cells", _parse_int, default=[64])
+    cells = rd.list("cells", int, default=[64])
     if len(cells) == 1:
         cells = cells * dim
     if len(cells) != dim:
@@ -151,7 +157,7 @@ def parse_config(text):
         )
     if any(m < 2 for m in cells):
         raise ValidationError(f"line {rd.line_of('cells')}: cells must be at least 2")
-    lengths = rd.list("lengths", _parse_float, default=[1.0])
+    lengths = rd.list("lengths", float, default=[1.0])
     if len(lengths) == 1:
         lengths = lengths * dim
     if len(lengths) != dim:
@@ -163,13 +169,13 @@ def parse_config(text):
 
     D = _parse_diffusivities(rd, entries, n)
 
-    t_final = rd.scalar("t_final", _parse_float, default=0.01)
+    t_final = rd.scalar("t_final", float, default=0.01)
     if t_final <= 0:
         raise ValidationError(f"line {rd.line_of('t_final')}: t_final must be positive")
-    dt = rd.scalar("dt", _parse_float)
+    dt = rd.scalar("dt", float)
     if dt is not None and dt <= 0:
         raise ValidationError(f"line {rd.line_of('dt')}: dt must be positive")
-    cfl = rd.scalar("cfl", _parse_float, default=0.25)
+    cfl = rd.scalar("cfl", float, default=0.25)
     if not 0 < cfl <= 1:
         raise ValidationError(f"line {rd.line_of('cfl')}: cfl must lie in (0, 1]")
     scheme = rd.scalar("scheme", str, default="euler")
@@ -177,23 +183,23 @@ def parse_config(text):
         raise ValidationError(
             f"line {rd.line_of('scheme')}: scheme must be 'euler' or 'heun'"
         )
-    cadence = rd.scalar("cadence", _parse_int, default=1)
+    cadence = rd.scalar("cadence", int, default=1)
     if cadence < 1:
         raise ValidationError(f"line {rd.line_of('cadence')}: cadence must be >= 1")
 
     preset = rd.scalar("preset", str, default="sine_mix")
-    amplitude = rd.scalar("amplitude", _parse_float, default=0.2)
-    mode = rd.scalar("mode", _parse_int, default=1)
-    weights = rd.list("weights", _parse_float)
+    amplitude = rd.scalar("amplitude", float, default=0.2)
+    mode = rd.scalar("mode", int, default=1)
+    weights = rd.list("weights", float)
     if weights is not None and len(weights) != n:
         raise ValidationError(
             f"line {rd.line_of('weights')}: weights needs {n} entries"
         )
 
     suites = rd.list("suites", str, default=[])
-    seed = rd.scalar("seed", _parse_int, default=0)
+    seed = rd.scalar("seed", int, default=0)
     out_dir = rd.scalar("out", str, default="out")
-    workers = rd.scalar("workers", _parse_int, default=1)
+    workers = rd.scalar("workers", int, default=1)
     if workers < 1:
         raise ValidationError(f"line {rd.line_of('workers')}: workers must be >= 1")
     for name in suites:
@@ -203,7 +209,7 @@ def parse_config(text):
                 f"known: {', '.join(KNOWN_SUITES)}"
             )
 
-    delta = rd.scalar("delta", _parse_float, default=0.05)
+    delta = rd.scalar("delta", float, default=0.05)
     if delta <= 0:
         raise ValidationError(f"line {rd.line_of('delta')}: delta must be positive")
     warnings = []
@@ -256,7 +262,8 @@ def parse_config(text):
             continue
         head = key.split(".", 1)[0]
         if head in KNOWN_SUITES:
-            params[key] = value
+            params[key] = ParamText(value)
+            params[key].line = lineno
             continue
         raise ValidationError(f"line {lineno}: unknown key {key!r}")
 
@@ -294,10 +301,7 @@ def _parse_diffusivities(rd, entries, n):
             raise ValidationError(
                 f"line {lineno}: {key} needs two distinct species in 1..{n}"
             )
-        try:
-            val = float(value)
-        except ValueError:
-            raise ValidationError(f"line {lineno}: {key} must be a number") from None
+        val = _convert(key, value, float, lineno)
         if val <= 0:
             raise ValidationError(
                 f"line {lineno}: diffusivities must satisfy positivity, got {val}"
@@ -325,9 +329,9 @@ def _parse_diffusivities(rd, entries, n):
 
 
 def _parse_perturbation(rd, n):
-    amp = rd.scalar("perturb.amplitude", _parse_float)
-    mode = rd.scalar("perturb.mode", _parse_int, default=1)
-    species = rd.list("perturb.species", _parse_int, default=[1, 2])
+    amp = rd.scalar("perturb.amplitude", float)
+    mode = rd.scalar("perturb.mode", int, default=1)
+    species = rd.list("perturb.species", int, default=[1, 2])
     if amp is None:
         return None
     if len(species) != 2 or species[0] == species[1]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rel_entr, xlogy
 
-from .flux import DeltaOutOfRange, stability_constants
+from .flux import DeltaOutOfRange, _velocities, stability_constants
 from .grid import ConcentrationState, GridMismatch, gradient, integrate
 
 
@@ -152,6 +152,27 @@ def renormalized_entropy(state, beta):
     return float(integrate(beta.antideriv(state.c).sum(axis=0), state.grid))
 
 
+def _trajectory_pair(traj_a, traj_b):
+    """Snapshot times and grid shared by a trajectory pair."""
+    ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
+    if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12:
+        raise MeshMismatch("trajectories have different snapshot times")
+    if traj_a.grid != traj_b.grid:
+        raise GridMismatch("trajectories live on different grids")
+    return ta, traj_a.grid
+
+
+def _cumulative_trapezoid(values, times):
+    """Trapezoid integrals of a sampled series from the first time to each."""
+    steps = np.diff(times) * 0.5 * (values[1:] + values[:-1])
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _velocity_gap(d, dbar, dv):
+    """Per-species cells (d_i + dbar_i) |dv_i|^2; their sum is the S integrand."""
+    return (d + dbar) * (dv**2).sum(axis=1)
+
+
 def _weights_and_grid(a, grid):
     if isinstance(a, ConcentrationState):
         return a.c, a.grid
@@ -174,30 +195,17 @@ def dissipation(a, b, u, ubar, D, grid=None):
     if g1 != g2:
         raise GridMismatch("states live on different grids")
     du = np.asarray(u, dtype=float) - np.asarray(ubar, dtype=float)
-    n = w.shape[0]
-    K = D.inv
-    cells = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if K[i, j] == 0.0:
-                continue
-            rel2 = ((du[i] - du[j]) ** 2).sum(axis=0)
-            cells = cells + K[i, j] * (w[i] * w[j] + wb[i] * wb[j]) * rel2
+    weights = np.einsum("i...,j...->ij...", w, w) + np.einsum("i...,j...->ij...", wb, wb)
+    rel2 = ((du[:, None] - du[None]) ** 2).sum(axis=2)
+    # the contraction runs over ordered pairs, so each pair counts twice
+    cells = 0.5 * np.einsum("ij,ij...,ij...->...", D.inv, weights, rel2)
     return float(integrate(cells, g1))
 
 
 def _entropy_rhs(c, cb, u, ub, D, grid):
     """Right-hand side of the symmetric-entropy balance for a pair."""
-    K = D.inv
-    n = c.shape[0]
-    du = u - ub
-    cells = 0.0
-    for i in range(n):
-        for j in range(n):
-            if K[i, j] == 0.0:
-                continue
-            mix = c[i] * (ub[i] - ub[j]) + cb[i] * (u[i] - u[j])
-            cells = cells + K[i, j] * (c[j] - cb[j]) * (du[i] * mix).sum(axis=0)
+    mix = c[:, None, None] * (ub[:, None] - ub[None]) + cb[:, None, None] * (u[:, None] - u[None])
+    cells = np.einsum("ij,j...,ia...,ija...->...", D.inv, c - cb, u - ub, mix)
     return -float(integrate(cells, grid))
 
 
@@ -235,38 +243,24 @@ def identity_series(traj_a, traj_b, D, velocity_floor=1e-14):
     time integrals are cumulative trapezoids over the snapshot times.
     Trajectories must share snapshot times and grids.
     """
-    ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
-    if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12:
-        raise MeshMismatch("trajectories have different snapshot times")
-    if traj_a.grid != traj_b.grid:
-        raise GridMismatch("trajectories live on different grids")
-    grid = traj_a.grid
-
+    ta, grid = _trajectory_pair(traj_a, traj_b)
     h_vals, q_vals, rhs_vals = [], [], []
     for k in range(len(ta)):
-        c, cb = traj_a.states[k], traj_b.states[k]
-        u = traj_a.fluxes[k] / np.maximum(c, velocity_floor)[:, None]
-        ub = traj_b.fluxes[k] / np.maximum(cb, velocity_floor)[:, None]
-        q_vals.append(dissipation(c, cb, u, ub, D, grid=grid))
-        rhs_vals.append(_entropy_rhs(c, cb, u, ub, D, grid))
-        h_vals.append(
-            symmetrized_relative_entropy(
-                ConcentrationState(grid, c, float(ta[k])),
-                ConcentrationState(grid, cb, float(ta[k])),
-            )
-        )
+        a, b = traj_a.state(k), traj_b.state(k)
+        u = _velocities(traj_a.fluxes[k], a.c, velocity_floor)
+        ub = _velocities(traj_b.fluxes[k], b.c, velocity_floor)
+        q_vals.append(dissipation(a, b, u, ub, D))
+        rhs_vals.append(_entropy_rhs(a.c, b.c, u, ub, D, grid))
+        h_vals.append(symmetrized_relative_entropy(a, b))
     q_vals = np.asarray(q_vals)
     rhs_vals = np.asarray(rhs_vals)
-    cum = lambda v: np.concatenate(
-        [[0.0], np.cumsum(np.diff(ta) * 0.5 * (v[1:] + v[:-1]))]
-    )
     return IdentitySeries(
         times=ta,
         h_sym=np.asarray(h_vals),
         q_values=q_vals,
         rhs_values=rhs_vals,
-        q_cumulative=cum(q_vals),
-        rhs_cumulative=cum(rhs_vals),
+        q_cumulative=_cumulative_trapezoid(q_vals, ta),
+        rhs_cumulative=_cumulative_trapezoid(rhs_vals, ta),
     )
 
 
@@ -353,30 +347,26 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
     K = D.inv
     dv = v - vbar
     dd = d - dbar
+    gap = _velocity_gap(d, dbar, dv)
 
     if flux_bound is None:
         speed = lambda w, vel: np.sqrt(((w[:, None] * vel) ** 2).sum(axis=1)).max()
         flux_bound = max(speed(d, v), speed(dbar, vbar))
 
-    j1_cells = j2_cells = j4_cells = 0.0
-    for i in range(n):
-        for j in range(n):
-            if K[i, j] == 0.0:
-                continue
-            j1_cells = j1_cells + K[i, j] * d[i] * dd[j] * (dv[i] * (vbar[i] - vbar[j])).sum(axis=0)
-            j2_cells = j2_cells + K[i, j] * dbar[i] * dd[j] * (dv[i] * (v[i] - v[j])).sum(axis=0)
-            mix = (d[j] / d[i]) * v[j] - (dbar[j] / dbar[i]) * vbar[j]
-            j4_cells = j4_cells + K[i, j] * (d[i] + dbar[i]) * (dv[i] * mix).sum(axis=0)
-    row = K.sum(axis=1)
-    j3_cells = sum(
-        row[i] * (d[i] + dbar[i]) * (dv[i] ** 2).sum(axis=0) for i in range(n)
-    )
+    pair = "ij,i...,j...,ia...,ija...->..."
+    j1_cells = np.einsum(pair, K, d, dd, dv, vbar[:, None] - vbar[None])
+    j2_cells = np.einsum(pair, K, dbar, dd, dv, v[:, None] - v[None])
+    # mix[i, j] = (d_j / d_i) v_j - (dbar_j / dbar_i) vbar_j
+    ratio = lambda w: (w[None] / w[:, None])[:, :, None]
+    mix = ratio(d) * v[None] - ratio(dbar) * vbar[None]
+    j4_cells = np.einsum("ij,i...,ia...,ija...->...", K, d + dbar, dv, mix)
+    j3_cells = np.einsum("i,i...->...", K.sum(axis=1), gap)
     j1 = -float(integrate(j1_cells, grid))
     j2 = -float(integrate(j2_cells, grid))
     j3 = delta * float(integrate(j3_cells, grid))
     j4 = -delta * float(integrate(j4_cells, grid))
 
-    s_val = float(integrate(sum((d[i] + dbar[i]) * (dv[i] ** 2).sum(axis=0) for i in range(n)), grid))
+    s_val = float(integrate(gap.sum(axis=0), grid))
     r_val = float(integrate((dd**2).sum(axis=0), grid))
     q_val = dissipation(d, dbar, v, vbar, D, grid=grid)
 
@@ -467,13 +457,7 @@ def gronwall_certificate(traj_a, traj_b, D, delta, flux_bound=None, slack=1e-9):
     """
     if delta <= 0.0:
         raise DeltaNonpositive(f"certificate needs delta > 0, got {delta}")
-    ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
-    if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12:
-        raise MeshMismatch("trajectories have different snapshot times")
-    if traj_a.grid != traj_b.grid:
-        raise GridMismatch("trajectories live on different grids")
-    grid = traj_a.grid
-
+    ta, grid = _trajectory_pair(traj_a, traj_b)
     if flux_bound is None:
         fb = 0.0
         for traj in (traj_a, traj_b):
@@ -484,22 +468,19 @@ def gronwall_certificate(traj_a, traj_b, D, delta, flux_bound=None, slack=1e-9):
 
     f_series, r_series, s_series = [], [], []
     for idx in range(len(ta)):
-        c, cb = traj_a.states[idx], traj_b.states[idx]
-        d, dbar = c + delta, cb + delta
-        v = traj_a.fluxes[idx] / d[:, None]
-        vbar = traj_b.fluxes[idx] / dbar[:, None]
-        diff = c - cb
-        f_series.append(float(integrate(((np.log(d) - np.log(dbar)) * diff).sum(axis=0), grid)))
-        r_series.append(float(integrate((diff**2).sum(axis=0), grid)))
-        dv = v - vbar
-        s_series.append(float(integrate(sum((d[i] + dbar[i]) * (dv[i] ** 2).sum(axis=0) for i in range(c.shape[0])), grid)))
+        a, b = traj_a.state(idx), traj_b.state(idx)
+        d, dbar = a.c + delta, b.c + delta
+        dv = _velocities(traj_a.fluxes[idx], d) - _velocities(traj_b.fluxes[idx], dbar)
+        f_series.append(regularized_relative_entropy(a, b, delta))
+        r_series.append(float(integrate(((a.c - b.c) ** 2).sum(axis=0), grid)))
+        s_series.append(float(integrate(_velocity_gap(d, dbar, dv).sum(axis=0), grid)))
     f_series = np.array(f_series)
     r_series = np.array(r_series)
     s_series = np.array(s_series)
 
     t0 = ta - ta[0]
-    int_r = np.concatenate([[0.0], np.cumsum(np.diff(t0) * 0.5 * (r_series[1:] + r_series[:-1]))])
-    int_s = np.concatenate([[0.0], np.cumsum(np.diff(t0) * 0.5 * (s_series[1:] + s_series[:-1]))])
+    int_r = _cumulative_trapezoid(r_series, ta)
+    int_s = _cumulative_trapezoid(s_series, ta)
 
     margin = 0.25 * k.mu - k.c4 * delta
     rate = k.c5 / delta**4

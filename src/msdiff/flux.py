@@ -123,8 +123,13 @@ class PointFlux:
         return float(np.abs(self.j.sum(axis=0)).max())
 
     def velocities(self, c, floor=1e-14):
-        cc = np.maximum(np.asarray(c, dtype=float), floor)
-        return self.j / cc.reshape((-1,) + (1,) * (self.j.ndim - 1))
+        return _velocities(self.j, c, floor)
+
+
+def _velocities(j, w, floor=1e-14):
+    """Velocities j_i / max(w_i, floor); j is (n,), (n, dim) or (n, dim, *cells)."""
+    w = np.maximum(np.asarray(w, dtype=float), floor)
+    return j / (w[:, None] if j.ndim > w.ndim else w)
 
 
 @dataclass
@@ -205,20 +210,10 @@ def _friction_system(c, K):
     return M
 
 
-def _solve_zero_sum(M, rhs):
-    """Solve the singular systems M x = rhs subject to a zero species sum.
-
-    The friction matrix has zero column sums, so adding the all-ones
-    rank-one term makes it invertible while forcing sum(x) = sum(rhs-part);
-    projecting the right-hand side onto the zero-sum hyperplane first makes
-    the bordered solve return exactly the zero-sum solution.
-    """
-    b = rhs - rhs.mean(axis=-1, keepdims=True)
-    try:
-        x = np.linalg.solve(M + 1.0, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularComposition(str(exc)) from None
-    return x, b
+def _columns(grad):
+    """Per-species gradients as (n, k) columns, and whether one vector came in."""
+    g = np.asarray(grad, dtype=float)
+    return (g[:, None], True) if g.ndim == 1 else (g, False)
 
 
 def solve_fluxes(comp, grad_c, D, consistency_tol=1e-10, residual_tol=1e-10):
@@ -230,10 +225,7 @@ def solve_fluxes(comp, grad_c, D, consistency_tol=1e-10, residual_tol=1e-10):
     """
     if comp.n != D.n:
         raise ValueError(f"composition has {comp.n} species, diffusivities {D.n}")
-    g = np.asarray(grad_c, dtype=float)
-    squeeze = g.ndim == 1
-    if squeeze:
-        g = g[:, None]
+    g, squeeze = _columns(grad_c)
     if g.shape[0] != comp.n:
         raise ValueError(f"gradient shape {g.shape} does not match {comp.n} species")
     defect = np.abs(g.sum(axis=0)).max()
@@ -241,15 +233,9 @@ def solve_fluxes(comp, grad_c, D, consistency_tol=1e-10, residual_tol=1e-10):
         raise InconsistentGradient(
             f"species gradients sum to {defect:.3e}, above {consistency_tol:.1e}"
         )
-    M = _friction_system(comp.c[None, :], D.inv)[0]
-    # columns of g are independent right-hand sides
-    x, b = _solve_zero_sum(M[None, :, :], -g.T)
-    residual = np.abs(M @ x[..., None] - b[..., None]).max()
-    scale = max(1.0, np.abs(g).max())
-    if residual > residual_tol * scale:
-        raise SingularComposition(
-            f"force-flux residual {residual:.3e} exceeds tolerance"
-        )
+    # each gradient column is one point of the batched solve
+    c = np.broadcast_to(comp.c, (g.shape[1], comp.n))
+    x, _ = solve_fluxes_batch(c, g.T, D, residual_tol)
     j = x.T
     return PointFlux(j[:, 0] if squeeze else j)
 
@@ -266,11 +252,18 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     """Vectorized force-flux solve for many points, one gradient component.
 
     c, grad_c: shape (m, n). Returns (fluxes (m, n), max residual). The
-    per-point gradient consistency is not rechecked here; callers feed
-    gradients that are zero-sum by construction.
+    friction matrix has zero column sums, so bordering it with the all-ones
+    matrix makes it invertible, and a zero-sum right-hand side then yields
+    the zero-sum solution. The per-point gradient consistency is not
+    rechecked here; callers feed gradients that are zero-sum by construction.
     """
     M = _friction_system(c, D.inv)
-    x, b = _solve_zero_sum(M, -grad_c)
+    b = -grad_c
+    b = b - b.mean(axis=-1, keepdims=True)
+    try:
+        x = np.linalg.solve(M + 1.0, b[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularComposition(str(exc)) from None
     residual = float(np.abs(np.einsum("mij,mj->mi", M, x) - b).max())
     scale = max(1.0, float(np.abs(grad_c).max()))
     if residual > residual_tol * scale:
@@ -280,36 +273,28 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     return x, residual
 
 
-def solve_fluxes_lstsq(comp, grad_c, D):
-    """Dense constrained least-squares oracle for the force-flux solve.
-
-    Stacks the zero-sum constraint under the friction system and solves the
-    (n+1) x n problem by SVD. Slower than the bordered solve; used to
-    cross-check it.
+def _dense_oracle(c, grad_c, D):
+    """Dense oracle for solve_fluxes_batch, same shapes: the pseudo-inverse
+    solution, orthogonal to the kernel c, shifted onto the zero-sum slice.
     """
-    g = np.asarray(grad_c, dtype=float)
-    squeeze = g.ndim == 1
-    if squeeze:
-        g = g[:, None]
-    M = _friction_system(comp.c[None, :], D.inv)[0]
-    A = np.vstack([M, np.ones((1, comp.n))])
-    out = np.empty_like(g)
-    for k in range(g.shape[1]):
-        rhs = np.concatenate([-g[:, k], [0.0]])
-        out[:, k] = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    return out[:, 0] if squeeze else out
+    M = _friction_system(c, D.inv)
+    b = -grad_c
+    b = b - b.mean(axis=-1, keepdims=True)
+    x = np.einsum("mij,mj->mi", np.linalg.pinv(M), b)
+    return x - x.sum(axis=-1, keepdims=True) * c
 
 
-def _shifted_system(d, K):
-    """Batched friction and shift-correction matrices for d of shape (m, n)."""
-    m, n = d.shape
-    s = np.sqrt(d)
-    A = -(s[:, :, None] * s[:, None, :]) * K[None, :, :]
-    idx = np.arange(n)
-    A[:, idx, idx] = d @ K
-    B = (s[:, None, :] / s[:, :, None]) * K[None, :, :]
-    B[:, idx, idx] = -K.sum(axis=1)[None, :]
-    return A, B, s
+def solve_fluxes_lstsq(comp, grad_c, D):
+    """Dense least-squares oracle for the force-flux solve at a point.
+
+    Same shapes as solve_fluxes. Takes the minimum-norm least-squares
+    solution through an SVD pseudo-inverse and shifts it onto the zero-sum
+    slice; slower than the bordered solve and used to cross-check it.
+    """
+    g, squeeze = _columns(grad_c)
+    c = np.broadcast_to(comp.c, (g.shape[1], comp.n))
+    j = _dense_oracle(c, g.T, D).T
+    return j[:, 0] if squeeze else j
 
 
 def solve_shifted_fluxes(comp, grad_sqrt_d, D, residual_tol=1e-10):
@@ -322,20 +307,14 @@ def solve_shifted_fluxes(comp, grad_sqrt_d, D, residual_tol=1e-10):
     """
     if comp.delta <= 0.0:
         raise DeltaOutOfRange(f"shifted solve needs delta > 0, got {comp.delta}")
-    if comp.n != D.n:
-        raise ValueError(f"composition has {comp.n} species, diffusivities {D.n}")
-    g = np.asarray(grad_sqrt_d, dtype=float)
-    squeeze = g.ndim == 1
-    if squeeze:
-        g = g[:, None]
-    d = comp.d
-    A, B, s = _shifted_system(d[None, :], D.inv)
-    A, B, s = A[0], B[0], s[0]
-    G = A + comp.delta * B
+    op = assemble_operator(comp, D)
+    g, squeeze = _columns(grad_sqrt_d)
+    s = op.sqrt_shifted
+    G = op.friction + comp.delta * op.perturbation
     rhs = -2.0 * g
     # project onto the hyperplane orthogonal to sqrt(d); the bordered term
     # sqrt(d) sqrt(d)' then pins the unique solution with s . w = 0
-    rhs = rhs - s[:, None] * (s @ rhs)[None, :] / float(d.sum())
+    rhs = rhs - s[:, None] * (s @ rhs)[None, :] / op.shifted_mass
     try:
         w = np.linalg.solve(G + np.outer(s, s), rhs)
     except np.linalg.LinAlgError as exc:

@@ -180,37 +180,6 @@ class ConcentrationState:
         return ConcentrationState(self.grid, self.c.copy(), self.time)
 
 
-@dataclass
-class FluxField:
-    """Per-species molar fluxes on a grid; shape (n, dim, *cells).
-
-    The species sum vanishes pointwise for fluxes produced by the solver.
-    """
-
-    grid: PeriodicGrid
-    j: np.ndarray
-
-    def __post_init__(self):
-        self.j = np.asarray(self.j, dtype=float)
-        if self.j.ndim != 2 + self.grid.dim or self.j.shape[1] != self.grid.dim:
-            raise GridMismatch(
-                f"flux array must have shape (n, dim, *cells), got {self.j.shape}"
-            )
-        self.grid.check_field(self.j)
-
-    @property
-    def n(self):
-        return self.j.shape[0]
-
-    def zero_sum_defect(self):
-        return float(np.abs(self.j.sum(axis=0)).max())
-
-    def velocities(self, state, floor=1e-14):
-        """Species velocities u_i = J_i / c_i, guarded below by ``floor``."""
-        c = np.maximum(state.c, floor)
-        return self.j / c[:, None]
-
-
 _MAGIC = np.int64(0x4D534446)  # file tag, "MSDF"
 
 

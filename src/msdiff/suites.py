@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import mollify, sim
+from .config import ValidationError, _convert
 from .entropy import (
     EntropyReport,
-    dissipation,
     entropy as mixing_entropy,
     error_terms,
     identity_residual,
@@ -38,7 +38,9 @@ from .flux import (
     assemble_operator,
     solve_fluxes_batch,
     spectral_gap_check,
+    _dense_oracle,
     _friction_system,
+    _velocities,
 )
 from .grid import PeriodicGrid, l2_norm
 
@@ -65,10 +67,21 @@ def _check(name, operation, value, threshold, kind="<="):
 
 
 def _param(cfg, suite, name, conv, default):
-    raw = cfg.params.get(f"{suite}.{name}")
+    key = f"{suite}.{name}"
+    raw = cfg.params.get(key)
     if raw is None:
         return default
-    return conv(raw)
+    return _convert(key, raw, conv, getattr(raw, "line", "?"))
+
+
+def _levels(cfg, suite):
+    """Refinement level count; an observed order needs two levels or more."""
+    levels = _param(cfg, suite, "levels", int, 3)
+    if levels < 2:
+        key = f"{suite}.levels"
+        line = getattr(cfg.params[key], "line", "?")
+        raise ValidationError(f"line {line}: {key} must be at least 2, got {levels}")
+    return levels
 
 
 def _write_json(path, obj):
@@ -115,12 +128,7 @@ def flux_certify(cfg, rng):
             j, res = solve_fluxes_batch(c, g, D)
             max_res = max(max_res, res)
             max_zero = max(max_zero, float(np.abs(j.sum(axis=1)).max()))
-            # dense pseudo-inverse oracle, shifted onto the zero-sum slice
-            M = _friction_system(c, D.inv)
-            b = -g
-            b = b - b.mean(axis=1, keepdims=True)
-            j_or = np.einsum("mij,mj->mi", np.linalg.pinv(M), b)
-            j_or = j_or - j_or.sum(axis=1, keepdims=True) * c
+            j_or = _dense_oracle(c, g, D)
             max_oracle = max(max_oracle, float(np.abs(j - j_or).max()))
 
     checks = [
@@ -228,7 +236,7 @@ def _identity_level(args):
 def identity_study(cfg, rng):
     """Entropy-balance residual under dyadic space-time refinement."""
     suite = "identity-study"
-    levels = _param(cfg, suite, "levels", int, 3)
+    levels = _levels(cfg, suite)
     base_cells = _param(cfg, suite, "cells", int, 32)
     t_final = _param(cfg, suite, "t_final", float, 0.002)
 
@@ -333,11 +341,9 @@ def _twin_reports(result, D, delta):
     for k, t in enumerate(base.times):
         a = base.state(k)
         b = twin.state(k)
-        u = base.fluxes[k] / np.maximum(a.c, 1e-14)[:, None]
-        ub = twin.fluxes[k] / np.maximum(b.c, 1e-14)[:, None]
         d, dbar = a.c + delta, b.c + delta
-        v = base.fluxes[k] / d[:, None]
-        vbar = twin.fluxes[k] / dbar[:, None]
+        v = _velocities(base.fluxes[k], d)
+        vbar = _velocities(twin.fluxes[k], dbar)
         terms = error_terms(
             d, dbar, v, vbar, D, delta, grid, flux_bound=cert.flux_bound
         )
@@ -350,7 +356,7 @@ def _twin_reports(result, D, delta):
                 symmetrized_entropy=symmetrized_relative_entropy(a, b),
                 regularized_entropy=regularized_relative_entropy(a, b, delta),
                 renorm_entropy=renormalized_entropy(a, beta),
-                dissipation=dissipation(a, b, u, ub, D),
+                dissipation=float(series.q_values[k]),
                 identity_residual=res,
                 j1=terms.j1,
                 j2=terms.j2,
@@ -456,7 +462,7 @@ def _convergence_level(args):
 def convergence_study(cfg, rng):
     """Two-species single-mode decay against the closed-form solution."""
     suite = "convergence-study"
-    levels = _param(cfg, suite, "levels", int, 3)
+    levels = _levels(cfg, suite)
     base_cells = _param(cfg, suite, "cells", int, 64)
     d12 = _param(cfg, suite, "d12", float, 1.0)
     t_final = _param(cfg, suite, "t_final", float, 0.01)

@@ -134,6 +134,7 @@ def test_parse_errors_carry_line_numbers(text, fragment):
             "scenario rejected",
         ),
         ("n = 2\nD.1.2 = 1.0\ncells = abc\n", "must be a list of"),
+        ("n = 2\nD.1.2 = 1.0\ncells = x\n", "line 3: cells must be a list of integers"),
     ],
 )
 def test_validation_errors(text, fragment):
@@ -251,6 +252,23 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     code = main([str(tmp_path / "missing.cfg")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("flux-certify.samples = abc", "flux-certify.samples must be an integer"),
+        ("identity-study.levels = 1", "identity-study.levels must be at least 2"),
+        ("convergence-study.levels = 1", "convergence-study.levels must be at least 2"),
+    ],
+)
+def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
+    suite = line.split(".", 1)[0]
+    text = MINIMAL + f"suites = {suite}\n{line}\n"
+    code = main([write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: line 4: {fragment}" in err, err
 
 
 def test_cli_bad_workers_flag(tmp_path, capsys):

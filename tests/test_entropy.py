@@ -8,6 +8,7 @@ import pytest
 from msdiff.entropy import (
     DeltaNonpositive,
     MeshMismatch,
+    _entropy_rhs,
     csiszar_kullback_check,
     dissipation,
     entropy,
@@ -26,8 +27,8 @@ from msdiff.entropy import (
     square_renorm,
     symmetrized_relative_entropy,
 )
-from msdiff.flux import DiffusionMatrix
-from msdiff.grid import ConcentrationState, PeriodicGrid
+from msdiff.flux import DiffusionMatrix, _velocities
+from msdiff.grid import ConcentrationState, PeriodicGrid, integrate
 from msdiff.sim import Perturbation, Scenario, run, twin_experiment
 
 
@@ -218,6 +219,90 @@ def test_error_terms_delta_guards():
         error_terms(z, z, v, v, D, 0.0, grid)
     with pytest.raises(Exception):
         error_terms(z, z, v, v, D, 1.0, grid)
+
+
+# Pair-loop definitions of the dissipation, the balance right-hand side and
+# the cross terms, kept as the reference for the einsum forms.
+def loop_dissipation(w, wb, du, K, grid):
+    n = w.shape[0]
+    cells = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel2 = ((du[i] - du[j]) ** 2).sum(axis=0)
+            cells = cells + K[i, j] * (w[i] * w[j] + wb[i] * wb[j]) * rel2
+    return float(integrate(cells, grid))
+
+
+def loop_entropy_rhs(c, cb, u, ub, K, grid):
+    n = c.shape[0]
+    du = u - ub
+    cells = 0.0
+    for i in range(n):
+        for j in range(n):
+            mix = c[i] * (ub[i] - ub[j]) + cb[i] * (u[i] - u[j])
+            cells = cells + K[i, j] * (c[j] - cb[j]) * (du[i] * mix).sum(axis=0)
+    return -float(integrate(cells, grid))
+
+
+def loop_cross_terms(d, dbar, v, vbar, K, delta, grid):
+    n = d.shape[0]
+    dv, dd = v - vbar, d - dbar
+    j1 = j2 = j4 = 0.0
+    for i in range(n):
+        for j in range(n):
+            j1 = j1 + K[i, j] * d[i] * dd[j] * (dv[i] * (vbar[i] - vbar[j])).sum(axis=0)
+            j2 = j2 + K[i, j] * dbar[i] * dd[j] * (dv[i] * (v[i] - v[j])).sum(axis=0)
+            mix = (d[j] / d[i]) * v[j] - (dbar[j] / dbar[i]) * vbar[j]
+            j4 = j4 + K[i, j] * (d[i] + dbar[i]) * (dv[i] * mix).sum(axis=0)
+    row = K.sum(axis=1)
+    j3 = sum(row[i] * (d[i] + dbar[i]) * (dv[i] ** 2).sum(axis=0) for i in range(n))
+    return (
+        -float(integrate(j1, grid)),
+        -float(integrate(j2, grid)),
+        delta * float(integrate(j3, grid)),
+        -delta * float(integrate(j4, grid)),
+    )
+
+
+@pytest.mark.parametrize("cells", [(12,), (6, 5)])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_einsum_forms_match_pair_loops(n, cells):
+    grid = PeriodicGrid(cells)
+    rng = np.random.default_rng(12 + n)
+    vals = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=(n, n)))
+    D = DiffusionMatrix(np.triu(vals, 1) + np.triu(vals, 1).T)
+    K = D.inv
+    delta = 0.07
+    for _ in range(5):
+        d, dbar, v, vbar = make_pair_fields(rng, grid, n, delta)
+        c, cb = d - delta, dbar - delta
+        close = lambda got, ref: abs(got - ref) <= 1e-13 * abs(ref)
+        assert close(dissipation(d, dbar, v, vbar, D, grid=grid),
+                     loop_dissipation(d, dbar, v - vbar, K, grid))
+        assert close(_entropy_rhs(c, cb, v, vbar, D, grid),
+                     loop_entropy_rhs(c, cb, v, vbar, K, grid))
+        terms = error_terms(d, dbar, v, vbar, D, delta, grid)
+        ref = loop_cross_terms(d, dbar, v, vbar, K, delta, grid)
+        for got, want in zip((terms.j1, terms.j2, terms.j3, terms.j4), ref):
+            assert close(got, want), (got, want)
+
+
+def test_velocities_floor_and_shapes():
+    w = np.array([0.5, 0.0, 0.25])
+    floor = 1e-3
+    safe = np.maximum(w, floor)
+    j = np.array([1.0, -2.0, 1.0])
+    assert np.array_equal(_velocities(j, w, floor), j / safe)
+    j2 = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(_velocities(j2, w, floor), j2 / safe[:, None])
+    # fields: one weight per cell, shared by every direction component
+    w3 = np.stack([w * (1 + k) for k in range(4)], axis=-1).reshape(3, 2, 2)
+    j3 = np.arange(24.0).reshape(3, 2, 2, 2)
+    got = _velocities(j3, w3, floor)
+    assert got.shape == j3.shape
+    for i in range(3):
+        for a in range(2):
+            assert np.array_equal(got[i, a], j3[i, a] / np.maximum(w3[i], floor))
 
 
 def small_scenario(**kw):

@@ -106,8 +106,14 @@ def test_solve_matches_lstsq_and_pinv_oracles():
             assert np.abs(j.sum(axis=0)).max() < 1e-13
             j_ls = solve_fluxes_lstsq(comp, grad, D)
             assert np.abs(j - j_ls).max() < 1e-9
-            # pseudo-inverse solution shifted onto the zero-sum slice
+            # independent reference: the zero-sum row stacked under the
+            # friction system, [M; 1'] x = [-g; 0], solved by least squares
             M = _friction_system(c[None, :], D.inv)[0]
+            A = np.vstack([M, np.ones((1, n))])
+            rhs = np.vstack([-grad, np.zeros((1, grad.shape[1]))])
+            j_bordered = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            assert np.abs(j - j_bordered).max() < 1e-9
+            # pseudo-inverse solution shifted onto the zero-sum slice
             j_pi = np.linalg.pinv(M) @ (-grad)
             j_pi -= j_pi.sum(axis=0, keepdims=True) * c[:, None]
             assert np.abs(j - j_pi).max() < 1e-9
