@@ -41,6 +41,8 @@ def main(argv=None):
         if args.suite:
             cfg = replace(cfg, suites=list(dict.fromkeys(args.suite)))
         if args.seed is not None:
+            if args.seed < 0:
+                raise ValidationError("--seed must be >= 0")
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
@@ -48,7 +50,6 @@ def main(argv=None):
             if args.workers < 1:
                 raise ValidationError("--workers must be >= 1")
             cfg = replace(cfg, workers=args.workers)
-        # suite parameters are converted, and may be rejected, as suites run
         return execute(cfg)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

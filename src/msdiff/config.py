@@ -8,42 +8,17 @@ first two species). All errors carry the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .flux import DiffusionMatrix, admissible_delta_max
 from .grid import PeriodicGrid
-from .sim import Perturbation, Scenario
+from .sim import Perturbation, Scenario, max_stable_dt
+from .suites import SUITE_PARAMS, _SUITES
 
-KNOWN_SUITES = (
-    "flux-certify",
-    "spectral-certify",
-    "identity-study",
-    "mollifier-study",
-    "twin-study",
-    "convergence-study",
-)
-
-_SCALAR_KEYS = {
-    "n",
-    "dim",
-    "t_final",
-    "dt",
-    "cfl",
-    "scheme",
-    "delta",
-    "cadence",
-    "preset",
-    "amplitude",
-    "mode",
-    "seed",
-    "out",
-    "workers",
-    "perturb.amplitude",
-    "perturb.mode",
-}
-_LIST_KEYS = {"cells", "lengths", "weights", "suites", "perturb.species"}
+KNOWN_SUITES = tuple(_SUITES)
 
 
 class ParseError(ValueError):
@@ -54,10 +29,6 @@ class ValidationError(ValueError):
     """Well-formed configuration with inadmissible values."""
 
 
-class ParamText(str):
-    """Raw text of a suite parameter; ``line`` is the config line that set it."""
-
-
 @dataclass
 class RunConfig:
     scenario: Scenario
@@ -65,7 +36,10 @@ class RunConfig:
     out_dir: str = "out"
     seed: int = 0
     workers: int = 1
-    params: dict = field(default_factory=dict)
+    # every "<suite>.<key>" of SUITE_PARAMS, typed, defaults filled in
+    params: dict = field(
+        default_factory=lambda: {k: v[1] for k, v in SUITE_PARAMS.items()}
+    )
     warnings: list = field(default_factory=list)
 
 
@@ -112,7 +86,7 @@ class _Reader:
         if value is None:
             return default
         try:
-            return [conv(tok) for tok in value.split()]
+            return [_value(conv, tok) for tok in value.split()]
         except ValueError:
             raise ValidationError(
                 f"line {lineno}: {key} must be a list of {_EXPECTED[conv][1]}, "
@@ -124,13 +98,21 @@ class _Reader:
 
 
 # how error messages name each converter: (one value, a list of them)
-_EXPECTED = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+_EXPECTED = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers")}
+
+
+def _value(conv, text):
+    """conv(text), refusing the inf and nan that float() accepts."""
+    value = conv(text)
+    if conv is float and not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _convert(key, text, conv, lineno):
     """Convert one raw value; a failure names the key, its line and the type."""
     try:
-        return conv(text)
+        return _value(conv, text)
     except ValueError:
         raise ValidationError(
             f"line {lineno}: {key} must be {_EXPECTED[conv][0]}, got {text!r}"
@@ -198,6 +180,8 @@ def parse_config(text):
 
     suites = rd.list("suites", str, default=[])
     seed = rd.scalar("seed", int, default=0)
+    if seed < 0:
+        raise ValidationError(f"line {rd.line_of('seed')}: seed must be >= 0")
     out_dir = rd.scalar("out", str, default="out")
     workers = rd.scalar("workers", int, default=1)
     if workers < 1:
@@ -255,27 +239,37 @@ def parse_config(text):
         scenario.resolve_steps()
     except ValueError as exc:
         raise ValidationError(f"scenario rejected: {exc}") from None
+    cap = max_stable_dt(grid, D)
+    if dt is not None and dt > cap * (1.0 + 1e-9):
+        raise ValidationError(
+            f"line {rd.line_of('dt')}: dt={dt} exceeds the stability bound {cap:.6g}"
+        )
 
-    params = {}
-    for key, (value, lineno) in entries.items():
-        if key in rd.used or _is_diffusivity_key(key):
-            continue
-        head = key.split(".", 1)[0]
-        if head in KNOWN_SUITES:
-            params[key] = ParamText(value)
-            params[key].line = lineno
-            continue
-        raise ValidationError(f"line {lineno}: unknown key {key!r}")
-
-    return RunConfig(
+    cfg = RunConfig(
         scenario=scenario,
         suites=list(suites),
         out_dir=out_dir,
         seed=seed,
         workers=workers,
-        params=params,
         warnings=warnings,
     )
+    for key, (value, lineno) in entries.items():
+        if key in rd.used:
+            continue
+        if key not in SUITE_PARAMS:
+            raise ValidationError(f"line {lineno}: unknown key {key!r}")
+        cfg.params[key] = _suite_param(key, value, lineno)
+    return cfg
+
+
+def _suite_param(key, text, lineno):
+    """One suite parameter, typed and checked against its lowest value."""
+    conv, _, low = SUITE_PARAMS[key]
+    value = _convert(key, text, conv, lineno)
+    if value < low if conv is int else value <= low:
+        bound = f"at least {low}" if conv is int else f"greater than {low:g}"
+        raise ValidationError(f"line {lineno}: {key} must be {bound}, got {value}")
+    return value
 
 
 def _is_diffusivity_key(key):

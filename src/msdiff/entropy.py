@@ -236,7 +236,7 @@ class IdentitySeries:
         )
 
 
-def identity_series(traj_a, traj_b, D, velocity_floor=1e-14):
+def identity_series(traj_a, traj_b, D):
     """Evaluate the symmetric-entropy balance pieces at every snapshot.
 
     Velocities come from the recorded fluxes with a small positivity floor;
@@ -247,8 +247,8 @@ def identity_series(traj_a, traj_b, D, velocity_floor=1e-14):
     h_vals, q_vals, rhs_vals = [], [], []
     for k in range(len(ta)):
         a, b = traj_a.state(k), traj_b.state(k)
-        u = _velocities(traj_a.fluxes[k], a.c, velocity_floor)
-        ub = _velocities(traj_b.fluxes[k], b.c, velocity_floor)
+        u = _velocities(traj_a.fluxes[k], a.c)
+        ub = _velocities(traj_b.fluxes[k], b.c)
         q_vals.append(dissipation(a, b, u, ub, D))
         rhs_vals.append(_entropy_rhs(a.c, b.c, u, ub, D, grid))
         h_vals.append(symmetrized_relative_entropy(a, b))
@@ -264,7 +264,7 @@ def identity_series(traj_a, traj_b, D, velocity_floor=1e-14):
     )
 
 
-def identity_residual(traj_a, traj_b, D, window=None, velocity_floor=1e-14):
+def identity_residual(traj_a, traj_b, D, window=None):
     """Discrete defect of the symmetric-entropy balance over a time window.
 
     Compares the change of the symmetrized relative entropy against the
@@ -272,7 +272,7 @@ def identity_residual(traj_a, traj_b, D, window=None, velocity_floor=1e-14):
     quadrature on the recorded snapshots (trapezoids are interval-additive,
     so windowed values agree with differences of the cumulative series).
     """
-    series = identity_series(traj_a, traj_b, D, velocity_floor=velocity_floor)
+    series = identity_series(traj_a, traj_b, D)
     ta = series.times
     lo = window[0] if window is not None else ta[0]
     hi = window[1] if window is not None else ta[-1]

@@ -187,17 +187,16 @@ def assemble_operator(comp, D):
     )
 
 
-def spectral_gap_check(op, z, total_shift=None):
+def spectral_gap_check(op, z):
     """Evaluate the coercivity bound z'Az >= (1 + n*delta) * mu * |Pz|^2.
 
     Returns (lhs, rhs, holds) with a 1e-12 slack on ``holds``. Equality is
     attained for z orthogonal to the kernel when all diffusivities agree.
     """
     z = np.asarray(z, dtype=float)
-    mass = float(total_shift) + 1.0 if total_shift is not None else op.shifted_mass
     lhs = float(z @ op.friction @ z)
     pz = op.proj_range @ z
-    rhs = mass * op.mu * float(pz @ pz)
+    rhs = op.shifted_mass * op.mu * float(pz @ pz)
     return lhs, rhs, lhs >= rhs - 1e-12
 
 

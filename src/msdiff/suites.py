@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import mollify, sim
-from .config import ValidationError, _convert
 from .entropy import (
     EntropyReport,
     entropy as mixing_entropy,
@@ -66,24 +65,6 @@ def _check(name, operation, value, threshold, kind="<="):
     }
 
 
-def _param(cfg, suite, name, conv, default):
-    key = f"{suite}.{name}"
-    raw = cfg.params.get(key)
-    if raw is None:
-        return default
-    return _convert(key, raw, conv, getattr(raw, "line", "?"))
-
-
-def _levels(cfg, suite):
-    """Refinement level count; an observed order needs two levels or more."""
-    levels = _param(cfg, suite, "levels", int, 3)
-    if levels < 2:
-        key = f"{suite}.levels"
-        line = getattr(cfg.params[key], "line", "?")
-        raise ValidationError(f"line {line}: {key} must be at least 2, got {levels}")
-    return levels
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -109,10 +90,8 @@ def _zero_sum_gradients(rng, m, n):
 def flux_certify(cfg, rng):
     """Randomized certification of the pointwise force-flux solve."""
     suite = "flux-certify"
-    samples = _param(cfg, suite, "samples", int, 10000)
-    n_lo = _param(cfg, suite, "species_min", int, 2)
-    n_hi = _param(cfg, suite, "species_max", int, 6)
-    species = list(range(n_lo, n_hi + 1))
+    samples = cfg.params["flux-certify.samples"]
+    species = list(range(2, 7))
     per_n = max(1, samples // len(species))
 
     max_res = max_zero = max_oracle = 0.0
@@ -149,8 +128,8 @@ def flux_certify(cfg, rng):
 def spectral_certify(cfg, rng):
     """Operator algebra identities plus the coercivity bound, randomized."""
     suite = "spectral-certify"
-    samples = _param(cfg, suite, "samples", int, 10000)
-    op_samples = _param(cfg, suite, "operator_samples", int, 1000)
+    samples = cfg.params["spectral-certify.samples"]
+    op_samples = cfg.params["spectral-certify.operator_samples"]
 
     worst = {
         "kernel_action": 0.0,
@@ -236,9 +215,9 @@ def _identity_level(args):
 def identity_study(cfg, rng):
     """Entropy-balance residual under dyadic space-time refinement."""
     suite = "identity-study"
-    levels = _levels(cfg, suite)
-    base_cells = _param(cfg, suite, "cells", int, 32)
-    t_final = _param(cfg, suite, "t_final", float, 0.002)
+    levels = cfg.params["identity-study.levels"]
+    base_cells = cfg.params["identity-study.cells"]
+    t_final = cfg.params["identity-study.t_final"]
 
     base_grid = PeriodicGrid((base_cells,))
     dt0 = 0.25 * sim.max_stable_dt(base_grid, cfg.scenario.D)
@@ -286,9 +265,7 @@ def identity_study(cfg, rng):
 def mollifier_study(cfg, rng):
     """Space-time mollification limits and the initial-trace half factor."""
     suite = "mollifier-study"
-    cells = _param(cfg, suite, "cells", int, 64)
-    t_cells = _param(cfg, suite, "t_cells", int, 64)
-    trace_cells = _param(cfg, suite, "trace_cells", int, 256)
+    cells, t_cells, trace_cells, eps_trace = 64, 64, 256, 0.05
 
     grid = PeriodicGrid((cells,))
     f = lambda x, t: (0.8 + 0.3 * np.cos(2 * np.pi * x)) * (1.0 + 0.25 * t)
@@ -303,7 +280,6 @@ def mollifier_study(cfg, rng):
     )
 
     tgrid = PeriodicGrid((trace_cells,))
-    eps_trace = _param(cfg, suite, "trace_eps", float, 0.05)
     trace = mollify.initial_trace_mollification(
         f, phi, eps_trace, tgrid, 1.0, trace_cells
     )
@@ -374,7 +350,7 @@ def twin_study(cfg, rng):
     suite = "twin-study"
     scenario = cfg.scenario
     delta = scenario.delta
-    halvings = _param(cfg, suite, "halvings", int, 3)
+    halvings = cfg.params["twin-study.halvings"]
 
     # pair each run with a half-step twin from the same data; the gap at the
     # final time must shrink at least first order in dt under dt halving
@@ -436,7 +412,8 @@ def twin_study(cfg, rng):
 
 
 def _convergence_level(args):
-    d12, base_cells, level, t_final, amplitude, mode = args
+    base_cells, level = args
+    d12, t_final, amplitude, mode = 1.0, 0.01, 0.2, 1
     cells = base_cells * 2**level
     grid = PeriodicGrid((cells,))
     D = DiffusionMatrix.uniform(2, d12)
@@ -462,13 +439,10 @@ def _convergence_level(args):
 def convergence_study(cfg, rng):
     """Two-species single-mode decay against the closed-form solution."""
     suite = "convergence-study"
-    levels = _levels(cfg, suite)
-    base_cells = _param(cfg, suite, "cells", int, 64)
-    d12 = _param(cfg, suite, "d12", float, 1.0)
-    t_final = _param(cfg, suite, "t_final", float, 0.01)
-    amplitude = _param(cfg, suite, "amplitude", float, 0.2)
+    levels = cfg.params["convergence-study.levels"]
+    base_cells = cfg.params["convergence-study.cells"]
 
-    jobs = [(d12, base_cells, lvl, t_final, amplitude, 1) for lvl in range(levels)]
+    jobs = [(base_cells, lvl) for lvl in range(levels)]
     rows = _map_jobs(_convergence_level, jobs, cfg.workers)
     rows.sort()
     errs = [e for _, _, e in rows]
@@ -511,6 +485,22 @@ _SUITES = {
     "mollifier-study": mollifier_study,
     "twin-study": twin_study,
     "convergence-study": convergence_study,
+}
+
+# The settable suite parameters: "<suite>.<key>" -> (type, default, lowest
+# admissible value). An integer may equal its lowest value, a number must
+# exceed it. The config layer converts and checks every given key against
+# this table before any suite runs, so suites read typed values only.
+SUITE_PARAMS = {
+    "flux-certify.samples": (int, 10000, 1),
+    "spectral-certify.samples": (int, 10000, 1),
+    "spectral-certify.operator_samples": (int, 1000, 1),
+    "identity-study.levels": (int, 3, 2),
+    "identity-study.cells": (int, 32, 2),
+    "identity-study.t_final": (float, 0.002, 0.0),
+    "twin-study.halvings": (int, 3, 2),
+    "convergence-study.levels": (int, 3, 2),
+    "convergence-study.cells": (int, 64, 2),
 }
 
 

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msdiff import suites
 from msdiff.cli import main
@@ -19,6 +20,19 @@ from msdiff.entropy import CSV_COLUMNS
 
 MINIMAL = "n = 2\nD.1.2 = 1.0\n"
 
+# the nine settable suite parameters at their defaults
+DEFAULT_PARAMS = {
+    "flux-certify.samples": 10000,
+    "spectral-certify.samples": 10000,
+    "spectral-certify.operator_samples": 1000,
+    "identity-study.levels": 3,
+    "identity-study.cells": 32,
+    "identity-study.t_final": 0.002,
+    "twin-study.halvings": 3,
+    "convergence-study.levels": 3,
+    "convergence-study.cells": 64,
+}
+
 
 def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
@@ -29,7 +43,7 @@ def test_minimal_config_defaults():
     assert sc.delta == 0.05 and sc.cadence == 1 and sc.preset == "sine_mix"
     assert sc.dt is None and sc.perturbation is None
     assert cfg.suites == [] and cfg.seed == 0 and cfg.workers == 1
-    assert cfg.out_dir == "out" and cfg.params == {} and cfg.warnings == []
+    assert cfg.out_dir == "out" and cfg.params == DEFAULT_PARAMS and cfg.warnings == []
 
 
 def test_full_config_round_trip():
@@ -71,7 +85,7 @@ def test_full_config_round_trip():
     assert sc.perturbation.amplitude == 0.01
     assert cfg.suites == ["flux-certify", "spectral-certify"]
     assert cfg.seed == 11 and cfg.out_dir == "results" and cfg.workers == 3
-    assert cfg.params == {"flux-certify.samples": "500"}
+    assert cfg.params == {**DEFAULT_PARAMS, "flux-certify.samples": 500}
 
 
 def test_symmetric_duplicate_diffusivity_is_accepted():
@@ -135,6 +149,18 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         ),
         ("n = 2\nD.1.2 = 1.0\ncells = abc\n", "must be a list of"),
         ("n = 2\nD.1.2 = 1.0\ncells = x\n", "line 3: cells must be a list of integers"),
+        ("n = 2\nD.1.2 = 1.0\nt_final = inf\n", "line 3: t_final must be a finite number"),
+        ("n = 2\nD.1.2 = inf\n", "line 2: D.1.2 must be a finite number"),
+        ("n = 2\nD.1.2 = nan\n", "line 2: D.1.2 must be a finite number"),
+        ("n = 2\nD.1.2 = 1.0\ndelta = nan\n", "line 3: delta must be a finite number"),
+        ("n = 2\nD.1.2 = 1.0\nlengths = inf\n", "line 3: lengths must be a list of finite numbers"),
+        (
+            "n = 2\nD.1.2 = 1.0\nidentity-study.t_final = inf\n",
+            "line 3: identity-study.t_final must be a finite number",
+        ),
+        ("n = 2\nD.1.2 = 1.0\nlengths = 1e-300\n", "scenario rejected: stability bound"),
+        ("n = 2\nD.1.2 = 1.0\ndt = 0.001\n", "line 3: dt=0.001 exceeds the stability bound"),
+        ("n = 2\nD.1.2 = 1.0\nseed = -1\n", "line 3: seed must be >= 0"),
     ],
 )
 def test_validation_errors(text, fragment):
@@ -260,15 +286,60 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
         ("flux-certify.samples = abc", "flux-certify.samples must be an integer"),
         ("identity-study.levels = 1", "identity-study.levels must be at least 2"),
         ("convergence-study.levels = 1", "convergence-study.levels must be at least 2"),
+        ("flux-certify.bogus = 3", "unknown key 'flux-certify.bogus'"),
+        ("flux-certify.species_min = 5", "unknown key 'flux-certify.species_min'"),
+        ("flux-certify.samples = 0", "flux-certify.samples must be at least 1"),
+        (
+            "spectral-certify.operator_samples = 0",
+            "spectral-certify.operator_samples must be at least 1",
+        ),
+        ("twin-study.halvings = 1", "twin-study.halvings must be at least 2"),
+        ("identity-study.cells = 1", "identity-study.cells must be at least 2"),
+        ("identity-study.t_final = 0", "identity-study.t_final must be greater than 0"),
+        ("convergence-study.cells = 0", "convergence-study.cells must be at least 2"),
     ],
 )
 def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
     suite = line.split(".", 1)[0]
     text = MINIMAL + f"suites = {suite}\n{line}\n"
-    code = main([write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main([write_cfg(tmp_path, text), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: line 4: {fragment}" in err, err
+    assert not out.exists()
+
+
+def test_cli_unselected_suite_parameter_is_still_checked(tmp_path, capsys):
+    text = MINIMAL + "suites = flux-certify\ntwin-study.halvings = abc\n"
+    code = main([write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: line 4: twin-study.halvings must be an integer" in err, err
+
+
+def test_cli_bad_parameter_of_a_later_suite_writes_nothing(tmp_path, capsys):
+    # identity-study would write its CSV first if parameters were checked lazily
+    text = (
+        MINIMAL
+        + "suites = identity-study twin-study\n"
+        + "identity-study.levels = 2\nidentity-study.cells = 8\n"
+        + "twin-study.halvings = 1\n"
+    )
+    out = tmp_path / "out"
+    code = main([write_cfg(tmp_path, text), "--out", str(out)])
+    assert code == 2
+    assert "error: line 6: twin-study.halvings must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_flag_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([write_cfg(tmp_path, MINIMAL + "suites = flux-certify\n"),
+                 "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_workers_flag(tmp_path, capsys):
@@ -325,3 +396,42 @@ def test_twin_delta_warning_surfaces_in_logs(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS
     assert len(rows) > 1
+
+
+# Config grammar fuzz: a valid three-species base with up to five keys
+# overwritten by tokens from a fixed pool of edge values. Parsing alone
+# (no suite runs) must either succeed or raise one of the two config errors.
+FUZZ_BASE = {"n": "3", "D.1.2": "1.0", "D.1.3": "2.0", "D.2.3": "3.0", "cells": "16"}
+FUZZ_KEYS = sorted(
+    {
+        "n", "dim", "t_final", "dt", "cfl", "scheme", "delta", "cadence",
+        "preset", "amplitude", "mode", "seed", "out", "workers",
+        "perturb.amplitude", "perturb.mode",
+        "cells", "lengths", "weights", "suites", "perturb.species",
+        "D.1.2", "D.2.1", "D.1.3", "D.2.3", "D.3.3", "D.1.4", "D.x.2",
+        "flux-certify.species_min", "mollifier-study.cells", "bogus",
+    }
+    | set(suites.SUITE_PARAMS)
+)
+FUZZ_TOKENS = [
+    "inf", "-inf", "nan", "1e-300", "1e300", "0", "-1", "1", "2", "3",
+    "8", "64", "0.5", "0.001", "1.5", "abc", "euler", "heun", "uniform",
+    "binary_mode", "flux-certify", "twin-study",
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(FUZZ_KEYS),
+        st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=3).map(" ".join),
+        max_size=5,
+    )
+)
+def test_config_fuzz_raises_only_config_errors(edits):
+    text = "".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, **edits}.items())
+    try:
+        cfg = parse_config(text)
+    except (ParseError, ValidationError):
+        return
+    assert set(cfg.params) == set(suites.SUITE_PARAMS)
