@@ -10,7 +10,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import KNOWN_SUITES, ParseError, ValidationError, load_config
+from .config import (
+    KNOWN_SUITES, ParseError, ValidationError, check_suites, load_config
+)
 from .suites import execute
 
 
@@ -40,6 +42,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.suite:
             cfg = replace(cfg, suites=list(dict.fromkeys(args.suite)))
+            check_suites(cfg)
         if args.seed is not None:
             if args.seed < 0:
                 raise ValidationError("--seed must be >= 0")

@@ -16,7 +16,7 @@ import numpy as np
 from .flux import DiffusionMatrix, admissible_delta_max
 from .grid import PeriodicGrid
 from .sim import Perturbation, Scenario, max_stable_dt
-from .suites import SUITE_PARAMS, _SUITES
+from .suites import SUITE_PARAMS, _SUITES, study_runs
 
 KNOWN_SUITES = tuple(_SUITES)
 
@@ -218,6 +218,11 @@ def parse_config(text):
     perturbation = _parse_perturbation(rd, n)
 
     grid = PeriodicGrid(tuple(cells), tuple(lengths))
+    cap = max_stable_dt(grid, D)
+    if dt is not None and dt > cap * (1.0 + 1e-9):
+        raise ValidationError(
+            f"line {rd.line_of('dt')}: dt={dt} exceeds the stability bound {cap:.6g}"
+        )
     try:
         scenario = Scenario(
             n=n,
@@ -239,11 +244,6 @@ def parse_config(text):
         scenario.resolve_steps()
     except ValueError as exc:
         raise ValidationError(f"scenario rejected: {exc}") from None
-    cap = max_stable_dt(grid, D)
-    if dt is not None and dt > cap * (1.0 + 1e-9):
-        raise ValidationError(
-            f"line {rd.line_of('dt')}: dt={dt} exceeds the stability bound {cap:.6g}"
-        )
 
     cfg = RunConfig(
         scenario=scenario,
@@ -259,7 +259,20 @@ def parse_config(text):
         if key not in SUITE_PARAMS:
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
         cfg.params[key] = _suite_param(key, value, lineno)
+    check_suites(cfg)
     return cfg
+
+
+def check_suites(cfg):
+    """Resolve the steps and build the perturbed initial state of every run
+    of the selected suites, so a study's own perturbation cannot fail late."""
+    for name in cfg.suites:
+        try:
+            for _, sc in study_runs(name, cfg.scenario, cfg.params):
+                sc.resolve_steps()
+                sc.initial_state()
+        except ValueError as exc:
+            raise ValidationError(f"scenario rejected: {name}: {exc}") from None
 
 
 def _suite_param(key, text, lineno):

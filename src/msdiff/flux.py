@@ -358,8 +358,8 @@ class StabilityConstants:
 
 def admissible_delta_max(D):
     """Largest shift for which the dissipation margin mu/4 - c4*delta stays positive."""
-    c4 = D.n * D.big_m + 2.0 * D.n**2 * D.big_m**2 / D.mu
-    return min(1.0, D.mu / (4.0 * c4))
+    # delta_max depends on D alone; any shift in (0, 1) and flux bound will do
+    return stability_constants(D, 0.5, 0.0, enforce_admissible=False).delta_max
 
 
 def stability_constants(D, delta, flux_bound, enforce_admissible=True):

@@ -20,6 +20,10 @@ from .flux import solve_fluxes_batch
 from .grid import ConcentrationState, PeriodicGrid, gradient, integrate
 
 
+# the most steps one run may take; Scenario.resolve_steps refuses more
+MAX_STEPS = 10**7
+
+
 class CflViolation(ValueError):
     """The requested time step exceeds the parabolic stability bound."""
 
@@ -97,13 +101,16 @@ class StepInfo:
     clipped_mass: float
 
 
-def step(state, D, dt, scheme="euler", stability_check=True):
+def _check_stable(dt, grid, D):
+    cap = max_stable_dt(grid, D)
+    if dt > cap * (1.0 + 1e-9):
+        raise CflViolation(f"dt={dt:.3e} exceeds stability bound {cap:.3e}")
+
+
+def step(state, D, dt, scheme="euler"):
     """Advance one explicit step; returns (new state, StepInfo)."""
     grid = state.grid
-    if stability_check:
-        cap = max_stable_dt(grid, D)
-        if dt > cap * (1.0 + 1e-9):
-            raise CflViolation(f"dt={dt:.3e} exceeds stability bound {cap:.3e}")
+    _check_stable(dt, grid, D)
     vol = grid.cell_volume
     div, _, fmax = _face_divergence(state.c, D, grid)
     clipped = 0.0
@@ -184,19 +191,28 @@ class Scenario:
             raise ValueError("cadence must be a positive step count")
 
     def resolve_steps(self):
-        """Concrete (dt, step count) for this run; dt must divide t_final."""
-        if self.dt is not None:
-            steps = round(self.t_final / self.dt)
-            if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * self.t_final:
-                raise ValueError(
-                    f"dt={self.dt} does not divide t_final={self.t_final}"
-                )
-            return float(self.dt), int(steps)
-        target = self.cfl * max_stable_dt(self.grid, self.D)
-        if not target > 0.0:
-            raise ValueError(f"stability bound {target:.3e} is not positive")
-        steps = max(1, int(math.ceil(self.t_final / target - 1e-12)))
-        return self.t_final / steps, steps
+        """Concrete (dt, step count) for this run: the one step rule.
+
+        An explicit dt must divide t_final and respect the stability bound;
+        otherwise dt is the largest step of at most cfl times the bound that
+        divides t_final. More than MAX_STEPS steps are refused.
+        """
+        target = self.dt
+        if target is None:
+            target = self.cfl * max_stable_dt(self.grid, self.D)
+            if not target > 0.0:
+                raise ValueError(f"stability bound {target:.3e} is not positive")
+        ratio = self.t_final / target
+        if ratio > MAX_STEPS:
+            raise ValueError(f"the run needs {ratio:.3e} steps, more than {MAX_STEPS}")
+        if self.dt is None:
+            steps = max(1, int(math.ceil(ratio - 1e-12)))
+            return self.t_final / steps, steps
+        steps = round(ratio)
+        if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * self.t_final:
+            raise ValueError(f"dt={self.dt} does not divide t_final={self.t_final}")
+        _check_stable(self.dt, self.grid, self.D)
+        return float(self.dt), int(steps)
 
     def initial_state(self):
         c = _build_preset(self)
@@ -297,12 +313,6 @@ def run(scenario):
     from .entropy import entropy as _entropy
 
     dt, steps = scenario.resolve_steps()
-    cap = max_stable_dt(scenario.grid, scenario.D)
-    if dt > cap * (1.0 + 1e-9):
-        raise CflViolation(
-            f"dt={dt:.3e} exceeds stability bound {cap:.3e}; "
-            f"refine the time step or lower cfl"
-        )
     state = scenario.initial_state()
     traj = Trajectory(grid=scenario.grid, dt=dt, scheme=scenario.scheme)
 
@@ -318,9 +328,7 @@ def run(scenario):
     traj.clipped_series.append(0.0)
 
     for k in range(1, steps + 1):
-        state, info = step(
-            state, scenario.D, dt, scheme=scenario.scheme, stability_check=False
-        )
+        state, info = step(state, scenario.D, dt, scheme=scenario.scheme)
         state.time = k * dt
         traj.step_times.append(state.time)
         traj.entropy_series.append(_entropy(state))
@@ -336,7 +344,6 @@ class TwinResult:
     base: Trajectory
     twin: Trajectory
     certificate: object
-    scenario: Scenario
 
 
 def twin_experiment(scenario, perturbation=None, dt_divisor=1):
@@ -361,7 +368,7 @@ def twin_experiment(scenario, perturbation=None, dt_divisor=1):
     base = run(base_sc)
     twin = run(twin_sc)
     cert = gronwall_certificate(base, twin, scenario.D, scenario.delta)
-    return TwinResult(base=base, twin=twin, certificate=cert, scenario=scenario)
+    return TwinResult(base=base, twin=twin, certificate=cert)
 
 
 def exact_binary_mode(grid, d12, amplitude, mode, t, base=0.5, axis=0):

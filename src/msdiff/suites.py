@@ -91,15 +91,16 @@ def flux_certify(cfg, rng):
     """Randomized certification of the pointwise force-flux solve."""
     suite = "flux-certify"
     samples = cfg.params["flux-certify.samples"]
-    species = list(range(2, 7))
-    per_n = max(1, samples // len(species))
 
+    # exactly `samples` points over 5 species counts, then up to 4 non-empty
+    # chunks each, the earlier parts taking the remainders
     max_res = max_zero = max_oracle = 0.0
-    total = 0
-    for n in species:
-        chunks = 4
-        for _ in range(chunks):
-            m = max(1, per_n // chunks)
+    total, species = 0, []
+    for i, n in enumerate(range(2, 7)):
+        per_n = samples // 5 + (i < samples % 5)
+        species += [n] if per_n else []
+        for k in range(min(4, per_n)):
+            m = per_n // 4 + (k < per_n % 4)
             total += m
             D = _random_diffusivities(rng, n)
             c = _random_simplex(rng, m, n)
@@ -203,51 +204,50 @@ def spectral_certify(cfg, rng):
     return SuiteResult(suite, all(c["passed"] for c in checks), checks, details=details)
 
 
+def study_runs(name, scenario, params):
+    """(base, perturbed) scenario pairs that suite ``name`` certifies.
+
+    identity-study: Euler levels, coarse first, each halving h and
+    quartering dt, with the level-0 step taken at cfl 0.25. twin-study:
+    the configured run, perturbed as configured or by a default wave.
+    """
+    if name == "identity-study":
+        base = replace(
+            scenario,
+            grid=PeriodicGrid((params["identity-study.cells"],)),
+            t_final=params["identity-study.t_final"],
+            dt=None,
+            cfl=0.25,
+            cadence=1,
+            scheme="euler",
+            perturbation=None,
+        )
+        base = replace(base, dt=base.resolve_steps()[0])
+        bases = [base.refine(2**lvl) for lvl in range(params["identity-study.levels"])]
+        pert = sim.Perturbation(amplitude=0.02, mode=2)
+    elif name == "twin-study":
+        bases = [replace(scenario, perturbation=None)]
+        pert = scenario.perturbation or sim.Perturbation(amplitude=1e-4, mode=1)
+    else:
+        return []
+    return [(sc, replace(sc, perturbation=pert)) for sc in bases]
+
+
 def _identity_level(args):
-    scenario, level = args
-    sc = scenario.refine(2**level) if level else scenario
-    pert = sim.Perturbation(amplitude=0.02, mode=2)
-    result = sim.twin_experiment(sc, perturbation=pert)
-    res = identity_residual(result.base, result.twin, sc.D)
-    return level, min(sc.grid.spacing), res.residual
+    level, (base, twin) = args
+    res = identity_residual(sim.run(base), sim.run(twin), base.D)
+    return level, min(base.grid.spacing), res.residual
 
 
 def identity_study(cfg, rng):
     """Entropy-balance residual under dyadic space-time refinement."""
     suite = "identity-study"
-    levels = cfg.params["identity-study.levels"]
-    base_cells = cfg.params["identity-study.cells"]
-    t_final = cfg.params["identity-study.t_final"]
-
-    base_grid = PeriodicGrid((base_cells,))
-    dt0 = 0.25 * sim.max_stable_dt(base_grid, cfg.scenario.D)
-    steps = max(1, math.ceil(t_final / dt0))
-    scenario = replace(
-        cfg.scenario,
-        grid=base_grid,
-        t_final=t_final,
-        dt=t_final / steps,
-        cadence=1,
-        scheme="euler",
-        perturbation=None,
-    )
-    jobs = [(scenario, lvl) for lvl in range(levels)]
-    rows = _map_jobs(_identity_level, jobs, cfg.workers)
-    rows.sort()
-    residuals = [r for _, _, r in rows]
-    orders = [
-        math.log2(residuals[k] / residuals[k + 1]) for k in range(len(residuals) - 1)
-    ]
+    pairs = study_runs(suite, cfg.scenario, cfg.params)
+    rows = _map_jobs(_identity_level, list(enumerate(pairs)), cfg.workers)
+    art = os.path.join(cfg.out_dir, "identity_study.csv")
+    residuals, orders = _order_table(art, ["level", "h", "residual"], rows)
     slope, _ = mollify.fit_loglog([h for _, h, _ in rows], residuals)
 
-    art = os.path.join(cfg.out_dir, "identity_study.csv")
-    with open(art, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "h", "residual", "observed_order"])
-        for k, (lvl, h, r) in enumerate(rows):
-            writer.writerow(
-                [lvl, repr(h), repr(r), "" if k == 0 else repr(orders[k - 1])]
-            )
     checks = [
         _check("identity_refinement_order", "entropy.identity_residual", min(orders), 1.0, ">=")
     ]
@@ -255,11 +255,9 @@ def identity_study(cfg, rng):
         "residuals": residuals,
         "orders": orders,
         "fitted_slope": slope,
-        "levels": levels,
+        "levels": len(pairs),
     }
-    return SuiteResult(
-        suite, all(c["passed"] for c in checks), checks, [art], details
-    )
+    return SuiteResult(suite, all(c["passed"] for c in checks), checks, [art], details)
 
 
 def mollifier_study(cfg, rng):
@@ -352,31 +350,23 @@ def twin_study(cfg, rng):
     delta = scenario.delta
     halvings = cfg.params["twin-study.halvings"]
 
-    # pair each run with a half-step twin from the same data; the gap at the
-    # final time must shrink at least first order in dt under dt halving
-    dt0, steps0 = scenario.resolve_steps()
-    f_gaps, dts = [], []
-    for k in range(halvings):
-        steps_k = steps0 * 2**k
-        sc_k = replace(
-            scenario,
-            dt=scenario.t_final / steps_k,
-            cadence=steps_k,
-            perturbation=None,
-        )
-        result = sim.twin_experiment(sc_k, dt_divisor=2)
-        f_gaps.append(
-            regularized_relative_entropy(
-                result.base.state(-1), result.twin.state(-1), delta
-            )
-        )
-        dts.append(scenario.t_final / steps_k)
+    # a ladder of runs from the same data at dt0 / 2^k: run k+1 is the
+    # half-step twin of run k, and the gap between their final states must
+    # shrink at least first order in dt under dt halving
+    _, steps0 = scenario.resolve_steps()
+    ladder = [
+        replace(scenario, dt=scenario.t_final / s, cadence=s, perturbation=None)
+        for s in (steps0 * 2**k for k in range(halvings + 1))
+    ]
+    finals = [sim.run(sc).state(-1) for sc in ladder]
+    dts = [sc.dt for sc in ladder[:-1]]
+    f_gaps = [
+        regularized_relative_entropy(a, b, delta) for a, b in zip(finals, finals[1:])
+    ]
     slope, _ = mollify.fit_loglog(dts, [max(g, 1e-300) for g in f_gaps])
 
-    pert = scenario.perturbation or sim.Perturbation(amplitude=1e-4, mode=1)
-    perturbed = sim.twin_experiment(
-        replace(scenario, perturbation=None), perturbation=pert
-    )
+    [(base, twin)] = study_runs(suite, scenario, cfg.params)
+    perturbed = sim.twin_experiment(base, perturbation=twin.perturbation)
     cert = perturbed.certificate
     reports = _twin_reports(perturbed, scenario.D, delta)
     art_csv = os.path.join(cfg.out_dir, "twin_diagnostics.csv")
@@ -402,73 +392,59 @@ def twin_study(cfg, rng):
         },
     }
     _write_json(art_json, details)
-    return SuiteResult(
-        suite,
-        all(c["passed"] for c in checks),
-        checks,
-        [art_csv, art_json],
-        details,
-    )
+    passed = all(c["passed"] for c in checks)
+    return SuiteResult(suite, passed, checks, [art_csv, art_json], details)
 
 
-def _convergence_level(args):
-    base_cells, level = args
+def _convergence_level(cells):
     d12, t_final, amplitude, mode = 1.0, 0.01, 0.2, 1
-    cells = base_cells * 2**level
     grid = PeriodicGrid((cells,))
-    D = DiffusionMatrix.uniform(2, d12)
-    dt0 = 0.25 * sim.max_stable_dt(grid, D)
-    steps = math.ceil(t_final / dt0)
     scenario = sim.Scenario(
         n=2,
-        D=D,
+        D=DiffusionMatrix.uniform(2, d12),
         grid=grid,
         t_final=t_final,
         preset="binary_mode",
         amplitude=amplitude,
         mode=mode,
-        dt=t_final / steps,
-        cadence=steps,
+        cfl=0.25,
     )
-    traj = sim.run(scenario)
+    _, steps = scenario.resolve_steps()
+    traj = sim.run(replace(scenario, cadence=steps))
     exact = sim.exact_binary_mode(grid, d12, amplitude, mode, t_final)
     err = l2_norm(traj.states[-1] - exact.c, grid) / l2_norm(exact.c, grid)
-    return level, grid.spacing[0], err
+    return cells, grid.spacing[0], err
 
 
 def convergence_study(cfg, rng):
     """Two-species single-mode decay against the closed-form solution."""
     suite = "convergence-study"
     levels = cfg.params["convergence-study.levels"]
-    base_cells = cfg.params["convergence-study.cells"]
-
-    jobs = [(base_cells, lvl) for lvl in range(levels)]
+    jobs = [cfg.params["convergence-study.cells"] * 2**lvl for lvl in range(levels)]
     rows = _map_jobs(_convergence_level, jobs, cfg.workers)
-    rows.sort()
-    errs = [e for _, _, e in rows]
-    orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
-
     art = os.path.join(cfg.out_dir, "convergence_study.csv")
-    with open(art, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cells", "h", "rel_l2_error", "observed_order"])
-        for k, (lvl, h, e) in enumerate(rows):
-            writer.writerow(
-                [
-                    base_cells * 2**lvl,
-                    repr(h),
-                    repr(e),
-                    "" if k == 0 else repr(orders[k - 1]),
-                ]
-            )
+    errs, orders = _order_table(art, ["cells", "h", "rel_l2_error"], rows)
     checks = [
         _check("binary_convergence_order", "sim.run", min(orders), 1.9, ">="),
         _check("binary_finest_error", "sim.run", errs[-1], 1e-3),
     ]
     details = {"errors": errs, "orders": orders}
-    return SuiteResult(
-        suite, all(c["passed"] for c in checks), checks, [art], details
-    )
+    return SuiteResult(suite, all(c["passed"] for c in checks), checks, [art], details)
+
+
+def _order_table(path, columns, rows):
+    """Write rows (label, h, value), coarse first, with log2 orders between
+    neighbours to a CSV; returns (values, orders)."""
+    values = [v for _, _, v in rows]
+    orders = [math.log2(values[k] / values[k + 1]) for k in range(len(values) - 1)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns + ["observed_order"])
+        for k, (label, h, v) in enumerate(rows):
+            writer.writerow(
+                [label, repr(h), repr(v), "" if k == 0 else repr(orders[k - 1])]
+            )
+    return values, orders
 
 
 def _map_jobs(fn, jobs, workers):

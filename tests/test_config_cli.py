@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -161,6 +163,8 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         ("n = 2\nD.1.2 = 1.0\nlengths = 1e-300\n", "scenario rejected: stability bound"),
         ("n = 2\nD.1.2 = 1.0\ndt = 0.001\n", "line 3: dt=0.001 exceeds the stability bound"),
         ("n = 2\nD.1.2 = 1.0\nseed = -1\n", "line 3: seed must be >= 0"),
+        ("n = 2\nD.1.2 = 1.0\ncfl = 1e-300\n", "scenario rejected: the run needs"),
+        ("n = 2\nD.1.2 = 1.0\nt_final = 1e300\n", "scenario rejected: the run needs"),
     ],
 )
 def test_validation_errors(text, fragment):
@@ -297,17 +301,56 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
         ("identity-study.cells = 1", "identity-study.cells must be at least 2"),
         ("identity-study.t_final = 0", "identity-study.t_final must be greater than 0"),
         ("convergence-study.cells = 0", "convergence-study.cells must be at least 2"),
+        (
+            "identity-study.t_final = 1e9",
+            "scenario rejected: identity-study: the run needs 8.192e+12 steps",
+        ),
+        # valid weights that the study's own perturbation pushes off the simplex
+        (
+            "weights = 0.01 0.99",
+            "scenario rejected: identity-study: concentrations outside [0, 1]",
+        ),
+        (
+            "weights = 0.00001 0.99999",
+            "scenario rejected: twin-study: concentrations outside [0, 1]",
+        ),
     ],
 )
 def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
-    suite = line.split(".", 1)[0]
+    suite = next(s for s in KNOWN_SUITES if s in line + fragment)
     text = MINIMAL + f"suites = {suite}\n{line}\n"
     out = tmp_path / "out"
     code = main([write_cfg(tmp_path, text), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"error: line 4: {fragment}" in err, err
+    if not fragment.startswith("scenario rejected"):
+        fragment = f"line 4: {fragment}"
+    assert f"error: {fragment}" in err, err
     assert not out.exists()
+
+
+def test_cli_suite_flag_checks_the_selected_study(tmp_path, capsys):
+    # the config selects nothing that perturbs; --suite selects identity-study
+    text = MINIMAL + "suites = flux-certify\nweights = 0.01 0.99\n"
+    path = write_cfg(tmp_path, text)
+    assert parse_config(text).suites == ["flux-certify"]
+    out = tmp_path / "out"
+    code = main([path, "--out", str(out), "--suite", "identity-study"])
+    assert code == 2
+    assert "scenario rejected: identity-study" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "samples,species", [(1, [2]), (30, [2, 3, 4, 5, 6]), (10000, [2, 3, 4, 5, 6])]
+)
+def test_cli_flux_certify_draws_exactly_samples(tmp_path, samples, species):
+    text = MINIMAL + f"suites = flux-certify\nflux-certify.samples = {samples}\n"
+    out = tmp_path / "out"
+    assert main([write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    details = json.loads((out / "summary.json").read_text())["suites"]["flux-certify"]["details"]
+    assert details["samples"] == samples
+    assert details["species"] == species
 
 
 def test_cli_unselected_suite_parameter_is_still_checked(tmp_path, capsys):
@@ -435,3 +478,41 @@ def test_config_fuzz_raises_only_config_errors(edits):
     except (ParseError, ValidationError):
         return
     assert set(cfg.params) == set(suites.SUITE_PARAMS)
+
+
+# CLI fuzz: tiny two-study runs with the keys that shape the initial data
+# drawn from fixed token pools. Whatever the draw, main() returns 0, 1 or 2
+# and no exception escapes.
+CLI_FUZZ_BASE = (
+    "n = 3\nD.1.2 = 1.0\nD.1.3 = 2.0\nD.2.3 = 3.0\ncells = 8\nt_final = 0.0005\n"
+    "suites = identity-study twin-study\nidentity-study.cells = 8\n"
+    "identity-study.levels = 2\nidentity-study.t_final = 0.0005\n"
+    "twin-study.halvings = 2\n"
+)
+CLI_FUZZ_TOKENS = {
+    "weights": ["0.2 0.3 0.5", "0.01 0.5 0.49", "0.00001 0.5 0.49999", "1 1 1",
+                "0 1 1", "0.5 0.5", "abc"],
+    "preset": ["sine_mix", "uniform", "binary_mode", "vortex"],
+    "amplitude": ["0", "0.2", "0.9", "0.99", "1.5", "-0.1", "nan"],
+    "perturb.amplitude": ["0.0001", "0.01", "0.3", "0.7", "-0.01", "0", "inf"],
+    "perturb.mode": ["1", "2", "0", "-3"],
+    "perturb.species": ["1 2", "2 3", "1 1", "3 4", "1"],
+    "cfl": ["0.25", "0.5", "1", "1e-300", "0", "2"],
+}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {},
+        optional={k: st.sampled_from(v) for k, v in CLI_FUZZ_TOKENS.items()},
+    )
+)
+def test_cli_fuzz_exit_codes(edits):
+    text = CLI_FUZZ_BASE + "".join(f"{k} = {v}\n" for k, v in edits.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code = main([path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2)

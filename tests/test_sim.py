@@ -10,6 +10,7 @@ from msdiff.flux import DiffusionMatrix
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate, l2_norm
 from msdiff.mollify import fit_loglog
 from msdiff.sim import (
+    MAX_STEPS,
     CflViolation,
     Perturbation,
     PositivityFailure,
@@ -96,6 +97,34 @@ def test_stability_guards():
     # an explicit dt must tile t_final exactly
     with pytest.raises(ValueError):
         Scenario(n=3, D=D3, grid=grid, t_final=0.001, dt=0.0003).resolve_steps()
+
+
+@pytest.mark.parametrize(
+    "kwargs,error,fragment",
+    [
+        # an explicit dt that tiles t_final but is twice the stability bound
+        ({"dt": 2.5e-4}, CflViolation, "exceeds stability bound"),
+        ({"dt": 3e-4}, ValueError, "does not divide"),
+        ({"cfl": 1e-300}, ValueError, "more than 10000000"),
+        ({"t_final": 1e300}, ValueError, "more than 10000000"),
+        ({"t_final": 1e300, "dt": 1e-300}, ValueError, "more than 10000000"),
+    ],
+    ids=["dt-above-bound", "dt-not-dividing", "tiny-cfl", "huge-t_final", "huge-t_final-over-dt"],
+)
+def test_resolve_steps_rejects(kwargs, error, fragment):
+    # 32 cells, D_max = 3: the stability bound is 1.63e-4
+    sc = Scenario(**{"n": 3, "D": D3, "grid": PeriodicGrid((32,)),
+                     "t_final": 0.001, **kwargs})
+    with pytest.raises(error) as err:
+        sc.resolve_steps()
+    assert fragment in str(err.value), str(err.value)
+
+
+def test_resolve_steps_largest_count_passes():
+    grid = PeriodicGrid((32,))
+    cap = max_stable_dt(grid, D3)
+    sc = Scenario(n=3, D=D3, grid=grid, t_final=MAX_STEPS * cap, cfl=1.0)
+    assert sc.resolve_steps()[1] == MAX_STEPS
 
 
 def test_scenario_validation():
