@@ -14,11 +14,9 @@ from .flux import (
     StabilityConstants,
     admissible_delta_max,
     assemble_operator,
-    force_flux_residual,
     solve_fluxes,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
-    solve_shifted_fluxes,
     spectral_gap_check,
     stability_constants,
 )
@@ -30,10 +28,6 @@ from .grid import (
     gradient,
     integrate,
     l2_norm,
-    load_snapshot,
-    save_snapshot,
-    state_from_csv,
-    state_to_csv,
 )
 from .entropy import (
     DeltaNonpositive,
@@ -43,12 +37,10 @@ from .entropy import (
     IdentityResidual,
     MeshMismatch,
     RenormFunction,
-    csiszar_kullback_check,
     dissipation,
     entropy,
     error_terms,
     gronwall_certificate,
-    heat_identity_residual,
     identity_renorm,
     identity_residual,
     identity_series,
@@ -57,16 +49,12 @@ from .entropy import (
     regularized_relative_entropy,
     relative_entropy,
     renormalized_entropy,
-    renormalized_relative_entropy,
     square_renorm,
     symmetrized_relative_entropy,
     write_reports_csv,
 )
 from .mollify import (
-    DoubledTestFunction,
     EpsilonTooSmallForGrid,
-    Mollifier,
-    SpaceTimeFunction,
     bump_profile,
     fit_loglog,
     initial_pairing,

@@ -196,20 +196,12 @@ def parse_config(text):
     delta = rd.scalar("delta", float, default=0.05)
     if delta <= 0:
         raise ValidationError(f"line {rd.line_of('delta')}: delta must be positive")
-    warnings = []
-    if "twin-study" in suites:
-        cap = admissible_delta_max(D)
-        if delta >= 1.0:
-            raise ValidationError(
-                f"line {rd.line_of('delta')}: twin certificates need "
-                f"0 < delta < min(1, mu/(4 c4)) = {cap:.6g}; got {delta}"
-            )
-        if delta >= cap:
-            warnings.append(
-                f"delta={delta} is above the certified dissipation window "
-                f"(mu/(4 c4) = {cap:.6g}); the twin certificate will carry the "
-                f"eroded margin explicitly"
-            )
+    if delta >= 1.0 and "twin-study" in suites:
+        raise ValidationError(
+            f"line {rd.line_of('delta')}: twin certificates need "
+            f"0 < delta < min(1, mu/(4 c4)) = {admissible_delta_max(D):.6g}; "
+            f"got {delta}"
+        )
     if delta >= 1.0:
         raise ValidationError(
             f"line {rd.line_of('delta')}: delta must lie in (0, 1), got {delta}"
@@ -251,7 +243,6 @@ def parse_config(text):
         out_dir=out_dir,
         seed=seed,
         workers=workers,
-        warnings=warnings,
     )
     for key, (value, lineno) in entries.items():
         if key in rd.used:
@@ -265,7 +256,8 @@ def parse_config(text):
 
 def check_suites(cfg):
     """Resolve the steps and build the perturbed initial state of every run
-    of the selected suites, so a study's own perturbation cannot fail late."""
+    of the selected suites, so a study's own perturbation cannot fail late.
+    Sets the warnings that follow from the final suite selection."""
     for name in cfg.suites:
         try:
             for _, sc in study_runs(name, cfg.scenario, cfg.params):
@@ -273,6 +265,15 @@ def check_suites(cfg):
                 sc.initial_state()
         except ValueError as exc:
             raise ValidationError(f"scenario rejected: {name}: {exc}") from None
+    cfg.warnings = []
+    if "twin-study" in cfg.suites:
+        delta, cap = cfg.scenario.delta, admissible_delta_max(cfg.scenario.D)
+        if delta >= cap:
+            cfg.warnings.append(
+                f"delta={delta} is above the certified dissipation window "
+                f"(mu/(4 c4) = {cap:.6g}); the twin certificate will carry the "
+                f"eroded margin explicitly"
+            )
 
 
 def _suite_param(key, text, lineno):

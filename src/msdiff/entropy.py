@@ -1,8 +1,8 @@
 """Entropy functionals and the stability estimates built on them.
 
 Everything here is a plain quadrature over grid fields: the mixing
-entropy, relative entropies (plain, symmetrized, shift-regularized, and
-renormalized through a user-supplied convex profile), the pairwise
+entropy, relative entropies (plain, symmetrized and shift-regularized),
+the renormalized entropy of a user-supplied convex profile, the pairwise
 dissipation form, the discrete entropy-identity residual for trajectory
 pairs, the four cross-term functionals of the twin estimate together
 with their certified upper bounds, and an exponential stability
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import rel_entr, xlogy
 
 from .flux import DeltaOutOfRange, _velocities, stability_constants
-from .grid import ConcentrationState, GridMismatch, gradient, integrate
+from .grid import ConcentrationState, GridMismatch, integrate
 
 
 class MeshMismatch(ValueError):
@@ -135,13 +135,6 @@ def regularized_relative_entropy(a, b, delta):
     grid = _pair_layout(a, b)
     diff = a.c - b.c
     cells = (np.log(a.c + delta) - np.log(b.c + delta)) * diff
-    return float(integrate(cells.sum(axis=0), grid))
-
-
-def renormalized_relative_entropy(a, b, beta):
-    """Symmetric entropy through a monotone profile: (beta(c)-beta(cb))(c-cb)."""
-    grid = _pair_layout(a, b)
-    cells = (beta.f(a.c) - beta.f(b.c)) * (a.c - b.c)
     return float(integrate(cells.sum(axis=0), grid))
 
 
@@ -395,24 +388,15 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
 
 
 def quadratic_log_gap(d, dbar):
-    """Gap (d - dbar)(ln d - ln dbar) - (d - dbar)^2, elementwise, for d > 0."""
+    """Gap (d - dbar)(ln d - ln dbar) - (d - dbar)^2, elementwise, for d > 0.
+
+    Nonnegative on (0, 1]^2; on (0, 2]^2 the bound |d - dbar|^2 <=
+    (d - dbar)(ln d - ln dbar) needs the factor min(d, dbar, 1)^-1 <= 2.
+    """
     d = np.asarray(d, dtype=float)
     dbar = np.asarray(dbar, dtype=float)
     diff = d - dbar
     return diff * (np.log(d) - np.log(dbar)) - diff**2
-
-
-def csiszar_kullback_check(d, dbar):
-    """Whether |d - dbar|^2 <= (d - dbar)(ln d - ln dbar) holds elementwise.
-
-    True wherever the logarithmic mean of the pair is at most one; in
-    particular on (0, 1]^2. Pairs with both entries above one can violate
-    the inequality, which then only holds with a constant: on (0, 2]^2 the
-    sharp factor is min(d, dbar, 1)^-1 <= 2.
-    """
-    gap = quadratic_log_gap(d, dbar)
-    out = gap >= 0.0
-    return bool(out) if np.ndim(out) == 0 else out
 
 
 @dataclass
@@ -515,33 +499,6 @@ def gronwall_certificate(traj_a, traj_b, D, delta, flux_bound=None, slack=1e-9):
         constants=k,
         flux_bound=float(flux_bound),
     )
-
-
-def heat_identity_residual(rho_a, rho_b, grid, times):
-    """Defect of the symmetric-entropy balance for two positive heat flows.
-
-    rho_a, rho_b -- arrays of shape (T, *cells) sampling two densities
-    Returns |Delta H_sym + int (rho + rhob) |grad(ln rho - ln rhob)|^2 dt|.
-    """
-    rho_a = np.asarray(rho_a, dtype=float)
-    rho_b = np.asarray(rho_b, dtype=float)
-    times = np.asarray(times, dtype=float)
-    gap = np.log(rho_a) - np.log(rho_b)
-    h_sym = np.array(
-        [float(integrate(gap[k] * (rho_a[k] - rho_b[k]), grid)) for k in range(len(times))]
-    )
-    diss = np.array(
-        [
-            float(
-                integrate(
-                    (rho_a[k] + rho_b[k]) * (gradient(gap[k], grid) ** 2).sum(axis=0),
-                    grid,
-                )
-            )
-            for k in range(len(times))
-        ]
-    )
-    return abs((h_sym[-1] - h_sym[0]) + float(np.trapezoid(diss, times)))
 
 
 CSV_COLUMNS = [

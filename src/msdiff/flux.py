@@ -4,9 +4,9 @@ The cross-diffusion force balance at a point is a singular linear system:
 the friction matrix has the composition direction as kernel and maps onto
 the zero-sum hyperplane. Solvers here pin down the unique zero-sum flux by
 a rank-one bordering of that system, which is equivalent to the augmented
-least-squares formulation but stays a square solve. A shifted variant with
-a positive offset delta keeps every entry bounded away from the singular
-set and underlies the stability certificates.
+least-squares formulation but stays a square solve. The operator assembled
+at a composition shifted by delta > 0 keeps every entry bounded away from
+the singular set and underlies the spectral and stability certificates.
 """
 
 from __future__ import annotations
@@ -99,14 +99,6 @@ class PointComposition:
     @property
     def d(self):
         return self.c + self.delta
-
-    def validate(self, tol=1e-12):
-        defect = abs(self.c.sum() - 1.0)
-        if defect > tol:
-            raise ValueError(f"composition sum is {defect:.3e} away from 1")
-        if self.c.min() < -tol or self.c.max() > 1.0 + tol:
-            raise ValueError(f"composition entries outside [0, 1]: {self.c}")
-        return self
 
 
 @dataclass
@@ -239,14 +231,6 @@ def solve_fluxes(comp, grad_c, D, consistency_tol=1e-10, residual_tol=1e-10):
     return PointFlux(j[:, 0] if squeeze else j)
 
 
-def force_flux_residual(comp, grad_c, j, D):
-    """Max-norm residual of the force-flux balance for given fluxes."""
-    g = np.atleast_2d(np.asarray(grad_c, dtype=float).T).T
-    jj = np.atleast_2d(np.asarray(j, dtype=float).T).T
-    M = _friction_system(comp.c[None, :], D.inv)[0]
-    return float(np.abs(M @ jj + g).max())
-
-
 def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     """Vectorized force-flux solve for many points, one gradient component.
 
@@ -294,38 +278,6 @@ def solve_fluxes_lstsq(comp, grad_c, D):
     c = np.broadcast_to(comp.c, (g.shape[1], comp.n))
     j = _dense_oracle(c, g.T, D).T
     return j[:, 0] if squeeze else j
-
-
-def solve_shifted_fluxes(comp, grad_sqrt_d, D, residual_tol=1e-10):
-    """Solve the shifted force-flux system for partial velocities.
-
-    Takes gradients of sqrt(c_i + delta), shape (n, dim) or (n,), and
-    returns the velocities v with sum_i d_i v_i = 0. Requires delta > 0 so
-    every shifted entry is bounded away from zero. Algebraically equivalent
-    to solve_fluxes at matched data: v = J / (c + delta).
-    """
-    if comp.delta <= 0.0:
-        raise DeltaOutOfRange(f"shifted solve needs delta > 0, got {comp.delta}")
-    op = assemble_operator(comp, D)
-    g, squeeze = _columns(grad_sqrt_d)
-    s = op.sqrt_shifted
-    G = op.friction + comp.delta * op.perturbation
-    rhs = -2.0 * g
-    # project onto the hyperplane orthogonal to sqrt(d); the bordered term
-    # sqrt(d) sqrt(d)' then pins the unique solution with s . w = 0
-    rhs = rhs - s[:, None] * (s @ rhs)[None, :] / op.shifted_mass
-    try:
-        w = np.linalg.solve(G + np.outer(s, s), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularComposition(str(exc)) from None
-    residual = float(np.abs(G @ w - rhs).max())
-    scale = max(1.0, float(np.abs(g).max()))
-    if residual > residual_tol * scale:
-        raise SingularComposition(
-            f"shifted-system residual {residual:.3e} exceeds tolerance"
-        )
-    v = w / s[:, None]
-    return v[:, 0] if squeeze else v
 
 
 @dataclass

@@ -1,14 +1,13 @@
 """Uniform periodic grids and the discrete calculus used by the solver.
 
 Cell-centered fields on a 1-3 dimensional torus: central-difference
-gradients, conservative (face-averaged) divergence, midpoint quadrature,
-and snapshot IO. All reductions use numpy's pairwise summation, so
-results are reproducible across runs.
+gradients, conservative (face-averaged) divergence and midpoint
+quadrature. All reductions use numpy's pairwise summation, so results
+are reproducible across runs.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,60 +178,3 @@ class ConcentrationState:
     def copy(self):
         return ConcentrationState(self.grid, self.c.copy(), self.time)
 
-
-_MAGIC = np.int64(0x4D534446)  # file tag, "MSDF"
-
-
-def save_snapshot(state, path):
-    """Write a state to a little-endian binary snapshot.
-
-    Layout: tag, dim, cells[dim], n (all int64), time (float64), then the
-    concentration payload as float64 in C order, species-major.
-    """
-    with open(path, "wb") as fh:
-        header = np.array(
-            [_MAGIC, state.grid.dim, *state.grid.cells, state.n], dtype="<i8"
-        )
-        header.tofile(fh)
-        np.array(state.grid.lengths, dtype="<f8").tofile(fh)
-        np.array([state.time], dtype="<f8").tofile(fh)
-        np.ascontiguousarray(state.c, dtype="<f8").tofile(fh)
-
-
-def load_snapshot(path):
-    with open(path, "rb") as fh:
-        tag, dim = np.fromfile(fh, dtype="<i8", count=2)
-        if tag != _MAGIC:
-            raise ValueError(f"{path} is not a concentration snapshot")
-        cells = tuple(np.fromfile(fh, dtype="<i8", count=int(dim)).astype(int))
-        (n,) = np.fromfile(fh, dtype="<i8", count=1)
-        lengths = tuple(np.fromfile(fh, dtype="<f8", count=int(dim)))
-        (time,) = np.fromfile(fh, dtype="<f8", count=1)
-        payload = np.fromfile(fh, dtype="<f8", count=int(n) * int(np.prod(cells)))
-    grid = PeriodicGrid(cells, lengths)
-    return ConcentrationState(grid, payload.reshape((int(n),) + cells), float(time))
-
-
-def state_to_csv(state, path):
-    """Write a 1-D state as CSV with columns x, c1..cn."""
-    if state.grid.dim != 1:
-        raise GridMismatch("CSV export is defined for 1-D states only")
-    (x,) = state.grid.axes()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"c{i + 1}" for i in range(state.n)])
-        for k in range(state.grid.cells[0]):
-            writer.writerow([repr(float(x[k]))] + [repr(float(v)) for v in state.c[:, k]])
-
-
-def state_from_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    n = len(header) - 1
-    c = np.array([[float(v) for v in row[1:]] for row in body]).T
-    x = np.array([float(row[0]) for row in body])
-    # recover the box length from the uniform cell centers
-    h = x[1] - x[0] if len(x) > 1 else 1.0
-    grid = PeriodicGrid((len(x),), (h * len(x),))
-    return ConcentrationState(grid, c.reshape(n, len(x)))

@@ -1,10 +1,11 @@
-"""Compactly supported mollifiers and space-time regularization studies.
+"""Space-time mollification on grids and its regularization studies.
 
-The kernel is the standard smooth bump on (-1, 1), normalized numerically.
-The quadruple-sum operator below mollifies a space-time integrand against
-a doubled test function on the torus, restricted to the positive time
-half-line; pinning the outer time at zero isolates the initial trace,
-where exactly half of the kernel mass survives the restriction.
+The kernel is the standard smooth bump on (-1, 1), its weights normalized
+over the grid offsets they sample. The quadruple-sum operator below
+mollifies a space-time integrand against a doubled test function on the
+torus, restricted to the positive time half-line; pinning the outer time
+at zero isolates the initial trace, where exactly half of the kernel mass
+survives the restriction.
 """
 
 from __future__ import annotations
@@ -28,48 +29,6 @@ def bump_profile(sigma):
     with np.errstate(divide="ignore", over="ignore"):
         vals = np.where(inside, np.exp(-1.0 / (1.0 - safe**2)), 0.0)
     return vals if vals.ndim else float(vals)
-
-
-class Mollifier:
-    """A symmetric even kernel of unit mass supported on (-width, width)."""
-
-    def __init__(self, width=1.0, profile=bump_profile, norm_samples=1 << 13):
-        if width <= 0.0:
-            raise ValueError(f"width must be positive, got {width}")
-        self.width = float(width)
-        self.profile = profile
-        # smooth compactly supported integrand, trapezoid converges fast
-        s = np.linspace(-1.0, 1.0, norm_samples + 1)
-        self._norm = float(np.trapezoid(profile(s), s))
-        if self._norm <= 0.0:
-            raise ValueError("profile must have positive mass")
-
-    def __call__(self, sigma):
-        """Normalized kernel value at sigma, in support units of ``width``."""
-        return self.profile(np.asarray(sigma, dtype=float) / self.width) / (
-            self._norm * self.width
-        )
-
-    def mass(self, samples=1 << 15):
-        s = np.linspace(-self.width, self.width, samples + 1)
-        return float(np.trapezoid(self(s), s))
-
-    def half_mass(self, samples=1 << 15):
-        s = np.linspace(0.0, self.width, samples + 1)
-        return float(np.trapezoid(self(s), s))
-
-
-@dataclass
-class SpaceTimeFunction:
-    """Scalar function of (x, t) with analytic derivatives, vectorized.
-
-    value(x, t); dt(x, t) the time derivative; dx(x, t) the space
-    derivative. Space coordinates live on a torus of the caller's length.
-    """
-
-    value: callable
-    dt: callable = None
-    dx: callable = None
 
 
 def _offsets_and_weights(eps, h, count):
@@ -180,55 +139,6 @@ def initial_trace_mollification(f, phi, eps, grid, t_max, t_cells):
 def initial_pairing(f, phi, grid):
     (x,) = grid.axes()
     return float((f(x, np.zeros_like(x)) * phi(x, np.zeros_like(x))).sum()) * grid.spacing[0]
-
-
-class DoubledTestFunction:
-    """phi((x+y)/2, (t+tau)/2) times a product kernel in (x-y) and (t-tau).
-
-    The space difference is wrapped to the nearest torus image, which makes
-    the object jointly periodic in (x, y). The symmetric-derivative
-    identities reduce to derivatives of phi at the midpoint because the
-    kernel depends only on differences.
-    """
-
-    def __init__(self, phi, eps, length=1.0, mollifier=None):
-        self.phi = phi
-        self.eps = float(eps)
-        self.length = float(length)
-        self.kernel = mollifier if mollifier is not None else Mollifier()
-
-    def _geometry(self, x, y):
-        L = self.length
-        dx = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float) + 0.5 * L) % L - 0.5 * L
-        mid = np.asarray(y, dtype=float) + 0.5 * dx
-        return dx, mid
-
-    def kernel_value(self, x, t, y, tau):
-        dx, _ = self._geometry(x, y)
-        dt = np.asarray(t, dtype=float) - np.asarray(tau, dtype=float)
-        return self.kernel(dx / self.eps) * self.kernel(dt / self.eps) / self.eps**2
-
-    def value(self, x, t, y, tau):
-        dx, mid = self._geometry(x, y)
-        return self.phi.value(mid, 0.5 * (np.asarray(t) + np.asarray(tau))) * self.kernel_value(x, t, y, tau)
-
-    def sum_space_grad(self, x, t, y, tau):
-        """(d/dx + d/dy) of the doubled function; the kernel part cancels."""
-        dx, mid = self._geometry(x, y)
-        return self.phi.dx(mid, 0.5 * (np.asarray(t) + np.asarray(tau))) * self.kernel_value(x, t, y, tau)
-
-    def sum_time_deriv(self, x, t, y, tau):
-        """(d/dt + d/dtau) of the doubled function; the kernel part cancels."""
-        dx, mid = self._geometry(x, y)
-        return self.phi.dt(mid, 0.5 * (np.asarray(t) + np.asarray(tau))) * self.kernel_value(x, t, y, tau)
-
-    def mass_against(self, x, t, grid, t_max, t_cells):
-        """Quadrature of value(x, t, ., .) over the inner space-time grid."""
-        (y,) = grid.axes()
-        ht = t_max / t_cells
-        tau = (np.arange(t_cells) + 0.5) * ht
-        vals = self.value(x, t, y[:, None], tau[None, :])
-        return float(vals.sum()) * grid.spacing[0] * ht
 
 
 def fit_loglog(eps_values, errors):

@@ -22,6 +22,7 @@ from .entropy import (
     EntropyReport,
     entropy as mixing_entropy,
     error_terms,
+    gronwall_certificate,
     identity_residual,
     identity_series,
     log_shift_renorm,
@@ -304,9 +305,8 @@ def mollifier_study(cfg, rng):
     )
 
 
-def _twin_reports(result, D, delta):
-    """Per-snapshot diagnostics rows for a twin experiment."""
-    base, twin, cert = result.base, result.twin, result.certificate
+def _twin_reports(base, twin, cert, D, delta):
+    """Per-snapshot diagnostics rows for a certified trajectory pair."""
     grid = base.grid
     beta = log_shift_renorm(delta)
     series = identity_series(base, twin, D)
@@ -352,23 +352,25 @@ def twin_study(cfg, rng):
 
     # a ladder of runs from the same data at dt0 / 2^k: run k+1 is the
     # half-step twin of run k, and the gap between their final states must
-    # shrink at least first order in dt under dt halving
-    _, steps0 = scenario.resolve_steps()
+    # shrink at least first order in dt under dt halving. Rung 0 keeps the
+    # configured cadence and is also the certificate's base run.
+    [(base_sc, twin_sc)] = study_runs(suite, scenario, cfg.params)
+    dt0, steps0 = scenario.resolve_steps()
+    base = sim.run(replace(base_sc, dt=dt0))
     ladder = [
-        replace(scenario, dt=scenario.t_final / s, cadence=s, perturbation=None)
-        for s in (steps0 * 2**k for k in range(halvings + 1))
+        replace(base_sc, dt=scenario.t_final / s, cadence=s)
+        for s in (steps0 * 2**k for k in range(1, halvings + 1))
     ]
-    finals = [sim.run(sc).state(-1) for sc in ladder]
-    dts = [sc.dt for sc in ladder[:-1]]
+    finals = [base.state(-1)] + [sim.run(sc).state(-1) for sc in ladder]
+    dts = [dt0] + [sc.dt for sc in ladder[:-1]]
     f_gaps = [
         regularized_relative_entropy(a, b, delta) for a, b in zip(finals, finals[1:])
     ]
     slope, _ = mollify.fit_loglog(dts, [max(g, 1e-300) for g in f_gaps])
 
-    [(base, twin)] = study_runs(suite, scenario, cfg.params)
-    perturbed = sim.twin_experiment(base, perturbation=twin.perturbation)
-    cert = perturbed.certificate
-    reports = _twin_reports(perturbed, scenario.D, delta)
+    twin = sim.run(replace(twin_sc, dt=dt0))
+    cert = gronwall_certificate(base, twin, scenario.D, delta)
+    reports = _twin_reports(base, twin, cert, scenario.D, delta)
     art_csv = os.path.join(cfg.out_dir, "twin_diagnostics.csv")
     write_reports_csv(reports, art_csv)
 

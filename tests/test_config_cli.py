@@ -441,6 +441,23 @@ def test_twin_delta_warning_surfaces_in_logs(tmp_path, capsys):
     assert len(rows) > 1
 
 
+def test_twin_delta_warning_follows_the_suite_flag(tmp_path):
+    small = MINIMAL + "twin-study.halvings = 2\nt_final = 0.001\ncells = 16\n"
+    # selected only on the command line: the warning is written
+    out = tmp_path / "flag"
+    assert main([write_cfg(tmp_path, small), "--out", str(out),
+                  "--suite", "twin-study"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["suites"]["twin-study"]["details"]["delta_admissible"] is False
+    assert len(summary["warnings"]) == 1 and "eroded margin" in summary["warnings"][0]
+    # named in the config but deselected on the command line: no warning
+    out = tmp_path / "deselected"
+    cfg = write_cfg(tmp_path, small + "suites = twin-study\nflux-certify.samples = 20\n",
+                    "twin.cfg")
+    assert main([cfg, "--out", str(out), "--suite", "flux-certify"]) == 0
+    assert json.loads((out / "summary.json").read_text())["warnings"] == []
+
+
 # Config grammar fuzz: a valid three-species base with up to five keys
 # overwritten by tokens from a fixed pool of edge values. Parsing alone
 # (no suite runs) must either succeed or raise one of the two config errors.

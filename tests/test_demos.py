@@ -10,7 +10,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize(
-    "script", ["flux_inversion.py", "entropy_decay.py", "twin_stability.py"]
+    "script",
+    [
+        "flux_inversion.py",
+        "entropy_decay.py",
+        "twin_stability.py",
+        "mollifier_rates.py",
+        "weak_form_check.py",
+        "binary_convergence.py",
+    ],
 )
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

@@ -13,10 +13,6 @@ from msdiff.grid import (
     gradient,
     integrate,
     l2_norm,
-    load_snapshot,
-    save_snapshot,
-    state_from_csv,
-    state_to_csv,
 )
 
 
@@ -143,39 +139,3 @@ def test_state_mass_and_copy():
     dup = state.copy()
     dup.c[0, 0] = 9.0
     assert state.c[0, 0] == 0.25 and dup.time == 0.5
-
-
-def test_snapshot_roundtrip_bitwise(tmp_path):
-    grid = PeriodicGrid((6, 4), (1.5, 1.0))
-    rng = np.random.default_rng(4)
-    c = rng.uniform(0.1, 0.9, size=(3, 6, 4))
-    c /= c.sum(axis=0)
-    state = ConcentrationState(grid, c, time=0.125)
-    path = tmp_path / "snap.bin"
-    save_snapshot(state, path)
-    back = load_snapshot(path)
-    assert back.grid == grid
-    assert back.time == 0.125
-    assert np.array_equal(back.c, c)
-
-
-def test_snapshot_rejects_foreign_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_snapshot(path)
-
-
-def test_csv_roundtrip_exact(tmp_path):
-    grid = PeriodicGrid((5,), (2.0,))
-    c = np.array([[0.2, 0.3, 0.25, 0.15, 0.1]])
-    c = np.vstack([c, 1.0 - c])
-    state = ConcentrationState(grid, c)
-    path = tmp_path / "state.csv"
-    state_to_csv(state, path)
-    back = state_from_csv(path)
-    assert np.array_equal(back.c, c)
-    # the box length is inferred from cell-center differences
-    assert abs(back.grid.lengths[0] - 2.0) < 1e-12
-    with pytest.raises(GridMismatch):
-        state_to_csv(ConcentrationState(PeriodicGrid((4, 4)), np.full((2, 4, 4), 0.5)), path)

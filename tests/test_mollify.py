@@ -5,14 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from msdiff.grid import PeriodicGrid
 from msdiff.mollify import (
-    DoubledTestFunction,
     EpsilonTooSmallForGrid,
-    Mollifier,
-    SpaceTimeFunction,
     bump_profile,
     fit_loglog,
     initial_pairing,
@@ -38,17 +34,6 @@ def test_bump_profile_support_and_smooth_decay():
     vals = bump_profile(np.linspace(-0.99, 0.99, 21))
     assert np.all(vals > 0.0)
     assert bump_profile(0.5) == bump_profile(-0.5)
-
-
-def test_kernel_normalization_against_quadrature():
-    for width in (1.0, 0.3):
-        kern = Mollifier(width=width)
-        assert abs(kern.mass() - 1.0) < 1e-9
-        assert abs(kern.half_mass() - 0.5) < 1e-9
-        val, err = quad(lambda s: kern(s), -width, width)
-        assert abs(val - 1.0) < 1e-8
-    with pytest.raises(ValueError):
-        Mollifier(width=0.0)
 
 
 def test_epsilon_floor_guards():
@@ -100,48 +85,6 @@ def test_initial_trace_converges_to_half_pairing():
         assert abs(val - 0.5 * ref) < 0.01 * abs(0.5 * ref)
         # the factor one half is genuinely resolved, not a missed full pairing
         assert abs(val - ref) > 0.25 * abs(ref)
-
-
-PHI = SpaceTimeFunction(
-    value=lambda x, t: np.sin(2 * np.pi * x) * (1.0 + 0.5 * t),
-    dx=lambda x, t: 2 * np.pi * np.cos(2 * np.pi * x) * (1.0 + 0.5 * t),
-    dt=lambda x, t: 0.5 * np.sin(2 * np.pi * x),
-)
-
-
-def test_doubled_function_symmetric_derivatives_match_fd():
-    dtf = DoubledTestFunction(PHI, 0.3)
-    x, t, y, tau = 0.3, 0.4, 0.25, 0.5
-    h = 1e-5
-    fd_space = (dtf.value(x + h, t, y + h, tau) - dtf.value(x - h, t, y - h, tau)) / (2 * h)
-    assert abs(fd_space - dtf.sum_space_grad(x, t, y, tau)) < 1e-6 * max(1.0, abs(fd_space))
-    fd_time = (dtf.value(x, t + h, y, tau + h) - dtf.value(x, t - h, y, tau - h)) / (2 * h)
-    assert abs(fd_time - dtf.sum_time_deriv(x, t, y, tau)) < 1e-6 * max(1.0, abs(fd_time))
-
-
-def test_doubled_function_wrap_and_symmetry():
-    dtf = DoubledTestFunction(PHI, 0.3)
-    a = dtf.value(0.3, 0.4, 0.25, 0.5)
-    b = dtf.value(1.3, 0.4, 1.25, 0.5)
-    assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-    # nearest-image difference: points straddling the seam stay close
-    near = dtf.kernel_value(0.02, 0.4, 0.98, 0.4)
-    assert near > 0.0
-    assert abs(near - dtf.kernel_value(0.98, 0.4, 0.02, 0.4)) < 1e-12 * near
-    assert abs(dtf.kernel_value(0.3, 0.4, 0.25, 0.5) - dtf.kernel_value(0.25, 0.5, 0.3, 0.4)) < 1e-12
-
-
-def test_doubled_function_mass_recovers_point_values():
-    x0, t0 = 0.37, 0.5
-    target = PHI.value(x0, t0)
-    errors = []
-    for eps in (0.2, 0.1, 0.05):
-        dtf = DoubledTestFunction(PHI, eps)
-        errors.append(abs(dtf.mass_against(x0, t0, GRID, T_MAX, T_CELLS) - target))
-    assert errors[0] > errors[1] > errors[2]
-    assert errors[-1] < 5e-3
-    slope, r2 = fit_loglog([0.2, 0.1, 0.05], errors)
-    assert slope > 1.7 and r2 > 0.99
 
 
 def test_fit_loglog_exact_power():

@@ -44,8 +44,9 @@ def test_twin_study_runs_each_rung_once(tmp_path, monkeypatch, halvings):
     cfg = study_config(tmp_path, f"twin-study.halvings = {halvings}\n")
     calls = counting_run(monkeypatch)
     result = suites.twin_study(cfg, np.random.default_rng(0))
-    # halvings + 1 ladder rungs, then the perturbed pair for the certificate
-    assert len(calls) == halvings + 3
+    # halvings + 1 ladder rungs, rung 0 doubling as the certificate's base,
+    # then the perturbed twin
+    assert len(calls) == halvings + 2
     assert len(result.details["f_gaps"]) == halvings
 
 
