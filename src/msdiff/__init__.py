@@ -72,7 +72,6 @@ from .sim import (
     TwinResult,
     apply_positivity,
     bump_test_function,
-    cell_fluxes,
     exact_binary_mode,
     max_stable_dt,
     run,

@@ -44,13 +44,15 @@ def max_stable_dt(grid, D):
 def _face_divergence(c, D, grid):
     """Assemble the conservative divergence of the face fluxes.
 
-    Returns (divergence (n, *cells), per-axis face fluxes, max |face flux|).
-    Face index k holds the face between cells k and k+1 along that axis.
+    Returns (divergence (n, *cells), per-axis face fluxes, max |face flux|,
+    max kernel residual). Face index k holds the face between cells k and
+    k+1 along that axis.
     """
     n = c.shape[0]
     div = np.zeros_like(c)
     faces = []
     fmax = 0.0
+    residual = 0.0
     for k, h in enumerate(grid.spacing):
         ax = 1 + k
         cR = np.roll(c, -1, axis=ax)
@@ -58,19 +60,19 @@ def _face_divergence(c, D, grid):
         cf = cf / cf.sum(axis=0, keepdims=True)
         g = (cR - c) / h
         m = cf[0].size
-        J, _ = solve_fluxes_batch(
+        J, res = solve_fluxes_batch(
             cf.reshape(n, m).T.copy(), g.reshape(n, m).T.copy(), D
         )
         Jf = J.T.reshape(c.shape)
         faces.append(Jf)
         div += (Jf - np.roll(Jf, 1, axis=ax)) / h
         fmax = max(fmax, float(np.abs(Jf).max()))
-    return div, faces, fmax
+        residual = max(residual, res)
+    return div, faces, fmax, residual
 
 
-def cell_fluxes(c, D, grid):
+def _cell_average(faces):
     """Cell-centered flux vectors (n, dim, *cells) by averaging face fluxes."""
-    _, faces, _ = _face_divergence(c, D, grid)
     comps = [0.5 * (F + np.roll(F, 1, axis=1 + k)) for k, F in enumerate(faces)]
     return np.stack(comps, axis=1)
 
@@ -99,6 +101,7 @@ def apply_positivity(c, cell_volume, budget=1e-8, trigger=-1e-12):
 class StepInfo:
     flux_max: float
     clipped_mass: float
+    residual: float
 
 
 def _check_stable(dt, grid, D):
@@ -107,12 +110,18 @@ def _check_stable(dt, grid, D):
         raise CflViolation(f"dt={dt:.3e} exceeds stability bound {cap:.3e}")
 
 
-def step(state, D, dt, scheme="euler"):
-    """Advance one explicit step; returns (new state, StepInfo)."""
+def step(state, D, dt, scheme="euler", first_stage=None):
+    """Advance one explicit step; returns (new state, StepInfo).
+
+    ``first_stage`` is the ``_face_divergence`` of ``state`` when the caller
+    has already solved it; otherwise it is solved here.
+    """
     grid = state.grid
     _check_stable(dt, grid, D)
     vol = grid.cell_volume
-    div, _, fmax = _face_divergence(state.c, D, grid)
+    if first_stage is None:
+        first_stage = _face_divergence(state.c, D, grid)
+    div, _, fmax, residual = first_stage
     clipped = 0.0
     if scheme == "euler":
         c_new = state.c - dt * div
@@ -120,8 +129,9 @@ def step(state, D, dt, scheme="euler"):
         c_pred = state.c - dt * div
         c_pred, lost = apply_positivity(c_pred, vol)
         clipped += lost
-        div2, _, fmax2 = _face_divergence(c_pred, D, grid)
+        div2, _, fmax2, residual2 = _face_divergence(c_pred, D, grid)
         fmax = max(fmax, fmax2)
+        residual = max(residual, residual2)
         c_new = state.c - 0.5 * dt * (div + div2)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -129,7 +139,7 @@ def step(state, D, dt, scheme="euler"):
     clipped += lost
     return (
         ConcentrationState(grid, c_new, state.time + dt),
-        StepInfo(flux_max=fmax, clipped_mass=clipped),
+        StepInfo(flux_max=fmax, clipped_mass=clipped, residual=residual),
     )
 
 
@@ -265,7 +275,12 @@ def _build_preset(sc):
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots of one run, plus per-step scalar series."""
+    """Recorded snapshots of one run, plus per-step scalar series.
+
+    Entry k of a series belongs to step k (entry 0, the initial state, is
+    zero): largest |face flux|, clipped mass, and largest force-flux kernel
+    residual over the step's face solves.
+    """
 
     grid: PeriodicGrid
     times: list = field(default_factory=list)
@@ -275,6 +290,7 @@ class Trajectory:
     entropy_series: list = field(default_factory=list)
     flux_inf_series: list = field(default_factory=list)
     clipped_series: list = field(default_factory=list)
+    residual_series: list = field(default_factory=list)
     dt: float = 0.0
     scheme: str = "euler"
 
@@ -308,34 +324,42 @@ def run(scenario):
     """Integrate a scenario, recording snapshots every ``cadence`` steps.
 
     Snapshots carry the state and its instantaneous cell-centered fluxes;
-    the mixing entropy is tracked at every step. Fully deterministic.
+    the mixing entropy is tracked at every step. Each state's faces are
+    solved once: that solve gives the snapshot's fluxes and is the first
+    stage of the next step, so only the final state has a solve that no
+    step uses. Fully deterministic.
     """
     from .entropy import entropy as _entropy
 
     dt, steps = scenario.resolve_steps()
     state = scenario.initial_state()
-    traj = Trajectory(grid=scenario.grid, dt=dt, scheme=scenario.scheme)
+    D, grid = scenario.D, scenario.grid
+    traj = Trajectory(grid=grid, dt=dt, scheme=scenario.scheme)
 
-    def record(st):
+    def record(st, faces):
         traj.times.append(st.time)
         traj.states.append(st.c.copy())
-        traj.fluxes.append(cell_fluxes(st.c, scenario.D, scenario.grid))
+        traj.fluxes.append(_cell_average(faces))
 
-    record(state)
+    solved = _face_divergence(state.c, D, grid)
+    record(state, solved[1])
     traj.step_times.append(0.0)
     traj.entropy_series.append(_entropy(state))
     traj.flux_inf_series.append(0.0)
     traj.clipped_series.append(0.0)
+    traj.residual_series.append(0.0)
 
     for k in range(1, steps + 1):
-        state, info = step(state, scenario.D, dt, scheme=scenario.scheme)
+        state, info = step(state, D, dt, scheme=scenario.scheme, first_stage=solved)
         state.time = k * dt
         traj.step_times.append(state.time)
         traj.entropy_series.append(_entropy(state))
         traj.flux_inf_series.append(info.flux_max)
         traj.clipped_series.append(info.clipped_mass)
+        traj.residual_series.append(info.residual)
+        solved = _face_divergence(state.c, D, grid)
         if k % scenario.cadence == 0 or k == steps:
-            record(state)
+            record(state, solved[1])
     return traj
 
 
