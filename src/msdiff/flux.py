@@ -1,12 +1,16 @@
 """Pointwise force-flux linear algebra for multicomponent diffusion.
 
 The cross-diffusion force balance at a point is a singular linear system:
-the friction matrix has the composition direction as kernel and maps onto
-the zero-sum hyperplane. Solvers here pin down the unique zero-sum flux by
-a rank-one bordering of that system, which is equivalent to the augmented
-least-squares formulation but stays a square solve. The operator assembled
-at a composition shifted by delta > 0 keeps every entry bounded away from
-the singular set and underlies the spectral and stability certificates.
+the friction matrix diag(c K) - diag(c) K has the composition as kernel
+and zero column sums, so it maps onto the zero-sum hyperplane. The batched
+kernel finds the unique zero-sum flux by eliminating the last species with
+sum J = 0: a closed form for two species, a 2x2 Cramer solve for three,
+both from c K and c without assembling the matrix. From four species on,
+a rank-one bordering of the system makes it a square LAPACK solve. Every
+solve is gated by its residual, evaluated from the same structure. The
+operator assembled at a composition shifted by delta > 0 keeps every entry
+bounded away from the singular set and underlies the spectral and
+stability certificates.
 """
 
 from __future__ import annotations
@@ -235,25 +239,59 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     """Vectorized force-flux solve for many points, one gradient component.
 
     c, grad_c: shape (m, n). Returns (fluxes (m, n), max residual). The
-    friction matrix has zero column sums, so bordering it with the all-ones
-    matrix makes it invertible, and a zero-sum right-hand side then yields
-    the zero-sum solution. The per-point gradient consistency is not
+    friction matrix M = diag(c K) - diag(c) K has zero column sums, so the
+    zero-sum flux is found from the first n - 1 rows with the last species
+    eliminated by sum x = 0. For n = 2 that is the closed form
+    x_1 = b_1 / (K_12 (c_1 + c_2)); for n = 3 a 2x2 Cramer solve whose
+    entries come from c K and c, with no (m, n, n) stack. For n >= 4, M
+    bordered with the all-ones matrix is invertible and a zero-sum
+    right-hand side yields the zero-sum solution through one LAPACK solve.
+    The residual M x - b is evaluated from the same structure as
+    (c K) x - c (x K) - b; above tolerance, or NaN, it raises
+    SingularComposition. The per-point gradient consistency is not
     rechecked here; callers feed gradients that are zero-sum by construction.
     """
-    M = _friction_system(c, D.inv)
-    b = -grad_c
-    b = b - b.mean(axis=-1, keepdims=True)
-    try:
-        x = np.linalg.solve(M + 1.0, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularComposition(str(exc)) from None
-    residual = float(np.abs(np.einsum("mij,mj->mi", M, x) - b).max())
+    K = D.inv
+    n = c.shape[1]
+    # degenerate points give NaN or inf here; the residual test rejects them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = -grad_c
+        b = b - b.mean(axis=-1, keepdims=True)
+        cK = c @ K
+        if n == 2:
+            x = np.empty_like(b)
+            x[:, 0] = b[:, 0] / (K[0, 1] * (c[:, 0] + c[:, 1]))
+            x[:, 1] = -x[:, 0]
+        elif n == 3:
+            x = _solve_reduced_3(c, cK, K, b)
+        else:
+            try:
+                x = np.linalg.solve(_friction_system(c, K) + 1.0, b[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularComposition(str(exc)) from None
+        residual = float(np.abs(cK * x - c * (x @ K) - b).max())
     scale = max(1.0, float(np.abs(grad_c).max()))
-    if residual > residual_tol * scale:
+    if not residual <= residual_tol * scale:
         raise SingularComposition(
             f"force-flux residual {residual:.3e} exceeds tolerance"
         )
     return x, residual
+
+
+def _solve_reduced_3(c, cK, K, b):
+    """Three species: rows 1-2 of M x = b with x_3 = -x_1 - x_2, by Cramer."""
+    c1, c2 = c[:, 0], c[:, 1]
+    a11 = cK[:, 0] + c1 * K[0, 2]
+    a12 = c1 * (K[0, 2] - K[0, 1])
+    a21 = c2 * (K[1, 2] - K[0, 1])
+    a22 = cK[:, 1] + c2 * K[1, 2]
+    b1, b2 = b[:, 0], b[:, 1]
+    det = a11 * a22 - a12 * a21
+    x = np.empty_like(b)
+    x[:, 0] = (b1 * a22 - a12 * b2) / det
+    x[:, 1] = (a11 * b2 - a21 * b1) / det
+    x[:, 2] = -x[:, 0] - x[:, 1]
+    return x
 
 
 def _dense_oracle(c, grad_c, D):

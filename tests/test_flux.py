@@ -13,6 +13,7 @@ from msdiff.flux import (
     InconsistentGradient,
     PointComposition,
     PointFlux,
+    SingularComposition,
     admissible_delta_max,
     assemble_operator,
     solve_fluxes,
@@ -39,6 +40,34 @@ def _balance_residual(c, grad, j, D):
     """Max-norm residual |M j + grad| of the force-flux balance at a point."""
     M = _friction_system(c[None, :], D.inv)[0]
     return float(np.abs(M @ j + grad).max())
+
+
+def _bordered_reference(c, grad, D):
+    """The bordered LAPACK solve (M + 1) x = b over a batch, b the centered -grad."""
+    K = D.inv
+    n = c.shape[1]
+    M = -c[:, :, None] * K[None, :, :]
+    idx = np.arange(n)
+    M[:, idx, idx] = c @ K
+    b = -grad
+    b = b - b.mean(axis=-1, keepdims=True)
+    return np.linalg.solve(M + 1.0, b[..., None])[..., 0]
+
+
+def _batch_problem(rng, n, m):
+    """Random D and m compositions: interior rows, then every vertex, then
+    edge rows with one species absent, and centered gradients."""
+    D, _, _ = random_problem(rng, n)
+    g = -np.log(rng.uniform(size=(m, n)))
+    c = g / g.sum(axis=1, keepdims=True)
+    c[:n] = np.eye(n)
+    for k in range(n):
+        row = c[n + k]
+        row[k] = 0.0
+        c[n + k] = row / row.sum()
+    grad = rng.normal(size=(m, n)) * np.exp(rng.uniform(-3.0, 3.0, size=(m, 1)))
+    grad -= grad.mean(axis=1, keepdims=True)
+    return D, c, grad
 
 
 def _shifted_velocities(comp, grad_sqrt_d, D):
@@ -169,6 +198,43 @@ def test_batch_solve_agrees_with_pointwise():
     k = 17
     single = solve_fluxes(PointComposition(c[k]), grad[k], D).j
     assert np.abs(J[k] - single).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduced_kernel_matches_bordered_reference(n):
+    rng = np.random.default_rng(20 + n)
+    for _ in range(50):
+        D, c, grad = _batch_problem(rng, n, 64)
+        x, res = solve_fluxes_batch(c, grad, D)
+        ref = _bordered_reference(c, grad, D)
+        row_scale = np.abs(ref).max(axis=1)
+        assert np.all(np.abs(x - ref).max(axis=1) <= 1e-12 * row_scale)
+        assert np.abs(x.sum(axis=1)).max() <= 1e-14 * np.abs(x).max()
+        assert res <= 1e-12 * max(1.0, np.abs(grad).max())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_bordered_kernel_is_the_reference_bit_for_bit(n):
+    rng = np.random.default_rng(30 + n)
+    for _ in range(10):
+        D, c, grad = _batch_problem(rng, n, 64)
+        x, _ = solve_fluxes_batch(c, grad, D)
+        assert np.array_equal(x, _bordered_reference(c, grad, D))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("bad", ["zero-row", "nan-row", "inf-gradient"])
+def test_kernel_rejects_degenerate_points(n, bad):
+    rng = np.random.default_rng(40 + n)
+    D, c, grad = _batch_problem(rng, n, 8)
+    if bad == "zero-row":
+        c[5] = 0.0
+    elif bad == "nan-row":
+        c[5] = np.nan
+    else:
+        grad[5, 0] = np.inf
+    with pytest.raises(SingularComposition):
+        solve_fluxes_batch(c, grad, D)
 
 
 def test_operator_algebra_identities():

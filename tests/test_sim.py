@@ -1,10 +1,12 @@
 """Time integration: conservation, stability guards, twins, weak forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from msdiff import sim
 from msdiff.entropy import identity_renorm
 from msdiff.flux import DiffusionMatrix
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate, l2_norm
@@ -84,6 +86,52 @@ def test_runs_are_deterministic():
     for ca, cb in zip(a.states, b.states):
         assert np.array_equal(ca, cb)
     assert a.entropy_series == b.entropy_series
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+@pytest.mark.parametrize("cadence", [1, 3, "steps"])
+def test_snapshot_fluxes_equal_a_fresh_solve(scheme, cadence):
+    sc = Scenario(n=3, D=D3, grid=PeriodicGrid((12, 10)), t_final=0.002,
+                  amplitude=0.4, scheme=scheme)
+    steps = sc.resolve_steps()[1]
+    traj = run(replace(sc, cadence=steps if cadence == "steps" else cadence))
+    assert len(traj.fluxes) == len(traj.states) >= 2
+    for c, J in zip(traj.states, traj.fluxes):
+        fresh = sim._cell_average(sim._face_divergence(c, D3, traj.grid)[1])
+        assert J.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("scheme,stages", [("euler", 1), ("heun", 2)])
+def test_run_solves_each_state_once_through_step(monkeypatch, scheme, stages):
+    calls = {"faces": 0, "step": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "_face_divergence", counting("faces", sim._face_divergence))
+    monkeypatch.setattr(sim, "step", counting("step", sim.step))
+    sc = Scenario(n=3, D=D3, grid=PeriodicGrid((16,)), t_final=0.001,
+                  scheme=scheme, cadence=1)
+    steps = sc.resolve_steps()[1]
+    run(sc)
+    assert calls["step"] == steps
+    assert calls["faces"] == steps * stages + 1
+
+
+def test_residual_series_carries_each_steps_kernel_residual():
+    sc = Scenario(n=3, D=D3, grid=PeriodicGrid((16,)), t_final=0.001,
+                  amplitude=0.4, scheme="heun", cadence=1)
+    traj = run(sc)
+    assert len(traj.residual_series) == len(traj.step_times)
+    assert traj.residual_series[0] == 0.0
+    assert max(traj.residual_series) <= 1e-10
+    # a step that solves its own first stage matches the step run took
+    state, info = step(sc.initial_state(), D3, traj.dt, scheme="heun")
+    assert np.array_equal(state.c, traj.states[1])
+    assert info.residual == traj.residual_series[1]
 
 
 def test_stability_guards():
