@@ -277,9 +277,10 @@ def _build_preset(sc):
 class Trajectory:
     """Recorded snapshots of one run, plus per-step scalar series.
 
-    Entry k of a series belongs to step k (entry 0, the initial state, is
-    zero): largest |face flux|, clipped mass, and largest force-flux kernel
-    residual over the step's face solves.
+    Entry k of flux_inf_series, clipped_series and residual_series belongs
+    to step k: its largest |face flux|, its clipped mass, and the largest
+    force-flux kernel residual of its face solves. Entry 0, the initial
+    state, is zero in all three.
     """
 
     grid: PeriodicGrid
