@@ -110,18 +110,12 @@ def _check_stable(dt, grid, D):
         raise CflViolation(f"dt={dt:.3e} exceeds stability bound {cap:.3e}")
 
 
-def step(state, D, dt, scheme="euler", first_stage=None):
-    """Advance one explicit step; returns (new state, StepInfo).
-
-    ``first_stage`` is the ``_face_divergence`` of ``state`` when the caller
-    has already solved it; otherwise it is solved here.
-    """
+def step(state, D, dt, scheme="euler"):
+    """Advance one explicit step; returns (new state, StepInfo)."""
     grid = state.grid
     _check_stable(dt, grid, D)
     vol = grid.cell_volume
-    if first_stage is None:
-        first_stage = _face_divergence(state.c, D, grid)
-    div, _, fmax, residual = first_stage
+    div, _, fmax, residual = _face_divergence(state.c, D, grid)
     clipped = 0.0
     if scheme == "euler":
         c_new = state.c - dt * div
@@ -324,11 +318,9 @@ class Trajectory:
 def run(scenario):
     """Integrate a scenario, recording snapshots every ``cadence`` steps.
 
-    Snapshots carry the state and its instantaneous cell-centered fluxes;
-    the mixing entropy is tracked at every step. Each state's faces are
-    solved once: that solve gives the snapshot's fluxes and is the first
-    stage of the next step, so only the final state has a solve that no
-    step uses. Fully deterministic.
+    Snapshots carry the state and its instantaneous cell-centered fluxes,
+    from a face solve of the recorded state; the mixing entropy is tracked
+    at every step. Fully deterministic.
     """
     from .entropy import entropy as _entropy
 
@@ -337,13 +329,13 @@ def run(scenario):
     D, grid = scenario.D, scenario.grid
     traj = Trajectory(grid=grid, dt=dt, scheme=scenario.scheme)
 
-    def record(st, faces):
+    def record(st):
+        _, faces, _, _ = _face_divergence(st.c, D, grid)
         traj.times.append(st.time)
         traj.states.append(st.c.copy())
         traj.fluxes.append(_cell_average(faces))
 
-    solved = _face_divergence(state.c, D, grid)
-    record(state, solved[1])
+    record(state)
     traj.step_times.append(0.0)
     traj.entropy_series.append(_entropy(state))
     traj.flux_inf_series.append(0.0)
@@ -351,16 +343,15 @@ def run(scenario):
     traj.residual_series.append(0.0)
 
     for k in range(1, steps + 1):
-        state, info = step(state, D, dt, scheme=scenario.scheme, first_stage=solved)
+        state, info = step(state, D, dt, scheme=scenario.scheme)
         state.time = k * dt
         traj.step_times.append(state.time)
         traj.entropy_series.append(_entropy(state))
         traj.flux_inf_series.append(info.flux_max)
         traj.clipped_series.append(info.clipped_mass)
         traj.residual_series.append(info.residual)
-        solved = _face_divergence(state.c, D, grid)
         if k % scenario.cadence == 0 or k == steps:
-            record(state, solved[1])
+            record(state)
     return traj
 
 

@@ -102,7 +102,8 @@ def test_snapshot_fluxes_equal_a_fresh_solve(scheme, cadence):
 
 
 @pytest.mark.parametrize("scheme,stages", [("euler", 1), ("heun", 2)])
-def test_run_solves_each_state_once_through_step(monkeypatch, scheme, stages):
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_run_steps_through_step_and_solves_each_snapshot(monkeypatch, scheme, stages, cadence):
     calls = {"faces": 0, "step": 0}
 
     def counting(key, fn):
@@ -114,11 +115,12 @@ def test_run_solves_each_state_once_through_step(monkeypatch, scheme, stages):
     monkeypatch.setattr(sim, "_face_divergence", counting("faces", sim._face_divergence))
     monkeypatch.setattr(sim, "step", counting("step", sim.step))
     sc = Scenario(n=3, D=D3, grid=PeriodicGrid((16,)), t_final=0.001,
-                  scheme=scheme, cadence=1)
+                  scheme=scheme, cadence=cadence)
     steps = sc.resolve_steps()[1]
-    run(sc)
+    traj = run(sc)
     assert calls["step"] == steps
-    assert calls["faces"] == steps * stages + 1
+    assert len(traj.states) == 1 + math.ceil(steps / cadence)
+    assert calls["faces"] == steps * stages + len(traj.states)
 
 
 def test_residual_series_carries_each_steps_kernel_residual():
@@ -128,7 +130,7 @@ def test_residual_series_carries_each_steps_kernel_residual():
     assert len(traj.residual_series) == len(traj.step_times)
     assert traj.residual_series[0] == 0.0
     assert max(traj.residual_series) <= 1e-10
-    # a step that solves its own first stage matches the step run took
+    # the first step on its own repeats the first step of the run
     state, info = step(sc.initial_state(), D3, traj.dt, scheme="heun")
     assert np.array_equal(state.c, traj.states[1])
     assert info.residual == traj.residual_series[1]
