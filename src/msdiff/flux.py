@@ -1,16 +1,21 @@
 """Pointwise force-flux linear algebra for multicomponent diffusion.
 
 The cross-diffusion force balance at a point is a singular linear system:
-the friction matrix diag(c K) - diag(c) K has the composition as kernel
+the friction matrix M = diag(c K) - diag(c) K has the composition as kernel
 and zero column sums, so it maps onto the zero-sum hyperplane. The batched
 kernel finds the unique zero-sum flux by eliminating the last species with
 sum J = 0: a closed form for two species, a 2x2 Cramer solve for three,
 both from c K and c without assembling the matrix. From four species on,
 a rank-one bordering of the system makes it a square LAPACK solve. Every
-solve is gated by its residual, evaluated from the same structure. The
-operator assembled at a composition shifted by delta > 0 keeps every entry
-bounded away from the singular set and underlies the spectral and
-stability certificates.
+solve is gated by its residual, evaluated from the same structure.
+
+The symmetric form A = diag(s)^-1 M diag(s), s = sqrt(c + delta), is the
+Maxwell-Stefan matrix whose spectrum carries the uniqueness argument: it
+is positive semidefinite with kernel s, and its second eigenvalue is at
+least |c + delta| mu. One batched builder serves the point-wise operator
+(with the shift correction that keeps every entry bounded away from the
+singular set), the spectral certificate, and the dense flux oracle, which
+solves on the range of A: a different algorithm from the kernel's.
 """
 
 from __future__ import annotations
@@ -157,30 +162,52 @@ def assemble_operator(comp, D):
     """Assemble the friction and shift-correction matrices at a composition."""
     if comp.n != D.n:
         raise ValueError(f"composition has {comp.n} species, diffusivities {D.n}")
-    K = D.inv
     d = comp.d
     if np.any(d < 0.0):
         raise ValueError("shifted composition has negative entries")
-    s = np.sqrt(d)
-    friction = -np.outer(s, s) * K
-    np.fill_diagonal(friction, K @ d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(s[:, None] > 0.0, s[None, :] / np.where(s[:, None] > 0.0, s[:, None], 1.0), 0.0)
-    perturbation = ratio * K
-    np.fill_diagonal(perturbation, -K.sum(axis=1))
+    s, friction = _symmetric_friction(d[None, :], D.inv)
     total = float(d.sum())
-    proj_kernel = np.outer(s, s) / total
-    proj_range = np.eye(comp.n) - proj_kernel
+    proj_kernel = np.outer(s[0], s[0]) / total
     return MsOperator(
-        friction=friction,
-        perturbation=perturbation,
-        proj_range=proj_range,
+        friction=friction[0],
+        perturbation=_shift_correction(s, D.inv)[0],
+        proj_range=np.eye(comp.n) - proj_kernel,
         proj_kernel=proj_kernel,
         mu=D.mu,
-        sqrt_shifted=s,
+        sqrt_shifted=s[0],
         shifted_mass=total,
         delta=float(comp.delta),
     )
+
+
+def _symmetric_friction(d, K):
+    """The symmetric friction A = diag(s)^-1 M diag(s), s = sqrt(d), of
+    (m, n) shifted compositions d, for a shared (n, n) or a per-point
+    (m, n, n) K: A_ij = -s_i s_j K_ij off the diagonal and (d K)_i on it.
+    A is positive semidefinite with kernel s. Returns (s, A).
+    """
+    s = np.sqrt(d)
+    A = -(s[:, :, None] * s[:, None, :]) * K
+    idx = np.arange(d.shape[1])
+    A[:, idx, idx] = _row_times(d, K)
+    return s, A
+
+
+def _shift_correction(s, K):
+    """Batched delta-correction diag(s)^-1 K diag(s) with diagonal -K 1, so
+    that s' (A + delta * correction) = 0; rows where s_i = 0 are zero off
+    the diagonal."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(s[:, :, None] > 0.0, s[:, None, :] / s[:, :, None], 0.0)
+    P = ratio * K
+    idx = np.arange(s.shape[1])
+    P[:, idx, idx] = -K.sum(axis=-1)
+    return P
+
+
+def _row_times(c, K):
+    """(c K) per point, for a shared (n, n) K or an (m, n, n) stack."""
+    return c @ K if K.ndim == 2 else np.einsum("mi,mij->mj", c, K)
 
 
 def spectral_gap_check(op, z):
@@ -197,11 +224,11 @@ def spectral_gap_check(op, z):
 
 
 def _friction_system(c, K):
-    """Batched force-flux matrices: (m, n) compositions -> (m, n, n)."""
-    m, n = c.shape
-    M = -c[:, :, None] * K[None, :, :]
-    idx = np.arange(n)
-    M[:, idx, idx] = c @ K
+    """Batched force-flux matrices M = diag(c K) - diag(c) K: (m, n)
+    compositions and a shared (n, n) or per-point (m, n, n) K -> (m, n, n)."""
+    M = -c[:, :, None] * K
+    idx = np.arange(c.shape[1])
+    M[:, idx, idx] = _row_times(c, K)
     return M
 
 
@@ -295,22 +322,39 @@ def _solve_reduced_3(c, cK, K, b):
 
 
 def _dense_oracle(c, grad_c, D):
-    """Dense oracle for solve_fluxes_batch, same shapes: the pseudo-inverse
-    solution, orthogonal to the kernel c, shifted onto the zero-sum slice.
+    """Dense oracle for solve_fluxes_batch, same shapes: a solve on the range
+    of the symmetric friction A = diag(s)^-1 M diag(s), s = sqrt(c).
+
+    A is positive semidefinite with kernel s, and b / s is orthogonal to s
+    for a zero-sum b, so (A + s s' / |s|^2) y = b / s is exact: its solution
+    has A y = b / s and y orthogonal to s. Then x = s y solves M x = b, and
+    a multiple of the kernel c shifts it onto the zero-sum slice. The
+    division by s needs every composition entry strictly positive; a row
+    with a zero or negative entry raises SingularComposition.
     """
-    M = _friction_system(c, D.inv)
+    bad = np.flatnonzero(~np.all(c > 0.0, axis=1))
+    if bad.size:
+        raise SingularComposition(
+            f"dense oracle needs strictly positive compositions; "
+            f"row {bad[0]} is {c[bad[0]].tolist()}"
+        )
+    s, A = _symmetric_friction(c, D.inv)
+    mass = c.sum(axis=-1, keepdims=True)
+    A += s[:, :, None] * s[:, None, :] / mass[:, :, None]
     b = -grad_c
     b = b - b.mean(axis=-1, keepdims=True)
-    x = np.einsum("mij,mj->mi", np.linalg.pinv(M), b)
-    return x - x.sum(axis=-1, keepdims=True) * c
+    x = s * np.linalg.solve(A, (b / s)[..., None])[..., 0]
+    return x - x.sum(axis=-1, keepdims=True) / mass * c
 
 
 def solve_fluxes_lstsq(comp, grad_c, D):
-    """Dense least-squares oracle for the force-flux solve at a point.
+    """Dense oracle for the force-flux solve at a point.
 
-    Same shapes as solve_fluxes. Takes the minimum-norm least-squares
-    solution through an SVD pseudo-inverse and shifts it onto the zero-sum
-    slice; slower than the bordered solve and used to cross-check it.
+    Same shapes as solve_fluxes. Solves on the range of the symmetric
+    friction diag(s)^-1 M diag(s), s = sqrt(c), and shifts the result onto
+    the zero-sum slice, independently of the kernel's elimination; used to
+    cross-check it. The composition must be strictly positive, otherwise
+    SingularComposition is raised.
     """
     g, squeeze = _columns(grad_c)
     c = np.broadcast_to(comp.c, (g.shape[1], comp.n))

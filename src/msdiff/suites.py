@@ -34,12 +34,11 @@ from .entropy import (
 )
 from .flux import (
     DiffusionMatrix,
-    PointComposition,
-    assemble_operator,
     solve_fluxes_batch,
-    spectral_gap_check,
     _dense_oracle,
     _friction_system,
+    _shift_correction,
+    _symmetric_friction,
     _velocities,
 )
 from .grid import PeriodicGrid, l2_norm
@@ -77,15 +76,37 @@ def _random_simplex(rng, m, n):
     return g / g.sum(axis=1, keepdims=True)
 
 
-def _random_diffusivities(rng, n):
-    vals = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=(n, n)))
+def _diffusivity_draws(rng, n, k):
+    """k symmetric (n, n) diffusivity matrices, log-uniform in [0.1, 10]
+    off the diagonal and zero on it, drawn one (n, n) block at a time."""
+    vals = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=(k, n, n)))
     d = np.triu(vals, 1)
-    return DiffusionMatrix(d + d.T)
+    return d + np.swapaxes(d, 1, 2)
+
+
+def _random_diffusivities(rng, n):
+    return DiffusionMatrix(_diffusivity_draws(rng, n, 1)[0])
+
+
+def _operator_draws(rng, n, k):
+    """k random operators of n species: the reciprocal diffusivities K as a
+    (k, n, n) stack with their off-diagonal minima mu, shifts delta and
+    compositions c."""
+    d = _diffusivity_draws(rng, n, k)
+    off = ~np.eye(n, dtype=bool)
+    K = np.where(off, 1.0 / np.where(off, d, 1.0), 0.0)
+    delta = rng.uniform(0.01, 0.5, size=k)
+    return K, K[:, off].min(axis=1), delta, _random_simplex(rng, k, n)
 
 
 def _zero_sum_gradients(rng, m, n):
     g = rng.normal(size=(m, n))
     return g - g.mean(axis=1, keepdims=True)
+
+
+def _shares(total, parts):
+    """total split into parts counts, the earlier parts taking the remainder."""
+    return [total // parts + (i < total % parts) for i in range(parts)]
 
 
 def flux_certify(cfg, rng):
@@ -94,14 +115,12 @@ def flux_certify(cfg, rng):
     samples = cfg.params["flux-certify.samples"]
 
     # exactly `samples` points over 5 species counts, then up to 4 non-empty
-    # chunks each, the earlier parts taking the remainders
+    # chunks each
     max_res = max_zero = max_oracle = 0.0
     total, species = 0, []
-    for i, n in enumerate(range(2, 7)):
-        per_n = samples // 5 + (i < samples % 5)
+    for n, per_n in zip(range(2, 7), _shares(samples, 5)):
         species += [n] if per_n else []
-        for k in range(min(4, per_n)):
-            m = per_n // 4 + (k < per_n % 4)
+        for m in filter(None, _shares(per_n, 4)):
             total += m
             D = _random_diffusivities(rng, n)
             c = _random_simplex(rng, m, n)
@@ -127,79 +146,85 @@ def flux_certify(cfg, rng):
     return SuiteResult(suite, all(c["passed"] for c in checks), checks, details=details)
 
 
+def _gap_sides(d, K, mu, z):
+    """Both sides of the coercivity bound z'Az >= |d| mu |Pz|^2 over a stack
+    of shifted compositions d, with P the projector off the kernel s, and
+    the exact form of the bound: the second eigenvalue of A and |d| mu.
+    Returns (lhs, rhs, lambda_2, |d| mu), each of shape (k,)."""
+    s, A = _symmetric_friction(d, K)
+    mass = d.sum(axis=1)
+    lhs = np.einsum("ki,kij,kj->k", z, A, z)
+    pz = z - s * (np.einsum("ki,ki->k", s, z) / mass)[:, None]
+    floor = mass * mu
+    rhs = floor * np.einsum("ki,ki->k", pz, pz)
+    return lhs, rhs, np.linalg.eigvalsh(A)[:, 1], floor
+
+
 def spectral_certify(cfg, rng):
-    """Operator algebra identities plus the coercivity bound, randomized."""
+    """Operator algebra identities plus the coercivity bound, randomized.
+
+    Draws are batched per species count, in ascending order, and checked on
+    whole (k, n, n) stacks of the symmetric friction: the bound on a random
+    z per sample, and exactly on each operator's second eigenvalue.
+    """
     suite = "spectral-certify"
     samples = cfg.params["spectral-certify.samples"]
     op_samples = cfg.params["spectral-certify.operator_samples"]
 
-    worst = {
-        "kernel_action": 0.0,
-        "left_annihilation": 0.0,
-        "projector_idempotence": 0.0,
-        "projector_split": 0.0,
-        "scaling_identity": 0.0,
-        "column_sums": 0.0,
-    }
-    for _ in range(op_samples):
-        n = int(rng.integers(2, 7))
-        D = _random_diffusivities(rng, n)
-        delta = float(rng.uniform(0.01, 0.5))
-        c = _random_simplex(rng, 1, n)[0]
-        comp = PointComposition(c, delta)
-        op = assemble_operator(comp, D)
-        s = op.sqrt_shifted
-        full = op.friction + delta * op.perturbation
-        # the friction part kills sqrt(d) on the right, the full matrix on the left
-        worst["kernel_action"] = max(worst["kernel_action"], float(np.abs(op.friction @ s).max()))
-        worst["left_annihilation"] = max(
-            worst["left_annihilation"], float(np.abs(s @ full).max())
-        )
-        worst["projector_idempotence"] = max(
-            worst["projector_idempotence"],
-            float(np.abs(op.proj_range @ op.proj_range - op.proj_range).max()),
-        )
-        worst["projector_split"] = max(
-            worst["projector_split"],
-            float(np.abs(op.proj_range + op.proj_kernel - np.eye(n)).max()),
-        )
+    worst = {}
+    for n, k in zip(range(2, 7), _shares(op_samples, 5)):
+        if not k:
+            continue
+        K, _, delta, c = _operator_draws(rng, n, k)
+        d = c + delta[:, None]
+        s, A = _symmetric_friction(d, K)
+        full = A + delta[:, None, None] * _shift_correction(s, K)
+        lam = d.sum(axis=1)
+        proj_kernel = s[:, :, None] * s[:, None, :] / lam[:, None, None]
+        proj_range = np.eye(n) - proj_kernel
         # friction scales linearly when the shifted mass is rescaled
-        lam = float(comp.d.sum())
-        scaled = assemble_operator(
-            PointComposition(comp.d / lam, 0.0), D
-        ).friction
-        worst["scaling_identity"] = max(
-            worst["scaling_identity"], float(np.abs(op.friction - lam * scaled).max())
-        )
-        M = _friction_system(c[None, :], D.inv)[0]
-        worst["column_sums"] = max(worst["column_sums"], float(np.abs(M.sum(axis=0)).max()))
+        _, scaled = _symmetric_friction(d / lam[:, None], K)
+        defects = {
+            # the friction part kills s on the right, the full matrix on the left
+            "kernel_action": np.einsum("kij,kj->ki", A, s),
+            "left_annihilation": np.einsum("ki,kij->kj", s, full),
+            "projector_idempotence": proj_range @ proj_range - proj_range,
+            "projector_split": proj_range + proj_kernel - np.eye(n),
+            "scaling_identity": A - lam[:, None, None] * scaled,
+            "column_sums": _friction_system(c, K).sum(axis=1),
+        }
+        for key, val in defects.items():
+            worst[key] = max(worst.get(key, 0.0), float(np.abs(val).max()))
 
-    violations = 0
+    violations = exact_violations = 0
     worst_slack = -math.inf
-    for _ in range(samples):
-        n = int(rng.integers(2, 5))
-        D = _random_diffusivities(rng, n)
-        delta = float(rng.uniform(0.01, 0.5))
-        comp = PointComposition(_random_simplex(rng, 1, n)[0], delta)
-        op = assemble_operator(comp, D)
-        z = rng.normal(size=n)
-        lhs, rhs, holds = spectral_gap_check(op, z)
-        if not holds:
-            violations += 1
-        worst_slack = max(worst_slack, rhs - lhs)
+    tightness = {}
+    for n, k in zip(range(2, 5), _shares(samples, 3)):
+        if not k:
+            continue
+        K, mu, delta, c = _operator_draws(rng, n, k)
+        z = rng.normal(size=(k, n))
+        lhs, rhs, lam2, floor = _gap_sides(c + delta[:, None], K, mu, z)
+        violations += int(np.count_nonzero(~(lhs >= rhs - 1e-12)))
+        exact_violations += int(np.count_nonzero(~(lam2 >= floor - 1e-12)))
+        worst_slack = max(worst_slack, float((rhs - lhs).max()))
+        tightness[str(n)] = float((lam2 / floor).min())
 
     checks = [
         _check(f"operator_{key}", "flux.assemble_operator", val, 1e-12)
         for key, val in worst.items()
     ]
-    checks.append(
-        _check("spectral_gap_violations", "flux.spectral_gap_check", violations, 0)
-    )
+    checks += [
+        _check("spectral_gap_violations", "flux.spectral_gap_check", violations, 0),
+        _check("spectral_gap_exact_violations", "flux.assemble_operator", exact_violations, 0),
+    ]
     details = {
         "operator_samples": op_samples,
         "gap_samples": samples,
         "worst_defects": worst,
         "gap_violations": violations,
+        "gap_exact_violations": exact_violations,
+        "gap_tightness": tightness,
         "worst_gap_slack": worst_slack,
     }
     return SuiteResult(suite, all(c["passed"] for c in checks), checks, details=details)
@@ -250,7 +275,10 @@ def identity_study(cfg, rng):
     slope, _ = mollify.fit_loglog([h for _, h, _ in rows], residuals)
 
     checks = [
-        _check("identity_refinement_order", "entropy.identity_residual", min(orders), 1.0, ">=")
+        _check(
+            "identity_refinement_order", "entropy.identity_residual",
+            float(np.min(orders)), 1.0, ">=",
+        )
     ]
     details = {
         "residuals": residuals,
@@ -427,7 +455,7 @@ def convergence_study(cfg, rng):
     art = os.path.join(cfg.out_dir, "convergence_study.csv")
     errs, orders = _order_table(art, ["cells", "h", "rel_l2_error"], rows)
     checks = [
-        _check("binary_convergence_order", "sim.run", min(orders), 1.9, ">="),
+        _check("binary_convergence_order", "sim.run", float(np.min(orders)), 1.9, ">="),
         _check("binary_finest_error", "sim.run", errs[-1], 1e-3),
     ]
     details = {"errors": errs, "orders": orders}
@@ -438,7 +466,7 @@ def _order_table(path, columns, rows):
     """Write rows (label, h, value), coarse first, with log2 orders between
     neighbours to a CSV; returns (values, orders)."""
     values = [v for _, _, v in rows]
-    orders = [math.log2(values[k] / values[k + 1]) for k in range(len(values) - 1)]
+    orders = [_order(a, b) for a, b in zip(values, values[1:])]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns + ["observed_order"])
@@ -447,6 +475,14 @@ def _order_table(path, columns, rows):
                 [label, repr(h), repr(v), "" if k == 0 else repr(orders[k - 1])]
             )
     return values, orders
+
+
+def _order(coarse, fine):
+    """log2(coarse / fine); inf when only the finer value is 0, nan when
+    both are, so an order check against it fails rather than raises."""
+    if fine == 0.0:
+        return math.nan if coarse == 0.0 else math.inf
+    return math.log2(coarse / fine) if coarse != 0.0 else -math.inf
 
 
 def _map_jobs(fn, jobs, workers):
@@ -501,7 +537,7 @@ def execute(cfg, log=print):
         artifacts.extend(result.artifacts)
         summary["suites"][name] = {
             "passed": result.passed,
-            "checks": result.checks,
+            "checks": _jsonable(result.checks),
             "details": _jsonable(result.details),
             "artifacts": [os.path.basename(a) for a in result.artifacts],
         }
@@ -534,14 +570,15 @@ def execute(cfg, log=print):
 
 
 def _jsonable(obj):
+    """Plain JSON types; non-finite floats become "inf", "-inf" or "nan"."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj

@@ -250,7 +250,12 @@ def test_cli_end_to_end_pass(tmp_path, capsys):
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):
-    cfg = write_cfg(tmp_path, SMALL_RUN)
+    text = SMALL_RUN.replace(
+        "suites = flux-certify identity-study",
+        "suites = flux-certify spectral-certify identity-study",
+    ) + "spectral-certify.samples = 300\nspectral-certify.operator_samples = 60\n"
+    assert parse_config(text).suites[1] == "spectral-certify"
+    cfg = write_cfg(tmp_path, text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main([cfg, "--out", str(out1)]) == 0
     assert main([cfg, "--out", str(out2), "--workers", "2"]) == 0

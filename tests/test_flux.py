@@ -21,6 +21,7 @@ from msdiff.flux import (
     solve_fluxes_lstsq,
     spectral_gap_check,
     stability_constants,
+    _dense_oracle,
     _friction_system,
 )
 
@@ -235,6 +236,33 @@ def test_kernel_rejects_degenerate_points(n, bad):
         grad[5, 0] = np.inf
     with pytest.raises(SingularComposition):
         solve_fluxes_batch(c, grad, D)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_range_oracle_matches_pseudo_inverse(n):
+    rng = np.random.default_rng(50 + n)
+    D, c, grad = _batch_problem(rng, n, 256)
+    c, grad = c[2 * n:], grad[2 * n:]  # interior rows only
+    x = _dense_oracle(c, grad, D)
+    # reference: the SVD pseudo-inverse of M, shifted onto the zero-sum slice
+    M = _friction_system(c, D.inv)
+    ref = np.einsum("mij,mj->mi", np.linalg.pinv(M), -grad)
+    ref -= ref.sum(axis=1, keepdims=True) * c
+    assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert np.abs(x.sum(axis=1)).max() <= 1e-13 * max(1.0, np.abs(x).max())
+
+
+@pytest.mark.parametrize("where", ["vertex", "edge"])
+def test_range_oracle_rejects_the_simplex_boundary(where):
+    rng = np.random.default_rng(60)
+    D, c, grad = _batch_problem(rng, 3, 12)
+    # rows 0-2 are the vertices, rows 3-5 edges with one species absent
+    bad = 1 if where == "vertex" else 4
+    rows = np.r_[6, 7, bad, 8]
+    with pytest.raises(SingularComposition, match="row 2 "):
+        _dense_oracle(c[rows], grad[rows], D)
+    with pytest.raises(SingularComposition, match="row 0 "):
+        solve_fluxes_lstsq(PointComposition(c[bad]), grad[bad], D)
 
 
 def test_operator_algebra_identities():

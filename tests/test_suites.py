@@ -1,6 +1,8 @@
 """Mesh-study ladders: how many runs each study makes, and what it reuses."""
 
 import importlib
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,12 @@ import pytest
 from msdiff import sim, suites
 from msdiff.config import parse_config
 from msdiff.entropy import regularized_relative_entropy
+from msdiff.flux import (
+    DiffusionMatrix,
+    PointComposition,
+    assemble_operator,
+    spectral_gap_check,
+)
 
 STUDY = """
 n = 3
@@ -117,3 +125,72 @@ def test_flux_certify_keeps_its_draws_for_multiples_of_twenty(tmp_path, samples)
             worst = max(worst, suites.solve_fluxes_batch(c, g, D)[1])
     assert got["max_residual"] == worst
     assert got["samples"] == samples and got["species"] == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_gap_matches_point_operators(n):
+    k = 300
+    K, mu, delta, c = suites._operator_draws(np.random.default_rng(70 + n), n, k)
+    # the same stream again gives the diffusivities behind K
+    d = suites._diffusivity_draws(np.random.default_rng(70 + n), n, k)
+    z = np.random.default_rng(80 + n).normal(size=(k, n))
+    lhs, rhs, lam2, floor = suites._gap_sides(c + delta[:, None], K, mu, z)
+    violations = 0
+    for i in range(k):
+        D = DiffusionMatrix(d[i])
+        assert np.array_equal(D.inv, K[i]) and D.mu == mu[i]
+        op = assemble_operator(PointComposition(c[i], delta[i]), D)
+        lhs_i, rhs_i, holds = spectral_gap_check(op, z[i])
+        violations += not holds
+        # relative to the size of the form, lambda_max |z|^2: both sides
+        # cancel when z lies close to the kernel
+        scale = np.linalg.eigvalsh(op.friction)[-1] * (z[i] @ z[i])
+        assert abs(lhs[i] - lhs_i) <= 1e-13 * scale
+        assert abs(rhs[i] - rhs_i) <= 1e-13 * scale
+        assert abs(lam2[i] - np.linalg.eigvalsh(op.friction)[1]) <= 1e-13 * lam2[i]
+        assert abs(floor[i] - op.shifted_mass * op.mu) <= 1e-15 * floor[i]
+    assert violations == np.count_nonzero(~(lhs >= rhs - 1e-12)) == 0
+    assert np.all(lam2 >= floor - 1e-12)
+
+
+def test_spectral_certify_reports_the_exact_gap(tmp_path):
+    cfg = study_config(
+        tmp_path,
+        "spectral-certify.samples = 30\nspectral-certify.operator_samples = 7\n",
+    )
+    result = suites.spectral_certify(cfg, np.random.default_rng(3))
+    assert result.passed
+    names = [c["check"] for c in result.checks]
+    assert names[-2:] == ["spectral_gap_violations", "spectral_gap_exact_violations"]
+    tight = result.details["gap_tightness"]
+    assert list(tight) == ["2", "3", "4"]
+    # two species attain the bound: lambda_2 = K_12 |d| = |d| mu
+    assert abs(tight["2"] - 1.0) < 1e-14 and min(tight.values()) > 1.0 - 1e-14
+
+
+def test_order_table_survives_zero_residuals(tmp_path):
+    path = tmp_path / "orders.csv"
+    rows = [(0, 0.1, 4e-3), (1, 0.05, 1e-3), (2, 0.025, 0.0), (3, 0.0125, 0.0)]
+    values, orders = suites._order_table(str(path), ["level", "h", "residual"], rows)
+    assert values == [4e-3, 1e-3, 0.0, 0.0]
+    assert orders[:2] == [2.0, math.inf] and math.isnan(orders[2])
+    assert path.read_text().splitlines()[-1].endswith(",nan")
+
+
+def test_zero_errors_fail_the_order_check_with_strict_json(tmp_path, monkeypatch):
+    def exact(cells):
+        return cells, 1.0 / cells, 0.0
+
+    monkeypatch.setattr(suites, "_convergence_level", exact)
+    cfg = study_config(tmp_path, "suites = convergence-study\n")
+    assert suites.execute(cfg, log=lambda line: None) == 1
+    text = (tmp_path / "summary.json").read_text()
+
+    def refuse(token):
+        raise AssertionError(f"summary.json holds {token}")
+
+    summary = json.loads(text, parse_constant=refuse)["suites"]["convergence-study"]
+    order = summary["checks"][0]
+    assert order["check"] == "binary_convergence_order"
+    assert order["value"] == "nan" and not order["passed"]
+    assert summary["details"]["orders"] == ["nan", "nan"]
