@@ -9,6 +9,13 @@ both from c K and c without assembling the matrix. From four species on,
 a rank-one bordering of the system makes it a square LAPACK solve. Every
 solve is gated by its residual, evaluated from the same structure.
 
+Layout: the batched kernel's public contract is (m, n) points by species,
+with any strides. It computes on (n, m) species rows, so a transposed view
+of C-ordered (n, m) rows (what the face divergence passes) is the fast
+path with no copy, and other layouts cost one copy. The fluxes come back
+as an (m, n) view of (n, m) rows (for n >= 4, in the bordered solve's own
+(m, n) order).
+
 The symmetric form A = diag(s)^-1 M diag(s), s = sqrt(c + delta), is the
 Maxwell-Stefan matrix whose spectrum carries the uniqueness argument: it
 is positive semidefinite with kernel s, and its second eigenvalue is at
@@ -265,59 +272,75 @@ def solve_fluxes(comp, grad_c, D, consistency_tol=1e-10, residual_tol=1e-10):
 def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     """Vectorized force-flux solve for many points, one gradient component.
 
-    c, grad_c: shape (m, n). Returns (fluxes (m, n), max residual). The
-    friction matrix M = diag(c K) - diag(c) K has zero column sums, so the
-    zero-sum flux is found from the first n - 1 rows with the last species
-    eliminated by sum x = 0. For n = 2 that is the closed form
+    c, grad_c: shape (m, n), with any strides. The kernel works on (n, m)
+    species rows: it takes c.T and grad_c.T as C-contiguous rows, which is
+    free when the caller passes transposed views of (n, m) rows (the fast
+    path) and one copy otherwise. Returns (fluxes (m, n), max residual); the
+    fluxes are an (m, n) view of (n, m) rows (for n >= 4, the bordered
+    solve's own C-ordered (m, n) result).
+
+    The friction matrix M = diag(c K) - diag(c) K has zero column sums, so
+    the zero-sum flux is found from the first n - 1 rows with the last
+    species eliminated by sum x = 0. For n = 2 that is the closed form
     x_1 = b_1 / (K_12 (c_1 + c_2)); for n = 3 a 2x2 Cramer solve whose
     entries come from c K and c, with no (m, n, n) stack. For n >= 4, M
     bordered with the all-ones matrix is invertible and a zero-sum
     right-hand side yields the zero-sum solution through one LAPACK solve.
     The residual M x - b is evaluated from the same structure as
-    (c K) x - c (x K) - b; above tolerance, or NaN, it raises
-    SingularComposition. The per-point gradient consistency is not
-    rechecked here; callers feed gradients that are zero-sum by construction.
+    (c K) x - c (K x) - b (K is symmetric); above tolerance times
+    max(1, |grad_c|), or NaN, it raises SingularComposition. The per-point
+    gradient consistency is not rechecked here; callers feed gradients that
+    are zero-sum by construction.
     """
     K = D.inv
     n = c.shape[1]
+    c = np.ascontiguousarray(c.T)  # (n, m) species rows from here on
     # degenerate points give NaN or inf here; the residual test rejects them
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = -grad_c
-        b = b - b.mean(axis=-1, keepdims=True)
-        cK = c @ K
+        b = np.negative(grad_c.T, order="C")
+        b -= b.mean(axis=0)
+        cK = K @ c
         if n == 2:
             x = np.empty_like(b)
-            x[:, 0] = b[:, 0] / (K[0, 1] * (c[:, 0] + c[:, 1]))
-            x[:, 1] = -x[:, 0]
+            x[0] = b[0] / (K[0, 1] * (c[0] + c[1]))
+            x[1] = -x[0]
         elif n == 3:
             x = _solve_reduced_3(c, cK, K, b)
         else:
             try:
-                x = np.linalg.solve(_friction_system(c, K) + 1.0, b[..., None])[..., 0]
+                x = np.linalg.solve(_friction_system(c.T, K) + 1.0, b.T[..., None])
             except np.linalg.LinAlgError as exc:
                 raise SingularComposition(str(exc)) from None
-        residual = float(np.abs(cK * x - c * (x @ K) - b).max())
+            x = x[..., 0].T
+        # residual (c K) x - c (K x) - b, built in the buffer of c K
+        cKx = K @ x
+        cKx *= c
+        cK *= x
+        cK -= cKx
+        cK -= b
+        residual = float(np.abs(cK, out=cK).max())
     scale = max(1.0, float(np.abs(grad_c).max()))
     if not residual <= residual_tol * scale:
         raise SingularComposition(
             f"force-flux residual {residual:.3e} exceeds tolerance"
         )
-    return x, residual
+    return x.T, residual
 
 
 def _solve_reduced_3(c, cK, K, b):
-    """Three species: rows 1-2 of M x = b with x_3 = -x_1 - x_2, by Cramer."""
-    c1, c2 = c[:, 0], c[:, 1]
-    a11 = cK[:, 0] + c1 * K[0, 2]
+    """Three species: rows 1-2 of M x = b with x_3 = -x_1 - x_2, by Cramer.
+    Every argument but K holds (3, m) species rows."""
+    c1, c2 = c[0], c[1]
+    a11 = cK[0] + c1 * K[0, 2]
     a12 = c1 * (K[0, 2] - K[0, 1])
     a21 = c2 * (K[1, 2] - K[0, 1])
-    a22 = cK[:, 1] + c2 * K[1, 2]
-    b1, b2 = b[:, 0], b[:, 1]
+    a22 = cK[1] + c2 * K[1, 2]
+    b1, b2 = b[0], b[1]
     det = a11 * a22 - a12 * a21
     x = np.empty_like(b)
-    x[:, 0] = (b1 * a22 - a12 * b2) / det
-    x[:, 1] = (a11 * b2 - a21 * b1) / det
-    x[:, 2] = -x[:, 0] - x[:, 1]
+    x[0] = (b1 * a22 - a12 * b2) / det
+    x[1] = (a11 * b2 - a21 * b1) / det
+    x[2] = -x[0] - x[1]
     return x
 
 

@@ -142,9 +142,17 @@ def initial_pairing(f, phi, grid):
 
 
 def fit_loglog(eps_values, errors):
-    """Least-squares slope of log(error) against log(eps), with R^2."""
-    x = np.log(np.asarray(eps_values, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
+    """Least-squares slope of log(error) against log(eps), with R^2.
+
+    Logarithms need positive values: an eps or error that is zero, negative
+    or NaN gives (nan, nan), not a fit through log(0).
+    """
+    eps_values = np.asarray(eps_values, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    if not (np.all(eps_values > 0.0) and np.all(errors > 0.0)):
+        return math.nan, math.nan
+    x = np.log(eps_values)
+    y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())

@@ -46,7 +46,10 @@ def _face_divergence(c, D, grid):
 
     Returns (divergence (n, *cells), per-axis face fluxes, max |face flux|,
     max kernel residual). Face index k holds the face between cells k and
-    k+1 along that axis.
+    k+1 along that axis. Each axis is one kernel call, so the residual gate
+    scales with that axis's own gradients. The face compositions and
+    gradients go to the kernel as transposed views of their (n, m) species
+    rows, and each face array is a view of the kernel's output: no copies.
     """
     n = c.shape[0]
     div = np.zeros_like(c)
@@ -56,13 +59,12 @@ def _face_divergence(c, D, grid):
     for k, h in enumerate(grid.spacing):
         ax = 1 + k
         cR = np.roll(c, -1, axis=ax)
-        cf = 0.5 * (c + cR)
-        cf = cf / cf.sum(axis=0, keepdims=True)
-        g = (cR - c) / h
-        m = cf[0].size
-        J, res = solve_fluxes_batch(
-            cf.reshape(n, m).T.copy(), g.reshape(n, m).T.copy(), D
-        )
+        cf = c + cR
+        cf *= 0.5
+        cf /= cf.sum(axis=0, keepdims=True)
+        g = np.subtract(cR, c, out=cR)
+        g /= h
+        J, res = solve_fluxes_batch(cf.reshape(n, -1).T, g.reshape(n, -1).T, D)
         Jf = J.T.reshape(c.shape)
         faces.append(Jf)
         div += (Jf - np.roll(Jf, 1, axis=ax)) / h

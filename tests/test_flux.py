@@ -223,6 +223,28 @@ def test_bordered_kernel_is_the_reference_bit_for_bit(n):
         assert np.array_equal(x, _bordered_reference(c, grad, D))
 
 
+def _species_rows(a):
+    """The same (m, n) values as a transposed view of C-ordered (n, m) rows."""
+    return np.ascontiguousarray(a.T).T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_kernel_result_does_not_depend_on_input_layout(n):
+    rng = np.random.default_rng(70 + n)
+    D, c, grad = _batch_problem(rng, n, 64)
+    x, res = solve_fluxes_batch(c, grad, D)
+    assert x.shape == (64, n)
+    rows, rows_res = solve_fluxes_batch(_species_rows(c), _species_rows(grad), D)
+    assert rows.tobytes() == x.tobytes() and rows_res == res
+    # the solve_fluxes front: one composition broadcast over every point
+    cb = np.broadcast_to(c[-1], c.shape)
+    xb, res_b = solve_fluxes_batch(cb, grad, D)
+    xc, res_c = solve_fluxes_batch(np.ascontiguousarray(cb), grad, D)
+    assert xb.tobytes() == xc.tobytes() and res_b == res_c
+    if n <= 3:  # the reduced kernels hand back a view of (n, m) rows
+        assert x.T.flags.c_contiguous and rows.T.flags.c_contiguous
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("bad", ["zero-row", "nan-row", "inf-gradient"])
 def test_kernel_rejects_degenerate_points(n, bad):
@@ -236,6 +258,8 @@ def test_kernel_rejects_degenerate_points(n, bad):
         grad[5, 0] = np.inf
     with pytest.raises(SingularComposition):
         solve_fluxes_batch(c, grad, D)
+    with pytest.raises(SingularComposition):
+        solve_fluxes_batch(_species_rows(c), _species_rows(grad), D)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

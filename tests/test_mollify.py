@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ def test_fit_loglog_exact_power():
     slope, r2 = fit_loglog([2.0, 1.0, 0.5], [4.0, 1.0, 0.25])
     assert abs(slope - 2.0) < 1e-12
     assert r2 > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "eps,errors",
+    [
+        ([0.1, 0.05, 0.025], [1e-3, 2e-4, 0.0]),
+        ([0.1, 0.05, 0.025], [1e-3, -2e-4, 1e-5]),
+        ([0.1, 0.0, 0.025], [1e-3, 2e-4, 1e-5]),
+        ([0.1, -0.05, 0.025], [1e-3, 2e-4, 1e-5]),
+    ],
+)
+def test_fit_loglog_non_positive_values_give_nan_quietly(eps, errors):
+    # no log(0) fit: a zero error must not read as a perfect R^2 beside a nan slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, r2 = fit_loglog(eps, errors)
+    assert math.isnan(slope) and math.isnan(r2)
 
 
 def test_rate_study_csv_layout(tmp_path):

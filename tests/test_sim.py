@@ -8,7 +8,7 @@ import pytest
 
 from msdiff import sim
 from msdiff.entropy import identity_renorm
-from msdiff.flux import DiffusionMatrix
+from msdiff.flux import DiffusionMatrix, solve_fluxes_batch
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate, l2_norm
 from msdiff.mollify import fit_loglog
 from msdiff.sim import (
@@ -99,6 +99,62 @@ def test_snapshot_fluxes_equal_a_fresh_solve(scheme, cadence):
     for c, J in zip(traj.states, traj.fluxes):
         fresh = sim._cell_average(sim._face_divergence(c, D3, traj.grid)[1])
         assert J.tobytes() == fresh.tobytes()
+
+
+def _face_divergence_reference(c, D, grid):
+    """Per-axis face divergence that hands the kernel C-ordered (m, n) copies
+    of each face batch: the layout before the kernel read species rows."""
+    n = c.shape[0]
+    div = np.zeros_like(c)
+    faces = []
+    fmax = 0.0
+    residual = 0.0
+    for k, h in enumerate(grid.spacing):
+        ax = 1 + k
+        cR = np.roll(c, -1, axis=ax)
+        cf = 0.5 * (c + cR)
+        cf = cf / cf.sum(axis=0, keepdims=True)
+        g = (cR - c) / h
+        m = cf[0].size
+        J, res = solve_fluxes_batch(
+            cf.reshape(n, m).T.copy(), g.reshape(n, m).T.copy(), D
+        )
+        Jf = J.T.reshape(c.shape)
+        faces.append(Jf)
+        div += (Jf - np.roll(Jf, 1, axis=ax)) / h
+        fmax = max(fmax, float(np.abs(Jf).max()))
+        residual = max(residual, res)
+    return div, faces, fmax, residual
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("cells", [(24,), (12, 10), (6, 5, 4)])
+def test_face_divergence_matches_reference_without_copies(monkeypatch, n, cells):
+    rng = np.random.default_rng(sum(cells) + n)
+    d = np.triu(rng.uniform(0.5, 4.0, size=(n, n)), 1)
+    D = DiffusionMatrix(d + d.T)
+    grid = PeriodicGrid(cells, lengths=tuple(1.0 + 0.5 * k for k in range(len(cells))))
+    c = rng.uniform(0.05, 1.0, size=(n, *cells))
+    c /= c.sum(axis=0, keepdims=True)
+
+    div, faces, fmax, residual = _face_divergence_reference(c, D, grid)
+    seen = []
+
+    def recording(cf, g, D):
+        J, res = solve_fluxes_batch(cf, g, D)
+        seen.append((cf, g, J))
+        return J, res
+
+    monkeypatch.setattr(sim, "solve_fluxes_batch", recording)
+    new_div, new_faces, new_fmax, new_residual = sim._face_divergence(c, D, grid)
+    assert new_div.tobytes() == div.tobytes()
+    assert [F.tobytes() for F in new_faces] == [F.tobytes() for F in faces]
+    assert new_fmax == fmax and new_residual == residual
+    # one kernel call per axis, fed species rows, and faces that are its output
+    assert len(seen) == grid.dim
+    for (cf, g, J), F in zip(seen, new_faces):
+        assert cf.T.flags.c_contiguous and g.T.flags.c_contiguous
+        assert np.shares_memory(F, J)
 
 
 @pytest.mark.parametrize("scheme,stages", [("euler", 1), ("heun", 2)])
