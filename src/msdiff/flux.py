@@ -297,8 +297,7 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     c = np.ascontiguousarray(c.T)  # (n, m) species rows from here on
     # degenerate points give NaN or inf here; the residual test rejects them
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.negative(grad_c.T, order="C")
-        b -= b.mean(axis=0)
+        b = _zero_sum_rhs(grad_c.T)
         cK = K @ c
         if n == 2:
             x = np.empty_like(b)
@@ -325,6 +324,14 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
             f"force-flux residual {residual:.3e} exceeds tolerance"
         )
     return x.T, residual
+
+
+def _zero_sum_rhs(grad_rows):
+    """The kernel's right-hand side: -grad_c as C-ordered (n, m) species rows,
+    projected onto sum_i b_i = 0 at every point (a sum over n, then / n)."""
+    b = np.negative(grad_rows, order="C")
+    b -= b.sum(axis=0) / len(b)
+    return b
 
 
 def _solve_reduced_3(c, cK, K, b):

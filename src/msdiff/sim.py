@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .flux import solve_fluxes_batch
-from .grid import ConcentrationState, PeriodicGrid, gradient, integrate
+from .flux import DiffusionMatrix, solve_fluxes_batch
+from .grid import ConcentrationState, PeriodicGrid, _shift, gradient, integrate
 
 
 # the most steps one run may take; Scenario.resolve_steps refuses more
@@ -50,6 +50,8 @@ def _face_divergence(c, D, grid):
     scales with that axis's own gradients. The face compositions and
     gradients go to the kernel as transposed views of their (n, m) species
     rows, and each face array is a view of the kernel's output: no copies.
+    Both periodic neighbours come from the grid's one shift helper; the
+    composition shift is reused in place as the gradient's buffer.
     """
     n = c.shape[0]
     div = np.zeros_like(c)
@@ -58,7 +60,7 @@ def _face_divergence(c, D, grid):
     residual = 0.0
     for k, h in enumerate(grid.spacing):
         ax = 1 + k
-        cR = np.roll(c, -1, axis=ax)
+        cR = _shift(c, -1, ax)
         cf = c + cR
         cf *= 0.5
         cf /= cf.sum(axis=0, keepdims=True)
@@ -67,7 +69,7 @@ def _face_divergence(c, D, grid):
         J, res = solve_fluxes_batch(cf.reshape(n, -1).T, g.reshape(n, -1).T, D)
         Jf = J.T.reshape(c.shape)
         faces.append(Jf)
-        div += (Jf - np.roll(Jf, 1, axis=ax)) / h
+        div += (Jf - _shift(Jf, 1, ax)) / h
         fmax = max(fmax, float(np.abs(Jf).max()))
         residual = max(residual, res)
     return div, faces, fmax, residual
@@ -75,7 +77,7 @@ def _face_divergence(c, D, grid):
 
 def _cell_average(faces):
     """Cell-centered flux vectors (n, dim, *cells) by averaging face fluxes."""
-    comps = [0.5 * (F + np.roll(F, 1, axis=1 + k)) for k, F in enumerate(faces)]
+    comps = [0.5 * (F + _shift(F, 1, 1 + k)) for k, F in enumerate(faces)]
     return np.stack(comps, axis=1)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msdiff import flux
 from msdiff.flux import (
     DeltaOutOfRange,
     DiffusionMatrix,
@@ -221,6 +222,32 @@ def test_bordered_kernel_is_the_reference_bit_for_bit(n):
         D, c, grad = _batch_problem(rng, n, 64)
         x, _ = solve_fluxes_batch(c, grad, D)
         assert np.array_equal(x, _bordered_reference(c, grad, D))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("m", [1, 7, 512])
+def test_kernel_projects_the_rhs_like_a_mean(monkeypatch, n, m):
+    rng = np.random.default_rng(100 * n + m)
+    D, _, _ = random_problem(rng, n)
+    g = -np.log(rng.uniform(size=(m, n)))
+    c = g / g.sum(axis=1, keepdims=True)
+    # uncentred gradients over many scales, so the projection moves every entry
+    grad = rng.normal(size=(m, n)) * np.exp(rng.uniform(-20.0, 20.0, size=(m, n)))
+    seen = []
+    project = flux._zero_sum_rhs
+
+    def recording(grad_rows):
+        b = project(grad_rows)
+        seen.append(b.copy())
+        return b
+
+    monkeypatch.setattr(flux, "_zero_sum_rhs", recording)
+    solve_fluxes_batch(c, grad, D)
+    # the mean form on the same C-ordered (n, m) rows: the layout fixes the
+    # summation order, so a strided (m, n) reduction is no reference at n = 8
+    ref = np.ascontiguousarray(-grad.T)
+    ref = ref - ref.mean(axis=0)
+    assert len(seen) == 1 and seen[0].tobytes() == ref.tobytes()
 
 
 def _species_rows(a):

@@ -1,6 +1,9 @@
 """Grid calculus against closed-form discrete identities."""
 
+import dataclasses
 import math
+import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -9,11 +12,13 @@ from msdiff.grid import (
     ConcentrationState,
     GridMismatch,
     PeriodicGrid,
+    _shift,
     divergence,
     gradient,
     integrate,
     l2_norm,
 )
+from msdiff.suites import _map_jobs
 
 
 def test_grid_geometry():
@@ -27,6 +32,98 @@ def test_grid_geometry():
     assert len(y) == 4
     fine = grid.refine(2)
     assert fine.cells == (16, 8) and fine.lengths == (2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "cells,lengths",
+    [((8,), None), ((7,), (0.3,)), ((8, 4), (2.0, 1.0)), ((5, 3, 6), (1.0, 0.7, 2.9))],
+)
+def test_cached_geometry_matches_its_formulas(cells, lengths):
+    grid = PeriodicGrid(cells, lengths)
+    fresh = PeriodicGrid(cells, lengths)
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert grid.spacing == tuple(L / m for L, m in zip(grid.lengths, grid.cells))
+    assert grid.cell_volume == float(np.prod(grid.spacing))
+    # a filled cache changes neither equality nor the hash
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert "spacing" in vars(grid) and "spacing" not in vars(fresh)
+    assert grid.spacing is grid.spacing
+
+
+def test_cached_geometry_is_fresh_on_new_grids_and_stays_frozen():
+    grid = PeriodicGrid((8, 4), (2.0, 1.0))
+    assert grid.spacing == (0.25, 0.25) and grid.cell_volume == 0.0625
+    fine = grid.refine(2)
+    assert fine.spacing == (0.125, 0.125) and fine.cell_volume == 0.015625
+    wide = dataclasses.replace(grid, lengths=(4.0, 1.0))
+    assert wide.spacing == (0.5, 0.25) and wide.cell_volume == 0.125
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.cells = (16, 8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.lengths = (1.0, 1.0)
+    assert grid.cells == (8, 4) and grid.spacing == (0.25, 0.25)
+
+
+def test_cached_geometry_survives_pickling_and_worker_processes():
+    filled = PeriodicGrid((12, 5), (1.5, 0.5))
+    expected = (filled.spacing, filled.cell_volume)
+    empty = PeriodicGrid((12, 5), (1.5, 0.5))
+    for grid in (filled, empty):
+        back = pickle.loads(pickle.dumps(grid))
+        assert back == grid and hash(back) == hash(grid)
+        assert (back.spacing, back.cell_volume) == expected
+    # the process pool behind the --workers option pickles every grid it ships
+    got = _map_jobs(operator.attrgetter("spacing", "cell_volume"), [filled, empty], 2)
+    assert got == [expected, expected]
+
+
+def _shift_shapes():
+    for cells in [(5,), (1,), (2,), (4, 3), (1, 2), (2, 1), (3, 2, 4), (2, 1, 3)]:
+        for batch in [(), (2,), (2, 3)]:
+            yield batch + cells
+
+
+@pytest.mark.parametrize("shape", list(_shift_shapes()))
+def test_shift_is_roll_by_one_cell_byte_for_byte(shape):
+    f = np.random.default_rng(len(shape) + sum(shape)).normal(size=shape)
+    for axis in range(-f.ndim, f.ndim):
+        for step in (1, -1):
+            got = _shift(f, step, axis)
+            ref = np.roll(f, step, axis=axis)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            assert not np.shares_memory(got, f)
+
+
+def _gradient_by_roll(f, grid):
+    """The np.roll form of gradient, kept as its byte-level reference."""
+    comps = []
+    for k, h in enumerate(grid.spacing):
+        ax = f.ndim - grid.dim + k
+        comps.append((np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * h))
+    return np.stack(comps, axis=f.ndim - grid.dim)
+
+
+def _divergence_by_roll(F, grid):
+    """The np.roll form of divergence, kept as its byte-level reference."""
+    comp_ax = F.ndim - grid.dim - 1
+    out = 0.0
+    for k, h in enumerate(grid.spacing):
+        Fk = np.take(F, k, axis=comp_ax)
+        ax = Fk.ndim - grid.dim + k
+        face = 0.5 * (Fk + np.roll(Fk, -1, axis=ax))
+        out = out + (face - np.roll(face, 1, axis=ax)) / h
+    return out
+
+
+@pytest.mark.parametrize("cells", [(9,), (2,), (1,), (6, 5), (1, 4), (4, 3, 2)])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_stencils_match_their_roll_references(cells, batch):
+    grid = PeriodicGrid(cells, tuple(1.0 + 0.3 * k for k in range(len(cells))))
+    rng = np.random.default_rng(sum(cells) + len(batch))
+    f = rng.normal(size=batch + cells)
+    assert gradient(f, grid).tobytes() == _gradient_by_roll(f, grid).tobytes()
+    F = rng.normal(size=batch + (grid.dim,) + cells)
+    assert divergence(F, grid).tobytes() == _divergence_by_roll(F, grid).tobytes()
 
 
 def test_grid_rejects_bad_shapes():

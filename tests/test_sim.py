@@ -1,6 +1,7 @@
 """Time integration: conservation, stability guards, twins, weak forms."""
 
 import math
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -155,6 +156,42 @@ def test_face_divergence_matches_reference_without_copies(monkeypatch, n, cells)
     for (cf, g, J), F in zip(seen, new_faces):
         assert cf.T.flags.c_contiguous and g.T.flags.c_contiguous
         assert np.shares_memory(F, J)
+
+
+@pytest.mark.parametrize("cells", [(24,), (2,), (1, 5), (12, 10), (6, 5, 4)])
+def test_cell_average_matches_its_roll_reference(cells):
+    rng = np.random.default_rng(len(cells) + sum(cells))
+    faces = [rng.normal(size=(3, *cells)) for _ in cells]
+    # the np.roll form of _cell_average, kept as its byte-level reference
+    ref = np.stack(
+        [0.5 * (F + np.roll(F, 1, axis=1 + k)) for k, F in enumerate(faces)], axis=1
+    )
+    assert sim._cell_average(faces).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("cells", [(16,), (8, 6)])
+def test_runs_take_no_roll(monkeypatch, cells):
+    sc = Scenario(n=3, D=D3, grid=PeriodicGrid(cells), t_final=0.001,
+                  amplitude=0.4, scheme="heun", cadence=2)
+    expected = run(sc)
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("np.roll is off the step path")
+
+    monkeypatch.setattr(np, "roll", no_roll)
+    traj = run(sc)
+    assert len(traj.states) == len(expected.states) >= 3
+    for got, ref in zip(traj.states + traj.fluxes, expected.states + expected.fluxes):
+        assert got.tobytes() == ref.tobytes()
+    assert traj.entropy_series == expected.entropy_series
+
+
+@pytest.mark.parametrize("cls", [Scenario, sim.Trajectory, Perturbation])
+def test_annotations_resolve(cls):
+    hints = typing.get_type_hints(cls)
+    assert hints and all(name in hints for name in cls.__dataclass_fields__)
+    if cls is Scenario:
+        assert hints["D"] is DiffusionMatrix
 
 
 @pytest.mark.parametrize("scheme,stages", [("euler", 1), ("heun", 2)])
