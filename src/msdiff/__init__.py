@@ -24,7 +24,6 @@ from .grid import (
     ConcentrationState,
     GridMismatch,
     PeriodicGrid,
-    divergence,
     gradient,
     integrate,
     l2_norm,

@@ -7,11 +7,12 @@ check fails, 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
 from .config import (
-    KNOWN_SUITES, ParseError, ValidationError, check_suites, load_config
+    KNOWN_SUITES, ParseError, ValidationError, check_scalar, check_suites, load_config
 )
 from .suites import execute
 
@@ -44,15 +45,18 @@ def main(argv=None):
             cfg = replace(cfg, suites=list(dict.fromkeys(args.suite)))
             check_suites(cfg)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ValidationError("--seed must be >= 0")
-            cfg = replace(cfg, seed=args.seed)
+            cfg = replace(cfg, seed=check_scalar("seed", args.seed, "--"))
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         if args.workers is not None:
-            if args.workers < 1:
-                raise ValidationError("--workers must be >= 1")
-            cfg = replace(cfg, workers=args.workers)
+            cfg = replace(cfg, workers=check_scalar("workers", args.workers, "--"))
+        if cfg.suites:
+            try:
+                os.makedirs(cfg.out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ValidationError(
+                    f"cannot create output directory {cfg.out_dir}: {exc.strerror}"
+                ) from None
         return execute(cfg)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ first two species). All errors carry the offending line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,38 +64,34 @@ def _split_lines(text):
     return entries
 
 
-class _Reader:
-    def __init__(self, entries):
-        self.entries = entries
-        self.used = set()
+_REQUIRED = object()  # the default of a key that must be set
 
-    def take(self, key, default=None):
-        self.used.add(key)
-        return self.entries.get(key, (default, None))
+# The scalar keys: key -> (type, default, admissible, message). The check
+# runs on a given value only, and a failure reads "line N: <message>". The
+# CLI checks its --seed and --workers overrides against the same rows.
+_SCALARS = {
+    "n": (int, _REQUIRED, lambda v: v >= 2, "need at least two species"),
+    "dim": (int, 1, lambda v: 1 <= v <= 3, "dim must be 1, 2, or 3"),
+    "t_final": (float, 0.01, lambda v: v > 0, "t_final must be positive"),
+    "dt": (float, None, lambda v: v > 0, "dt must be positive"),
+    "cfl": (float, 0.25, lambda v: 0 < v <= 1, "cfl must lie in (0, 1]"),
+    "scheme": (str, "euler", lambda v: v in ("euler", "heun"),
+               "scheme must be 'euler' or 'heun'"),
+    "cadence": (int, 1, lambda v: v >= 1, "cadence must be >= 1"),
+    "preset": (str, "sine_mix", None, None),
+    "amplitude": (float, 0.2, None, None),
+    "mode": (int, 1, None, None),
+    "seed": (int, 0, lambda v: v >= 0, "seed must be >= 0"),
+    "out": (str, "out", None, None),
+    "workers": (int, 1, lambda v: v >= 1, "workers must be >= 1"),
+    "delta": (float, 0.05, lambda v: v > 0, "delta must be positive"),
+    "perturb.amplitude": (float, None, None, None),
+    "perturb.mode": (int, 1, None, None),
+}
 
-    def scalar(self, key, conv, default=None, required=False):
-        value, lineno = self.take(key)
-        if value is None:
-            if required:
-                raise ValidationError(f"missing required key {key!r}")
-            return default
-        return _convert(key, value, conv, lineno)
-
-    def list(self, key, conv, default=None):
-        value, lineno = self.take(key)
-        if value is None:
-            return default
-        try:
-            return [_value(conv, tok) for tok in value.split()]
-        except ValueError:
-            raise ValidationError(
-                f"line {lineno}: {key} must be a list of {_EXPECTED[conv][1]}, "
-                f"got {value!r}"
-            ) from None
-
-    def line_of(self, key):
-        return self.entries[key][1] if key in self.entries else "?"
-
+# The list keys and their entry types; parse_config applies their defaults
+# and checks, which depend on other keys.
+_LISTS = {"cells": int, "lengths": float, "weights": float, "suites": str, "perturb.species": int}
 
 # how error messages name each converter: (one value, a list of them)
 _EXPECTED = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers")}
@@ -109,128 +105,105 @@ def _value(conv, text):
     return value
 
 
-def _convert(key, text, conv, lineno):
-    """Convert one raw value; a failure names the key, its line and the type."""
+def _convert(key, text, conv, lineno, many=False):
+    """Convert one raw value, or each of its tokens when ``many``; a
+    failure names the key, its line and the type."""
     try:
+        if many:
+            return [_value(conv, tok) for tok in text.split()]
         return _value(conv, text)
     except ValueError:
-        raise ValidationError(
-            f"line {lineno}: {key} must be {_EXPECTED[conv][0]}, got {text!r}"
-        ) from None
+        what = f"a list of {_EXPECTED[conv][1]}" if many else _EXPECTED[conv][0]
+        raise ValidationError(f"line {lineno}: {key} must be {what}, got {text!r}") from None
+
+
+def check_scalar(key, value, where):
+    """Return value if its _SCALARS row admits it; otherwise raise that
+    row's message, prefixed with ``where`` (a line number, or "--")."""
+    _, _, admissible, message = _SCALARS[key]
+    if admissible is not None and not admissible(value):
+        raise ValidationError(f"{where}{message}")
+    return value
+
+
+def _per_axis(key, values, entries, default, dim, admissible, bound):
+    """An axis list: one entry broadcast to every axis, or one per axis."""
+    vals = values.get(key, default)
+    if len(vals) == 1:
+        vals = vals * dim
+    if len(vals) != dim:
+        raise ValidationError(f"line {entries[key][1]}: {key} needs one entry or {dim}")
+    if not all(admissible(v) for v in vals):
+        raise ValidationError(f"line {entries[key][1]}: {key} must be {bound}")
+    return tuple(vals)
 
 
 def parse_config(text):
     """Parse and validate configuration text into a RunConfig."""
     entries = _split_lines(text)
-    rd = _Reader(entries)
+    values = {}
+    params = {k: v[1] for k, v in SUITE_PARAMS.items()}
+    for key, (raw, lineno) in entries.items():
+        if key in _SCALARS:
+            values[key] = _convert(key, raw, _SCALARS[key][0], lineno)
+        elif key in _LISTS:
+            values[key] = _convert(key, raw, _LISTS[key], lineno, many=True)
+        elif key in SUITE_PARAMS:
+            params[key] = _suite_param(key, raw, lineno)
+        elif not _is_diffusivity_key(key):
+            raise ValidationError(f"line {lineno}: unknown key {key!r}")
+    for key, (_, default, _, _) in _SCALARS.items():
+        if key in values:
+            check_scalar(key, values[key], f"line {entries[key][1]}: ")
+        elif default is _REQUIRED:
+            raise ValidationError(f"missing required key {key!r}")
+        else:
+            values[key] = default
 
-    n = rd.scalar("n", int, required=True)
-    if n < 2:
-        raise ValidationError(f"line {rd.line_of('n')}: need at least two species")
-    dim = rd.scalar("dim", int, default=1)
-    if not 1 <= dim <= 3:
-        raise ValidationError(f"line {rd.line_of('dim')}: dim must be 1, 2, or 3")
-    cells = rd.list("cells", int, default=[64])
-    if len(cells) == 1:
-        cells = cells * dim
-    if len(cells) != dim:
-        raise ValidationError(
-            f"line {rd.line_of('cells')}: cells needs one entry or {dim}"
-        )
-    if any(m < 2 for m in cells):
-        raise ValidationError(f"line {rd.line_of('cells')}: cells must be at least 2")
-    lengths = rd.list("lengths", float, default=[1.0])
-    if len(lengths) == 1:
-        lengths = lengths * dim
-    if len(lengths) != dim:
-        raise ValidationError(
-            f"line {rd.line_of('lengths')}: lengths needs one entry or {dim}"
-        )
-    if any(L <= 0 for L in lengths):
-        raise ValidationError(f"line {rd.line_of('lengths')}: lengths must be positive")
-
-    D = _parse_diffusivities(rd, entries, n)
-
-    t_final = rd.scalar("t_final", float, default=0.01)
-    if t_final <= 0:
-        raise ValidationError(f"line {rd.line_of('t_final')}: t_final must be positive")
-    dt = rd.scalar("dt", float)
-    if dt is not None and dt <= 0:
-        raise ValidationError(f"line {rd.line_of('dt')}: dt must be positive")
-    cfl = rd.scalar("cfl", float, default=0.25)
-    if not 0 < cfl <= 1:
-        raise ValidationError(f"line {rd.line_of('cfl')}: cfl must lie in (0, 1]")
-    scheme = rd.scalar("scheme", str, default="euler")
-    if scheme not in ("euler", "heun"):
-        raise ValidationError(
-            f"line {rd.line_of('scheme')}: scheme must be 'euler' or 'heun'"
-        )
-    cadence = rd.scalar("cadence", int, default=1)
-    if cadence < 1:
-        raise ValidationError(f"line {rd.line_of('cadence')}: cadence must be >= 1")
-
-    preset = rd.scalar("preset", str, default="sine_mix")
-    amplitude = rd.scalar("amplitude", float, default=0.2)
-    mode = rd.scalar("mode", int, default=1)
-    weights = rd.list("weights", float)
+    n, dim, delta = values["n"], values["dim"], values["delta"]
+    # defaults and checks that depend on other keys; only a given key can
+    # fail them, so every error below has a line
+    cells = _per_axis("cells", values, entries, [64], dim, lambda m: m >= 2, "at least 2")
+    lengths = _per_axis("lengths", values, entries, [1.0], dim, lambda L: L > 0, "positive")
+    weights = values.get("weights")
     if weights is not None and len(weights) != n:
-        raise ValidationError(
-            f"line {rd.line_of('weights')}: weights needs {n} entries"
-        )
-
-    suites = rd.list("suites", str, default=[])
-    seed = rd.scalar("seed", int, default=0)
-    if seed < 0:
-        raise ValidationError(f"line {rd.line_of('seed')}: seed must be >= 0")
-    out_dir = rd.scalar("out", str, default="out")
-    workers = rd.scalar("workers", int, default=1)
-    if workers < 1:
-        raise ValidationError(f"line {rd.line_of('workers')}: workers must be >= 1")
+        raise ValidationError(f"line {entries['weights'][1]}: weights needs {n} entries")
+    suites = values.get("suites", [])
     for name in suites:
         if name not in KNOWN_SUITES:
             raise ValidationError(
-                f"line {rd.line_of('suites')}: unknown suite {name!r}; "
+                f"line {entries['suites'][1]}: unknown suite {name!r}; "
                 f"known: {', '.join(KNOWN_SUITES)}"
             )
 
-    delta = rd.scalar("delta", float, default=0.05)
-    if delta <= 0:
-        raise ValidationError(f"line {rd.line_of('delta')}: delta must be positive")
+    D = _parse_diffusivities(entries, n)
     if delta >= 1.0 and "twin-study" in suites:
         raise ValidationError(
-            f"line {rd.line_of('delta')}: twin certificates need "
+            f"line {entries['delta'][1]}: twin certificates need "
             f"0 < delta < min(1, mu/(4 c4)) = {admissible_delta_max(D):.6g}; "
             f"got {delta}"
         )
     if delta >= 1.0:
         raise ValidationError(
-            f"line {rd.line_of('delta')}: delta must lie in (0, 1), got {delta}"
+            f"line {entries['delta'][1]}: delta must lie in (0, 1), got {delta}"
         )
 
-    perturbation = _parse_perturbation(rd, n)
+    perturbation = _parse_perturbation(values, entries, n)
 
-    grid = PeriodicGrid(tuple(cells), tuple(lengths))
+    grid = PeriodicGrid(cells, lengths)
     cap = max_stable_dt(grid, D)
+    dt = values["dt"]
     if dt is not None and dt > cap * (1.0 + 1e-9):
         raise ValidationError(
-            f"line {rd.line_of('dt')}: dt={dt} exceeds the stability bound {cap:.6g}"
+            f"line {entries['dt'][1]}: dt={dt} exceeds the stability bound {cap:.6g}"
         )
     try:
         scenario = Scenario(
-            n=n,
             D=D,
             grid=grid,
-            t_final=t_final,
-            preset=preset,
-            amplitude=amplitude,
-            mode=mode,
             weights=None if weights is None else np.asarray(weights, float),
-            dt=dt,
-            cfl=cfl,
-            scheme=scheme,
-            delta=delta,
-            cadence=cadence,
             perturbation=perturbation,
+            **{f.name: values[f.name] for f in fields(Scenario) if f.name in _SCALARS},
         )
         scenario.initial_state()
         scenario.resolve_steps()
@@ -240,16 +213,11 @@ def parse_config(text):
     cfg = RunConfig(
         scenario=scenario,
         suites=list(suites),
-        out_dir=out_dir,
-        seed=seed,
-        workers=workers,
+        out_dir=values["out"],
+        seed=values["seed"],
+        workers=values["workers"],
+        params=params,
     )
-    for key, (value, lineno) in entries.items():
-        if key in rd.used:
-            continue
-        if key not in SUITE_PARAMS:
-            raise ValidationError(f"line {lineno}: unknown key {key!r}")
-        cfg.params[key] = _suite_param(key, value, lineno)
     check_suites(cfg)
     return cfg
 
@@ -291,13 +259,12 @@ def _is_diffusivity_key(key):
     return len(parts) == 3 and parts[0] == "D"
 
 
-def _parse_diffusivities(rd, entries, n):
+def _parse_diffusivities(entries, n):
     pairs = {}
     lines = {}
     for key, (value, lineno) in entries.items():
         if not _is_diffusivity_key(key):
             continue
-        rd.used.add(key)
         _, si, sj = key.split(".")
         try:
             i, j = int(si), int(sj)
@@ -336,20 +303,19 @@ def _parse_diffusivities(rd, entries, n):
     return DiffusionMatrix.from_pairs(n, pairs)
 
 
-def _parse_perturbation(rd, n):
-    amp = rd.scalar("perturb.amplitude", float)
-    mode = rd.scalar("perturb.mode", int, default=1)
-    species = rd.list("perturb.species", int, default=[1, 2])
+def _parse_perturbation(values, entries, n):
+    amp, mode = values["perturb.amplitude"], values["perturb.mode"]
+    species = values.get("perturb.species", [1, 2])
     if amp is None:
         return None
     if len(species) != 2 or species[0] == species[1]:
         raise ValidationError(
-            f"line {rd.line_of('perturb.species')}: perturb.species needs two "
+            f"line {entries['perturb.species'][1]}: perturb.species needs two "
             f"distinct species"
         )
     if not all(1 <= s <= n for s in species):
         raise ValidationError(
-            f"line {rd.line_of('perturb.species')}: species must lie in 1..{n}"
+            f"line {entries['perturb.species'][1]}: species must lie in 1..{n}"
         )
     return Perturbation(
         amplitude=amp, mode=mode, species=(species[0] - 1, species[1] - 1)
@@ -358,8 +324,8 @@ def _parse_perturbation(rd, n):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)

@@ -127,12 +127,6 @@ class PointFlux:
     def n(self):
         return self.j.shape[0]
 
-    def zero_sum_defect(self):
-        return float(np.abs(self.j.sum(axis=0)).max())
-
-    def velocities(self, c, floor=1e-14):
-        return _velocities(self.j, c, floor)
-
 
 def _velocities(j, w, floor=1e-14):
     """Velocities j_i / max(w_i, floor); j is (n,), (n, dim) or (n, dim, *cells)."""

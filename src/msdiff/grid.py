@@ -1,12 +1,12 @@
 """Uniform periodic grids and the discrete calculus used by the solver.
 
 Cell-centered fields on a 1-3 dimensional torus: central-difference
-gradients, conservative (face-averaged) divergence and midpoint
-quadrature. Every periodic stencil takes its neighbours from one shift
-helper, ``_shift``: two slices and a concatenate, byte-equal to numpy's
-``roll`` by one cell. A grid computes its spacing and cell volume once
-and caches them. All reductions use numpy's pairwise summation, so
-results are reproducible across runs.
+gradients and midpoint quadrature; the solver's conservative face
+divergence lives in ``sim``. Every periodic stencil takes its neighbours
+from one shift helper, ``_shift``: two slices and a concatenate,
+byte-equal to numpy's ``roll`` by one cell. A grid computes its spacing
+and cell volume once and caches them. All reductions use numpy's
+pairwise summation, so results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class PeriodicGrid:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
-    @property
-    def measure(self):
-        return float(np.prod(self.lengths))
-
     def axes(self):
         """Cell-center coordinates along each axis."""
         return tuple(
@@ -109,30 +105,6 @@ def gradient(f, grid):
         ax = f.ndim - grid.dim + k
         comps.append((_shift(f, -1, ax) - _shift(f, 1, ax)) / (2.0 * h))
     return np.stack(comps, axis=f.ndim - grid.dim)
-
-
-def divergence(F, grid):
-    """Divergence of a cell vector field, in conservative form.
-
-    Face values are arithmetic means of the two adjacent cells and the
-    divergence is the net face flux per cell, so the cell sum telescopes
-    to zero identically. ``F`` has a component axis of length ``grid.dim``
-    before the cell axes; leading axes are a batch.
-    """
-    F = np.asarray(F, dtype=float)
-    grid.check_field(F)
-    comp_ax = F.ndim - grid.dim - 1
-    if F.shape[comp_ax] != grid.dim:
-        raise GridMismatch(
-            f"vector field needs {grid.dim} components, got shape {F.shape}"
-        )
-    out = 0.0
-    for k, h in enumerate(grid.spacing):
-        Fk = np.take(F, k, axis=comp_ax)
-        ax = Fk.ndim - grid.dim + k
-        face = 0.5 * (Fk + _shift(Fk, -1, ax))
-        out = out + (face - _shift(face, 1, ax)) / h
-    return out
 
 
 def integrate(f, grid):
@@ -187,9 +159,6 @@ class ConcentrationState:
                 f"max {self.c.max():.3e}"
             )
         return self
-
-    def species_mass(self):
-        return integrate(self.c, self.grid)
 
     def copy(self):
         return ConcentrationState(self.grid, self.c.copy(), self.time)

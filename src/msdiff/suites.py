@@ -29,7 +29,6 @@ from .entropy import (
     regularized_relative_entropy,
     relative_entropy,
     renormalized_entropy,
-    symmetrized_relative_entropy,
     write_reports_csv,
 )
 from .flux import (
@@ -355,8 +354,8 @@ def _twin_reports(base, twin, cert, D, delta):
                 time=float(t),
                 entropy=mixing_entropy(a),
                 relative_entropy=relative_entropy(a, b),
-                symmetrized_entropy=symmetrized_relative_entropy(a, b),
-                regularized_entropy=regularized_relative_entropy(a, b, delta),
+                symmetrized_entropy=float(series.h_sym[k]),
+                regularized_entropy=float(cert.f_series[k]),
                 renorm_entropy=renormalized_entropy(a, beta),
                 dissipation=float(series.q_values[k]),
                 identity_residual=res,

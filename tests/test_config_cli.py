@@ -4,12 +4,13 @@ import csv
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msdiff import suites
+from msdiff import config, suites
 from msdiff.cli import main
 from msdiff.config import (
     KNOWN_SUITES,
@@ -198,6 +199,16 @@ def test_load_config_missing_file(tmp_path):
     with pytest.raises(ParseError) as err:
         load_config(str(tmp_path / "nope.cfg"))
     assert "cannot read config" in str(err.value)
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(MINIMAL.encode() + b"out = caf\xff\n")
+    with pytest.raises(ParseError) as err:
+        load_config(str(path))
+    assert f"cannot read config {path}" in str(err.value)
+    assert main([str(path)]) == 2
+    assert "error: cannot read config" in capsys.readouterr().err
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -397,6 +408,29 @@ def test_cli_bad_workers_flag(tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("how", ["--out naming a file", "out = a path under a file"])
+def test_cli_output_path_that_cannot_be_a_directory_exits_two(
+    tmp_path, capsys, monkeypatch, how
+):
+    def refuse(cfg, rng):
+        raise AssertionError("a suite ran before the output path was checked")
+
+    monkeypatch.setitem(suites._SUITES, "flux-certify", refuse)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    text = MINIMAL + "suites = flux-certify\n"
+    if how.startswith("--out"):
+        target, argv = blocker, ["--out", str(blocker)]
+    else:
+        target, argv = blocker / "out", []
+        text += f"out = {target}\n"
+    code = main([write_cfg(tmp_path, text)] + argv)
+    assert code == 2
+    assert f"error: cannot create output directory {target}" in capsys.readouterr().err
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "run.cfg"]
+
+
 def test_cli_no_suites_warns_and_passes(tmp_path, capsys):
     code = main([write_cfg(tmp_path, MINIMAL)])
     assert code == 0
@@ -477,6 +511,8 @@ FUZZ_KEYS = sorted(
         "flux-certify.species_min", "mollifier-study.cells", "bogus",
     }
     | set(suites.SUITE_PARAMS)
+    | set(config._SCALARS)
+    | set(config._LISTS)
 )
 FUZZ_TOKENS = [
     "inf", "-inf", "nan", "1e-300", "1e300", "0", "-1", "1", "2", "3",
@@ -538,3 +574,74 @@ def test_cli_fuzz_exit_codes(edits):
             fh.write(text)
         code = main([path, "--out", os.path.join(tmp, "out")])
     assert code in (0, 1, 2)
+
+
+# The README documents the scenario keys and the suite parameters in two
+# tables; both must agree with the tables the parser reads.
+README = Path(__file__).resolve().parent.parent / "README.md"
+TYPE_NAMES = {
+    "integer": int, "number": float, "name": str, "path": str,
+    "integers": int, "numbers": float, "names": str,
+}
+PROBES = {
+    int: range(-2, 6),
+    float: (-1.0, 0.0, 1e-300, 0.5, 1.0, 1.5, 3.0),
+    str: ("euler", "heun", "rk4", ""),
+}
+
+
+def readme_table(header):
+    """Rows of the README table under ``header``, keyed by the bare key."""
+    lines = README.read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        key, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = cells
+    return rows
+
+
+def admits(notation, conv):
+    """The predicate that a README notation (>= 2, > 0, (0, 1], a, b) states."""
+    if notation.startswith(">="):
+        low = conv(notation[2:])
+        return lambda v: v >= low
+    if notation.startswith(">"):
+        low = conv(notation[1:])
+        return lambda v: v > low
+    if notation.startswith("("):
+        lo, hi = (conv(x) for x in notation.strip("(]").split(","))
+        return lambda v: lo < v <= hi
+    allowed = {conv(x.strip()) for x in notation.split(",")}
+    return lambda v: v in allowed
+
+
+def test_readme_scenario_key_table_matches_the_parser():
+    rows = readme_table("| key | type | default | admissible values |")
+    assert set(rows) == set(config._SCALARS) | set(config._LISTS)
+    for key, conv in config._LISTS.items():
+        assert TYPE_NAMES[rows[key][0]] is conv, key
+    for key, (conv, default, ok, _) in config._SCALARS.items():
+        kind, doc_default, admissible = rows[key]
+        assert TYPE_NAMES[kind] is conv, key
+        if doc_default == "required":
+            assert default is config._REQUIRED, key
+        else:
+            assert default == (None if doc_default == "unset" else conv(doc_default)), key
+        # a checked key leads with its range in backticks; an unchecked one
+        # is described in words
+        assert admissible.startswith("`") == (ok is not None), key
+        if ok is not None:
+            doc = admits(admissible.split("`")[1], conv)
+            assert [ok(v) for v in PROBES[conv]] == [doc(v) for v in PROBES[conv]], key
+
+
+def test_readme_suite_parameter_table_matches_the_suites():
+    rows = readme_table("| key | type | default | lowest value |")
+    assert set(rows) == set(suites.SUITE_PARAMS)
+    for key, (conv, default, low) in suites.SUITE_PARAMS.items():
+        kind, doc_default, doc_low = rows[key]
+        assert TYPE_NAMES[kind] is conv, key
+        assert (conv(doc_default), conv(doc_low.split()[0])) == (default, low), key
+        assert doc_low.endswith("(exclusive)") == (conv is float), key

@@ -13,7 +13,6 @@ from msdiff.flux import (
     DiffusionMatrix,
     InconsistentGradient,
     PointComposition,
-    PointFlux,
     SingularComposition,
     admissible_delta_max,
     assemble_operator,
@@ -178,7 +177,7 @@ def test_solve_vector_and_scalar_shapes():
     f2 = solve_fluxes(comp, np.tile(g1[:, None], (1, 2)), D)
     assert f2.j.shape == (3, 2)
     assert np.abs(f2.j[:, 0] - f1.j).max() < 1e-15
-    assert np.abs(f1.velocities(comp.c)[1] - f1.j[1] * 3.0) < 1e-12
+    assert f1.n == f2.n == 3
 
 
 def test_solve_rejects_inconsistent_gradient():
@@ -391,12 +390,6 @@ def test_shifted_velocities_drift_linearly_in_delta():
         gaps.append(float(np.abs(v - u).max()))
     ratios = [gaps[k] / gaps[k + 1] for k in range(3)]
     assert all(1.7 < r < 2.3 for r in ratios), ratios
-
-
-def test_point_flux_zero_sum_defect():
-    flux = PointFlux(np.array([[0.5, -0.25], [-0.5, 0.25]]))
-    assert flux.zero_sum_defect() == 0.0
-    assert flux.n == 2
 
 
 def test_stability_constants_structure():

@@ -13,7 +13,6 @@ from msdiff.grid import (
     GridMismatch,
     PeriodicGrid,
     _shift,
-    divergence,
     gradient,
     integrate,
     l2_norm,
@@ -26,7 +25,6 @@ def test_grid_geometry():
     assert grid.dim == 2
     assert grid.spacing == (0.25, 0.25)
     assert grid.cell_volume == 0.0625
-    assert grid.measure == 2.0
     x, y = grid.axes()
     assert x[0] == 0.125 and x[-1] == 2.0 - 0.125
     assert len(y) == 4
@@ -103,18 +101,6 @@ def _gradient_by_roll(f, grid):
     return np.stack(comps, axis=f.ndim - grid.dim)
 
 
-def _divergence_by_roll(F, grid):
-    """The np.roll form of divergence, kept as its byte-level reference."""
-    comp_ax = F.ndim - grid.dim - 1
-    out = 0.0
-    for k, h in enumerate(grid.spacing):
-        Fk = np.take(F, k, axis=comp_ax)
-        ax = Fk.ndim - grid.dim + k
-        face = 0.5 * (Fk + np.roll(Fk, -1, axis=ax))
-        out = out + (face - np.roll(face, 1, axis=ax)) / h
-    return out
-
-
 @pytest.mark.parametrize("cells", [(9,), (2,), (1,), (6, 5), (1, 4), (4, 3, 2)])
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_stencils_match_their_roll_references(cells, batch):
@@ -122,8 +108,6 @@ def test_stencils_match_their_roll_references(cells, batch):
     rng = np.random.default_rng(sum(cells) + len(batch))
     f = rng.normal(size=batch + cells)
     assert gradient(f, grid).tobytes() == _gradient_by_roll(f, grid).tobytes()
-    F = rng.normal(size=batch + (grid.dim,) + cells)
-    assert divergence(F, grid).tobytes() == _divergence_by_roll(F, grid).tobytes()
 
 
 def test_grid_rejects_bad_shapes():
@@ -169,29 +153,16 @@ def test_gradient_commutes_with_translation():
     )
 
 
-def test_divergence_telescopes_to_zero_mean():
-    grid = PeriodicGrid((16, 12))
-    F = np.random.default_rng(2).normal(size=(2, 16, 12))
-    div = divergence(F, grid)
-    assert abs(integrate(div, grid)) < 1e-13
-
-
-def test_divergence_adjoint_to_gradient():
-    # face-averaged divergence collapses to central differences, whose
-    # matrix is antisymmetric; the integration-by-parts defect is rounding
-    grid = PeriodicGrid((24, 10))
-    rng = np.random.default_rng(3)
-    F = rng.normal(size=(2, 24, 10))
-    g = rng.normal(size=(24, 10))
-    lhs = integrate(divergence(F, grid) * g, grid)
-    rhs = -integrate((F * gradient(g, grid)).sum(axis=0), grid)
-    assert abs(lhs - rhs) < 1e-13
-
-
-def test_divergence_needs_component_axis():
-    grid = PeriodicGrid((8, 8))
-    with pytest.raises(GridMismatch):
-        divergence(np.zeros((3, 8, 8)), grid)
+def test_gradient_summation_by_parts():
+    # the central-difference matrix of each axis is antisymmetric on the
+    # torus: sum(g D_k f) = -sum(f D_k g), and each D_k f sums to zero, up
+    # to rounding
+    grid = PeriodicGrid((24, 10), (1.0, 0.7))
+    f, g = np.random.default_rng(3).normal(size=(2, 24, 10))
+    lhs = integrate(gradient(f, grid) * g, grid)
+    rhs = -integrate(f * gradient(g, grid), grid)
+    assert lhs.shape == (2,) and np.abs(lhs - rhs).max() < 1e-13
+    assert np.abs(integrate(gradient(f, grid), grid)).max() < 1e-13
 
 
 def test_integrate_midpoint_quadratic_defect():
@@ -232,7 +203,7 @@ def test_state_mass_and_copy():
     grid = PeriodicGrid((8,), (2.0,))
     c = np.stack([np.full(8, 0.25), np.full(8, 0.75)])
     state = ConcentrationState(grid, c, time=0.5)
-    assert np.allclose(state.species_mass(), [0.5, 1.5])
+    assert np.allclose(integrate(state.c, grid), [0.5, 1.5])
     dup = state.copy()
     dup.c[0, 0] = 9.0
     assert state.c[0, 0] == 0.25 and dup.time == 0.5

@@ -1,5 +1,6 @@
 """Mesh-study ladders: how many runs each study makes, and what it reuses."""
 
+import csv
 import importlib
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 
 from msdiff import sim, suites
 from msdiff.config import parse_config
-from msdiff.entropy import regularized_relative_entropy
+from msdiff.entropy import regularized_relative_entropy, symmetrized_relative_entropy
 from msdiff.flux import (
     DiffusionMatrix,
     PointComposition,
@@ -73,6 +74,31 @@ def test_twin_ladder_gaps_equal_half_step_twins(tmp_path):
             paired.base.state(-1), paired.twin.state(-1), sc.delta
         )
         assert gap == details["f_gaps"][k]
+
+
+def test_twin_diagnostics_entropies_match_the_functionals(tmp_path, monkeypatch):
+    # the CSV reuses the identity series and the certificate; evaluating the
+    # two functionals directly at every snapshot must give the same floats
+    cfg = study_config(tmp_path, "twin-study.halvings = 2\n")
+    trajs = []
+    real = sim.run
+
+    def recorded(scenario):
+        trajs.append(real(scenario))
+        return trajs[-1]
+
+    monkeypatch.setattr(sim, "run", recorded)
+    suites.twin_study(cfg, np.random.default_rng(0))
+    base, twin = trajs[0], trajs[-1]
+    with open(tmp_path / "twin_diagnostics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(base.times) > 2
+    for k, row in enumerate(rows):
+        a, b = base.state(k), twin.state(k)
+        assert float(row["symmetrized_entropy"]) == symmetrized_relative_entropy(a, b)
+        assert float(row["regularized_entropy"]) == regularized_relative_entropy(
+            a, b, cfg.scenario.delta
+        )
 
 
 def test_identity_study_certifies_nothing(tmp_path, monkeypatch):
