@@ -30,7 +30,6 @@ from .grid import (
 )
 from .entropy import (
     DeltaNonpositive,
-    EntropyReport,
     ErrorTerms,
     GronwallReport,
     IdentityResidual,
@@ -50,7 +49,6 @@ from .entropy import (
     renormalized_entropy,
     square_renorm,
     symmetrized_relative_entropy,
-    write_reports_csv,
 )
 from .mollify import (
     EpsilonTooSmallForGrid,

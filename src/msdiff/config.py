@@ -205,8 +205,9 @@ def parse_config(text):
             perturbation=perturbation,
             **{f.name: values[f.name] for f in fields(Scenario) if f.name in _SCALARS},
         )
-        scenario.initial_state()
+        # the step cap first: it refuses a huge grid before its state is built
         scenario.resolve_steps()
+        scenario.initial_state()
     except ValueError as exc:
         raise ValidationError(f"scenario rejected: {exc}") from None
 

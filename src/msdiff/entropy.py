@@ -7,6 +7,10 @@ dissipation form, the discrete entropy-identity residual for trajectory
 pairs, the four cross-term functionals of the twin estimate together
 with their certified upper bounds, and an exponential stability
 certificate assembled from all of the above.
+
+Each functional is one array core on species-first fields, (n, *cells) and
+(n, dim, *cells); axes between those and the cells are batch axes that the
+result keeps. Trajectory functionals evaluate blocks of snapshots per call.
 """
 
 from __future__ import annotations
@@ -89,10 +93,17 @@ def _pair_layout(a, b):
     return a.grid
 
 
+def _mixing_entropy(c, grid):
+    return integrate((xlogy(c, c) - c).sum(axis=0), grid)
+
+
 def entropy(state):
     """Mixing entropy H = integral of sum_i c_i (ln c_i - 1); 0 ln 0 = 0."""
-    c = state.c
-    return integrate((xlogy(c, c) - c).sum(axis=0), state.grid)
+    return _mixing_entropy(state.c, state.grid)
+
+
+def _relative_entropy(c, cb, grid):
+    return integrate((rel_entr(c, cb) - (c - cb)).sum(axis=0), grid)
 
 
 def relative_entropy(a, b):
@@ -101,9 +112,19 @@ def relative_entropy(a, b):
     Infinite when a has mass where b vanishes; the convention 0 ln 0 = 0
     applies where a vanishes.
     """
-    grid = _pair_layout(a, b)
-    cells = rel_entr(a.c, b.c) - (a.c - b.c)
-    return float(integrate(cells.sum(axis=0), grid))
+    return _relative_entropy(a.c, b.c, _pair_layout(a, b))
+
+
+def _symmetrized_entropy(c, cb, grid, both_vanish="inf"):
+    pos = (c > 0.0) & (cb > 0.0)
+    infinite = (c > 0.0) ^ (cb > 0.0)
+    if both_vanish == "inf":
+        infinite |= (c <= 0.0) & (cb <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = (np.log(np.where(pos, c, 1.0)) - np.log(np.where(pos, cb, 1.0))) * (c - cb)
+    # one infinite cell makes the whole integral +inf
+    cells = np.where(pos, gap, np.where(infinite, math.inf, 0.0))
+    return integrate(cells.sum(axis=0), grid)
 
 
 def symmetrized_relative_entropy(a, b, both_vanish="inf"):
@@ -115,34 +136,30 @@ def symmetrized_relative_entropy(a, b, both_vanish="inf"):
     """
     if both_vanish not in ("inf", "zero"):
         raise ValueError(f"both_vanish must be 'inf' or 'zero', got {both_vanish!r}")
-    grid = _pair_layout(a, b)
-    c, cb = a.c, b.c
-    pos = (c > 0.0) & (cb > 0.0)
-    none = (c <= 0.0) & (cb <= 0.0)
-    if np.any((c > 0.0) ^ (cb > 0.0)):
-        return math.inf
-    if both_vanish == "inf" and np.any(none):
-        return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cells = np.where(pos, (np.log(np.where(pos, c, 1.0)) - np.log(np.where(pos, cb, 1.0))) * (c - cb), 0.0)
-    return float(integrate(cells.sum(axis=0), grid))
+    return _symmetrized_entropy(a.c, b.c, _pair_layout(a, b), both_vanish)
+
+
+def _regularized_entropy(c, cb, delta, grid):
+    cells = (np.log(c + delta) - np.log(cb + delta)) * (c - cb)
+    return integrate(cells.sum(axis=0), grid)
 
 
 def regularized_relative_entropy(a, b, delta):
     """Shift-regularized symmetric entropy, always finite for delta > 0."""
     if delta <= 0.0:
         raise DeltaNonpositive(f"regularization needs delta > 0, got {delta}")
-    grid = _pair_layout(a, b)
-    diff = a.c - b.c
-    cells = (np.log(a.c + delta) - np.log(b.c + delta)) * diff
-    return float(integrate(cells.sum(axis=0), grid))
+    return _regularized_entropy(a.c, b.c, delta, _pair_layout(a, b))
+
+
+def _renormalized_entropy(c, beta, grid):
+    return integrate(beta.antideriv(c).sum(axis=0), grid)
 
 
 def renormalized_entropy(state, beta):
     """Integral of the primitive of the profile over all species."""
     if beta.antideriv is None:
         raise ValueError(f"profile {beta.label} has no antiderivative")
-    return float(integrate(beta.antideriv(state.c).sum(axis=0), state.grid))
+    return _renormalized_entropy(state.c, beta, state.grid)
 
 
 def _trajectory_pair(traj_a, traj_b):
@@ -153,6 +170,26 @@ def _trajectory_pair(traj_a, traj_b):
     if traj_a.grid != traj_b.grid:
         raise GridMismatch("trajectories live on different grids")
     return ta, traj_a.grid
+
+
+# values in the largest temporary of one block of snapshots or states, so
+# that batched memory does not grow with their count
+_BLOCK_VALUES = 2**15
+
+
+def _blockwise(fn, traj_a, traj_b):
+    """Evaluate fn(c, cb, J, Jb) over the snapshots of a trajectory pair.
+
+    fn gets species-first views of a block of S snapshots, states (n, S, *cells)
+    and fluxes (n, dim, S, *cells), and returns (S,) arrays, each joined over blocks.
+    """
+    per = max(1, _BLOCK_VALUES // (traj_a.n * traj_a.fluxes[0].size))
+    parts = []
+    for lo in range(0, len(traj_a.states), per):
+        states = [np.moveaxis(t.states[lo:lo + per], 0, 1) for t in (traj_a, traj_b)]
+        fluxes = [np.moveaxis(t.fluxes[lo:lo + per], 0, 2) for t in (traj_a, traj_b)]
+        parts.append(fn(*states, *fluxes))
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _cumulative_trapezoid(values, times):
@@ -182,6 +219,7 @@ def dissipation(a, b, u, ubar, D, grid=None):
 
     ``a`` and ``b`` may be states or plain nonnegative weight fields (the
     shifted variant passes c + delta); velocities have shape (n, dim, *cells).
+    Raw fields may carry batch axes before the cells; the result keeps them.
     """
     w, g1 = _weights_and_grid(a, grid)
     wb, g2 = _weights_and_grid(b, grid)
@@ -192,14 +230,14 @@ def dissipation(a, b, u, ubar, D, grid=None):
     rel2 = ((du[:, None] - du[None]) ** 2).sum(axis=2)
     # the contraction runs over ordered pairs, so each pair counts twice
     cells = 0.5 * np.einsum("ij,ij...,ij...->...", D.inv, weights, rel2)
-    return float(integrate(cells, g1))
+    return integrate(cells, g1)
 
 
 def _entropy_rhs(c, cb, u, ub, D, grid):
     """Right-hand side of the symmetric-entropy balance for a pair."""
     mix = c[:, None, None] * (ub[:, None] - ub[None]) + cb[:, None, None] * (u[:, None] - u[None])
     cells = np.einsum("ij,j...,ia...,ija...->...", D.inv, c - cb, u - ub, mix)
-    return -float(integrate(cells, grid))
+    return -integrate(cells, grid)
 
 
 @dataclass
@@ -237,19 +275,19 @@ def identity_series(traj_a, traj_b, D):
     Trajectories must share snapshot times and grids.
     """
     ta, grid = _trajectory_pair(traj_a, traj_b)
-    h_vals, q_vals, rhs_vals = [], [], []
-    for k in range(len(ta)):
-        a, b = traj_a.state(k), traj_b.state(k)
-        u = _velocities(traj_a.fluxes[k], a.c)
-        ub = _velocities(traj_b.fluxes[k], b.c)
-        q_vals.append(dissipation(a, b, u, ub, D))
-        rhs_vals.append(_entropy_rhs(a.c, b.c, u, ub, D, grid))
-        h_vals.append(symmetrized_relative_entropy(a, b))
-    q_vals = np.asarray(q_vals)
-    rhs_vals = np.asarray(rhs_vals)
+
+    def pieces(c, cb, J, Jb):
+        u, ub = _velocities(J, c), _velocities(Jb, cb)
+        return (
+            _symmetrized_entropy(c, cb, grid),
+            dissipation(c, cb, u, ub, D, grid),
+            _entropy_rhs(c, cb, u, ub, D, grid),
+        )
+
+    h_vals, q_vals, rhs_vals = _blockwise(pieces, traj_a, traj_b)
     return IdentitySeries(
         times=ta,
-        h_sym=np.asarray(h_vals),
+        h_sym=h_vals,
         q_values=q_vals,
         rhs_values=rhs_vals,
         q_cumulative=_cumulative_trapezoid(q_vals, ta),
@@ -292,7 +330,7 @@ class ErrorTerms:
     Each value comes with the certified upper bound built from the
     stability constants; ``s_dissipation`` and ``r_distance`` are the
     weighted velocity-difference and concentration-distance integrals the
-    bounds are expressed in.
+    bounds are expressed in. Batched fields give arrays over the batch.
     """
 
     j1: float
@@ -310,11 +348,11 @@ class ErrorTerms:
     constants: object
 
     def respects_bounds(self, slack=1e-12):
-        ref = lambda b: slack * max(1.0, abs(b))
-        return (
-            self.j1 + self.j2 <= self.bound_j12 + ref(self.bound_j12)
-            and self.j3 <= self.bound_j3 + ref(self.bound_j3)
-            and self.j4 <= self.bound_j4 + ref(self.bound_j4)
+        ref = lambda b: b + slack * np.maximum(1.0, np.abs(b))
+        return bool(
+            np.all(self.j1 + self.j2 <= ref(self.bound_j12))
+            and np.all(self.j3 <= ref(self.bound_j3))
+            and np.all(self.j4 <= ref(self.bound_j4))
         )
 
 
@@ -325,17 +363,16 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
     v, vbar      -- partial velocities, shape (n, dim, *cells)
     flux_bound   -- sup-norm bound on d_i v_i; measured from the fields if omitted
 
-    The dissipation lower bound ``q_lower_bound`` additionally requires the
-    velocity fields to satisfy the zero-sum constraint sum_i d_i v_i = 0.
+    Batch axes may sit before the cells; the values keep them, and a
+    measured flux bound is the sup over the whole batch. The dissipation
+    lower bound ``q_lower_bound`` additionally requires the velocity
+    fields to satisfy the zero-sum constraint sum_i d_i v_i = 0.
     """
     if delta <= 0.0:
         raise DeltaNonpositive(f"error terms need delta > 0, got {delta}")
     if delta >= 1.0:
         raise DeltaOutOfRange(f"error terms need delta < 1, got {delta}")
-    d = np.asarray(d, dtype=float)
-    dbar = np.asarray(dbar, dtype=float)
-    v = np.asarray(v, dtype=float)
-    vbar = np.asarray(vbar, dtype=float)
+    d, dbar, v, vbar = (np.asarray(x, dtype=float) for x in (d, dbar, v, vbar))
     n = d.shape[0]
     K = D.inv
     dv = v - vbar
@@ -354,13 +391,13 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
     mix = ratio(d) * v[None] - ratio(dbar) * vbar[None]
     j4_cells = np.einsum("ij,i...,ia...,ija...->...", K, d + dbar, dv, mix)
     j3_cells = np.einsum("i,i...->...", K.sum(axis=1), gap)
-    j1 = -float(integrate(j1_cells, grid))
-    j2 = -float(integrate(j2_cells, grid))
-    j3 = delta * float(integrate(j3_cells, grid))
-    j4 = -delta * float(integrate(j4_cells, grid))
+    j1 = -integrate(j1_cells, grid)
+    j2 = -integrate(j2_cells, grid)
+    j3 = delta * integrate(j3_cells, grid)
+    j4 = -delta * integrate(j4_cells, grid)
 
-    s_val = float(integrate(gap.sum(axis=0), grid))
-    r_val = float(integrate((dd**2).sum(axis=0), grid))
+    s_val = integrate(gap.sum(axis=0), grid)
+    r_val = integrate((dd**2).sum(axis=0), grid)
     q_val = dissipation(d, dbar, v, vbar, D, grid=grid)
 
     k = stability_constants(D, delta, flux_bound, enforce_admissible=False)
@@ -442,25 +479,23 @@ def gronwall_certificate(traj_a, traj_b, D, delta, flux_bound=None, slack=1e-9):
     if delta <= 0.0:
         raise DeltaNonpositive(f"certificate needs delta > 0, got {delta}")
     ta, grid = _trajectory_pair(traj_a, traj_b)
-    if flux_bound is None:
-        fb = 0.0
-        for traj in (traj_a, traj_b):
-            for J in traj.fluxes:
-                fb = max(fb, float(np.sqrt((J**2).sum(axis=1)).max()))
-        flux_bound = fb
-    k = stability_constants(D, delta, flux_bound, enforce_admissible=False)
 
-    f_series, r_series, s_series = [], [], []
-    for idx in range(len(ta)):
-        a, b = traj_a.state(idx), traj_b.state(idx)
-        d, dbar = a.c + delta, b.c + delta
-        dv = _velocities(traj_a.fluxes[idx], d) - _velocities(traj_b.fluxes[idx], dbar)
-        f_series.append(regularized_relative_entropy(a, b, delta))
-        r_series.append(float(integrate(((a.c - b.c) ** 2).sum(axis=0), grid)))
-        s_series.append(float(integrate(_velocity_gap(d, dbar, dv).sum(axis=0), grid)))
-    f_series = np.array(f_series)
-    r_series = np.array(r_series)
-    s_series = np.array(s_series)
+    def pieces(c, cb, J, Jb):
+        d, dbar = c + delta, cb + delta
+        dv = _velocities(J, d) - _velocities(Jb, dbar)
+        # sup over species and cells of |J_i| per snapshot, both trajectories
+        speed = np.sqrt(np.concatenate([(J**2).sum(axis=1), (Jb**2).sum(axis=1)]))
+        return (
+            _regularized_entropy(c, cb, delta, grid),
+            integrate(((c - cb) ** 2).sum(axis=0), grid),
+            integrate(_velocity_gap(d, dbar, dv).sum(axis=0), grid),
+            speed.reshape(speed.shape[:2] + (-1,)).max(axis=(0, 2)),
+        )
+
+    f_series, r_series, s_series, sup_flux = _blockwise(pieces, traj_a, traj_b)
+    if flux_bound is None:
+        flux_bound = float(sup_flux.max())
+    k = stability_constants(D, delta, flux_bound, enforce_admissible=False)
 
     t0 = ta - ta[0]
     int_r = _cumulative_trapezoid(r_series, ta)
@@ -501,52 +536,9 @@ def gronwall_certificate(traj_a, traj_b, D, delta, flux_bound=None, slack=1e-9):
     )
 
 
+# the columns of the twin study's per-snapshot diagnostics table
 CSV_COLUMNS = [
-    "time",
-    "entropy",
-    "relative_entropy",
-    "symmetrized_entropy",
-    "regularized_entropy",
-    "renorm_entropy",
-    "dissipation",
-    "identity_residual",
-    "j1",
-    "j2",
-    "j3",
-    "j4",
-    "gronwall_lhs",
-    "gronwall_rhs",
+    "time", "entropy", "relative_entropy", "symmetrized_entropy", "regularized_entropy",
+    "renorm_entropy", "dissipation", "identity_residual", "j1", "j2", "j3", "j4",
+    "gronwall_lhs", "gronwall_rhs",
 ]
-
-
-@dataclass
-class EntropyReport:
-    """One diagnostics row for a trajectory (pair) at a single time."""
-
-    time: float
-    entropy: float
-    relative_entropy: float = math.nan
-    symmetrized_entropy: float = math.nan
-    regularized_entropy: float = math.nan
-    renorm_entropy: float = math.nan
-    dissipation: float = math.nan
-    identity_residual: float = math.nan
-    j1: float = math.nan
-    j2: float = math.nan
-    j3: float = math.nan
-    j4: float = math.nan
-    gronwall_lhs: float = math.nan
-    gronwall_rhs: float = math.nan
-
-    def row(self):
-        return [repr(float(getattr(self, k))) for k in CSV_COLUMNS]
-
-
-def write_reports_csv(reports, path):
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rep in reports:
-            writer.writerow(rep.row())

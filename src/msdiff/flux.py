@@ -49,7 +49,8 @@ class DiffusionMatrix:
 
     The diagonal carries no physics and is stored as zero. ``inv`` holds
     the reciprocal matrix (zero diagonal), whose off-diagonal extremes
-    ``mu`` and ``big_m`` bound the friction strength from below and above.
+    ``mu`` and ``big_m`` bound the friction strength from below and above;
+    ``d_max``, the largest diffusivity, sets the explicit step bound.
     """
 
     def __init__(self, d):
@@ -69,6 +70,7 @@ class DiffusionMatrix:
         self.n = n
         self.mu = float(self.inv[off].min())
         self.big_m = float(self.inv[off].max())
+        self.d_max = float(self.d.max())
 
     @classmethod
     def from_pairs(cls, n, pairs):
@@ -282,9 +284,9 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     right-hand side yields the zero-sum solution through one LAPACK solve.
     The residual M x - b is evaluated from the same structure as
     (c K) x - c (K x) - b (K is symmetric); above tolerance times
-    max(1, |grad_c|), or NaN, it raises SingularComposition. The per-point
-    gradient consistency is not rechecked here; callers feed gradients that
-    are zero-sum by construction.
+    max(1, |grad_c|) (computed only above the unit tolerance), or NaN, it
+    raises SingularComposition. The per-point gradient consistency is not
+    rechecked here; callers feed gradients that are zero-sum by construction.
     """
     K = D.inv
     n = c.shape[1]
@@ -312,8 +314,8 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
         cK -= cKx
         cK -= b
         residual = float(np.abs(cK, out=cK).max())
-    scale = max(1.0, float(np.abs(grad_c).max()))
-    if not residual <= residual_tol * scale:
+    if not (residual <= residual_tol
+            or residual <= residual_tol * max(1.0, float(np.abs(grad_c).max()))):
         raise SingularComposition(
             f"force-flux residual {residual:.3e} exceeds tolerance"
         )

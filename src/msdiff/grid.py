@@ -4,8 +4,8 @@ Cell-centered fields on a 1-3 dimensional torus: central-difference
 gradients and midpoint quadrature; the solver's conservative face
 divergence lives in ``sim``. Every periodic stencil takes its neighbours
 from one shift helper, ``_shift``: two slices and a concatenate,
-byte-equal to numpy's ``roll`` by one cell. A grid computes its spacing
-and cell volume once and caches them. All reductions use numpy's
+byte-equal to numpy's ``roll`` by one cell. A grid computes its spacing,
+cell volume and axis count once and caches them. All reductions use numpy's
 pairwise summation, so results are reproducible across runs.
 """
 
@@ -49,11 +49,11 @@ class PeriodicGrid:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "lengths", lengths)
 
-    @property
+    # cached in the instance __dict__; equality and hashing use the fields only
+    @cached_property
     def dim(self):
         return len(self.cells)
 
-    # cached in the instance __dict__; equality and hashing use the fields only
     @cached_property
     def spacing(self):
         return tuple(L / m for L, m in zip(self.lengths, self.cells))
@@ -75,7 +75,8 @@ class PeriodicGrid:
         return PeriodicGrid(tuple(m * factor for m in self.cells), self.lengths)
 
     def check_field(self, f):
-        if tuple(np.shape(f))[-self.dim:] != self.cells:
+        shape = f.shape if isinstance(f, np.ndarray) else np.shape(f)
+        if shape[-self.dim:] != self.cells:
             raise GridMismatch(
                 f"field shape {np.shape(f)} does not end with grid cells {self.cells}"
             )
@@ -113,7 +114,7 @@ def integrate(f, grid):
     grid.check_field(f)
     axes = tuple(range(f.ndim - grid.dim, f.ndim))
     val = f.sum(axis=axes) * grid.cell_volume
-    return float(val) if np.ndim(val) == 0 else val
+    return float(val) if val.ndim == 0 else val
 
 
 def l2_norm(f, grid):
@@ -135,11 +136,11 @@ class ConcentrationState:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        if self.c.ndim != 1 + self.grid.dim:
+        if self.c.shape[1:] != self.grid.cells:
             raise GridMismatch(
-                f"concentration array must have shape (n, *cells), got {self.c.shape}"
+                f"concentration array must have shape (n, *{self.grid.cells}), "
+                f"got {self.c.shape}"
             )
-        self.grid.check_field(self.c)
 
     @property
     def n(self):

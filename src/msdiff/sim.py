@@ -36,7 +36,7 @@ def max_stable_dt(grid, D):
     """Parabolic step bound h^2 / (2 dim D_max) on the finest axis."""
     h = min(grid.spacing)
     try:
-        return h**2 / (2.0 * grid.dim * float(D.d.max()))
+        return h**2 / (2.0 * grid.dim * D.d_max)
     except OverflowError:  # h^2 beyond the float range: no step limit
         return math.inf
 
@@ -51,10 +51,12 @@ def _face_divergence(c, D, grid):
     gradients go to the kernel as transposed views of their (n, m) species
     rows, and each face array is a view of the kernel's output: no copies.
     Both periodic neighbours come from the grid's one shift helper; the
-    composition shift is reused in place as the gradient's buffer.
+    composition shift is reused in place as the gradient's buffer. Each
+    axis's face difference is added in place to the sum so far, starting
+    from 0.0 (which turns -0.0 into +0.0, as a zero-filled buffer would).
     """
     n = c.shape[0]
-    div = np.zeros_like(c)
+    div = 0.0
     faces = []
     fmax = 0.0
     residual = 0.0
@@ -69,16 +71,20 @@ def _face_divergence(c, D, grid):
         J, res = solve_fluxes_batch(cf.reshape(n, -1).T, g.reshape(n, -1).T, D)
         Jf = J.T.reshape(c.shape)
         faces.append(Jf)
-        div += (Jf - _shift(Jf, 1, ax)) / h
+        diff = Jf - _shift(Jf, 1, ax)
+        diff /= h
+        div = np.add(div, diff, out=diff)
         fmax = max(fmax, float(np.abs(Jf).max()))
         residual = max(residual, res)
     return div, faces, fmax, residual
 
 
-def _cell_average(faces):
-    """Cell-centered flux vectors (n, dim, *cells) by averaging face fluxes."""
-    comps = [0.5 * (F + _shift(F, 1, 1 + k)) for k, F in enumerate(faces)]
-    return np.stack(comps, axis=1)
+def _cell_average(faces, out):
+    """Cell-centered flux vectors by averaging face fluxes, into out (n, dim, *cells)."""
+    for k, F in enumerate(faces):
+        np.add(F, _shift(F, 1, 1 + k), out=out[:, k])
+    out *= 0.5
+    return out
 
 
 def apply_positivity(c, cell_volume, budget=1e-8, trigger=-1e-12):
@@ -275,6 +281,10 @@ def _build_preset(sc):
 class Trajectory:
     """Recorded snapshots of one run, plus per-step scalar series.
 
+    Snapshot k sits in slot k of two stacked arrays: ``states`` is
+    (S, n, *cells) and ``fluxes``, the cell-averaged fluxes of each state,
+    (S, n, dim, *cells). Index, iterate or call ``state(k)`` to read one.
+
     Entry k of flux_inf_series, clipped_series and residual_series belongs
     to step k: its largest |face flux|, its clipped mass, and the largest
     force-flux kernel residual of its face solves. Entry 0, the initial
@@ -282,9 +292,9 @@ class Trajectory:
     """
 
     grid: PeriodicGrid
+    states: np.ndarray
+    fluxes: np.ndarray
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    fluxes: list = field(default_factory=list)
     step_times: list = field(default_factory=list)
     entropy_series: list = field(default_factory=list)
     flux_inf_series: list = field(default_factory=list)
@@ -295,7 +305,7 @@ class Trajectory:
 
     @property
     def n(self):
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     def state(self, k):
         return ConcentrationState(self.grid, self.states[k], float(self.times[k]))
@@ -322,40 +332,49 @@ class Trajectory:
 def run(scenario):
     """Integrate a scenario, recording snapshots every ``cadence`` steps.
 
-    Snapshots carry the state and its instantaneous cell-centered fluxes,
-    from a face solve of the recorded state; the mixing entropy is tracked
-    at every step. Fully deterministic.
+    The S = 1 + ceil(steps / cadence) snapshots (the initial state, every
+    cadence-th step and the last), each a state and its cell-centered fluxes
+    from a face solve of it, fill arrays allocated up front. The mixing
+    entropy of every step is evaluated over blocks of states, in the order
+    of a per-state evaluation, so it is bit-for-bit the same. Deterministic.
     """
-    from .entropy import entropy as _entropy
+    from .entropy import _BLOCK_VALUES, _mixing_entropy
 
     dt, steps = scenario.resolve_steps()
     state = scenario.initial_state()
-    D, grid = scenario.D, scenario.grid
-    traj = Trajectory(grid=grid, dt=dt, scheme=scenario.scheme)
+    D, grid, cadence = scenario.D, scenario.grid, scenario.cadence
+    lead = (1 + -(-steps // cadence), state.n)
+    states, fluxes = np.empty(lead + grid.cells), np.empty(lead + (grid.dim,) + grid.cells)
+    traj = Trajectory(grid, states, fluxes, step_times=[0.0], flux_inf_series=[0.0],
+                      clipped_series=[0.0], residual_series=[0.0], dt=dt, scheme=scenario.scheme)
 
     def record(st):
-        _, faces, _, _ = _face_divergence(st.c, D, grid)
+        slot = len(traj.times)
         traj.times.append(st.time)
-        traj.states.append(st.c.copy())
-        traj.fluxes.append(_cell_average(faces))
+        traj.states[slot] = st.c
+        _cell_average(_face_divergence(st.c, D, grid)[1], traj.fluxes[slot])
+
+    pending, per = [state.c], max(1, _BLOCK_VALUES // state.c.size)
+
+    def tally():
+        traj.entropy_series += _mixing_entropy(np.stack(pending, axis=1), grid).tolist()
+        pending.clear()
 
     record(state)
-    traj.step_times.append(0.0)
-    traj.entropy_series.append(_entropy(state))
-    traj.flux_inf_series.append(0.0)
-    traj.clipped_series.append(0.0)
-    traj.residual_series.append(0.0)
 
     for k in range(1, steps + 1):
+        if len(pending) == per:
+            tally()
         state, info = step(state, D, dt, scheme=scenario.scheme)
         state.time = k * dt
         traj.step_times.append(state.time)
-        traj.entropy_series.append(_entropy(state))
+        pending.append(state.c)
         traj.flux_inf_series.append(info.flux_max)
         traj.clipped_series.append(info.clipped_mass)
         traj.residual_series.append(info.residual)
-        if k % scenario.cadence == 0 or k == steps:
+        if k % cadence == 0 or k == steps:
             record(state)
+    tally()
     return traj
 
 
@@ -480,17 +499,12 @@ def weak_form_residual(traj, beta, phi):
     the divergence-form system.
     """
     grid = traj.grid
-    n = traj.n
     times = np.asarray(traj.times, dtype=float)
     if float(np.max(np.abs(phi.value(times[-1])))) > 1e-14:
         raise ValueError("test function must vanish at the final snapshot time")
     rows = []
-    for k, t in enumerate(times):
-        c = traj.states[k]
-        J = traj.fluxes[k]
-        pv = phi.value(t)
-        pt = phi.dt(t)
-        pg = phi.grad(t)
+    for t, c, J in zip(times, traj.states, traj.fluxes):
+        pv, pt, pg = phi.value(t), phi.dt(t), phi.grad(t)
         gc = gradient(c, grid)
         term_t = integrate(beta.f(c) * pt, grid)
         term_adv = integrate((beta.df(c)[:, None] * J * pg[None]).sum(axis=1), grid)

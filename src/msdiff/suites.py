@@ -19,17 +19,17 @@ import numpy as np
 
 from . import mollify, sim
 from .entropy import (
-    EntropyReport,
-    entropy as mixing_entropy,
+    CSV_COLUMNS,
     error_terms,
     gronwall_certificate,
     identity_residual,
     identity_series,
     log_shift_renorm,
     regularized_relative_entropy,
-    relative_entropy,
-    renormalized_entropy,
-    write_reports_csv,
+    _blockwise,
+    _mixing_entropy,
+    _relative_entropy,
+    _renormalized_entropy,
 )
 from .flux import (
     DiffusionMatrix,
@@ -131,9 +131,9 @@ def flux_certify(cfg, rng):
             max_oracle = max(max_oracle, float(np.abs(j - j_or).max()))
 
     checks = [
-        _check("force_flux_residual", "flux.solve_fluxes", max_res, 1e-10),
-        _check("flux_zero_sum", "flux.solve_fluxes", max_zero, 1e-12),
-        _check("oracle_agreement", "flux.solve_fluxes", max_oracle, 1e-9),
+        _check("force_flux_residual", "flux.solve_fluxes_batch", max_res, 1e-10),
+        _check("flux_zero_sum", "flux.solve_fluxes_batch", max_zero, 1e-12),
+        _check("oracle_agreement", "flux.solve_fluxes_batch", max_oracle, 1e-9),
     ]
     details = {
         "samples": total,
@@ -210,12 +210,12 @@ def spectral_certify(cfg, rng):
         tightness[str(n)] = float((lam2 / floor).min())
 
     checks = [
-        _check(f"operator_{key}", "flux.assemble_operator", val, 1e-12)
+        _check(f"operator_{key}", "flux._symmetric_friction", val, 1e-12)
         for key, val in worst.items()
     ]
     checks += [
-        _check("spectral_gap_violations", "flux.spectral_gap_check", violations, 0),
-        _check("spectral_gap_exact_violations", "flux.assemble_operator", exact_violations, 0),
+        _check("spectral_gap_violations", "suites._gap_sides", violations, 0),
+        _check("spectral_gap_exact_violations", "suites._gap_sides", exact_violations, 0),
     ]
     details = {
         "operator_samples": op_samples,
@@ -333,41 +333,30 @@ def mollifier_study(cfg, rng):
 
 
 def _twin_reports(base, twin, cert, D, delta):
-    """Per-snapshot diagnostics rows for a certified trajectory pair."""
+    """The diagnostics table of a certified trajectory pair: CSV_COLUMNS ->
+    per-snapshot arrays, each functional evaluated over snapshot blocks."""
     grid = base.grid
     beta = log_shift_renorm(delta)
     series = identity_series(base, twin, D)
-    residuals = series.residuals()
-    reports = []
-    for k, t in enumerate(base.times):
-        a = base.state(k)
-        b = twin.state(k)
-        d, dbar = a.c + delta, b.c + delta
-        v = _velocities(base.fluxes[k], d)
-        vbar = _velocities(twin.fluxes[k], dbar)
-        terms = error_terms(
-            d, dbar, v, vbar, D, delta, grid, flux_bound=cert.flux_bound
-        )
-        res = float(residuals[k])
-        reports.append(
-            EntropyReport(
-                time=float(t),
-                entropy=mixing_entropy(a),
-                relative_entropy=relative_entropy(a, b),
-                symmetrized_entropy=float(series.h_sym[k]),
-                regularized_entropy=float(cert.f_series[k]),
-                renorm_entropy=renormalized_entropy(a, beta),
-                dissipation=float(series.q_values[k]),
-                identity_residual=res,
-                j1=terms.j1,
-                j2=terms.j2,
-                j3=terms.j3,
-                j4=terms.j4,
-                gronwall_lhs=float(cert.master_lhs[k]),
-                gronwall_rhs=float(cert.master_rhs[k]),
-            )
-        )
-    return reports
+
+    def columns(c, cb, J, Jb):
+        d, dbar = c + delta, cb + delta
+        v, vbar = _velocities(J, d), _velocities(Jb, dbar)
+        terms = error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=cert.flux_bound)
+        return (_mixing_entropy(c, grid), _relative_entropy(c, cb, grid),
+                _renormalized_entropy(c, beta, grid), terms.j1, terms.j2, terms.j3, terms.j4)
+
+    names = ("entropy", "relative_entropy", "renorm_entropy", "j1", "j2", "j3", "j4")
+    return dict(
+        zip(names, _blockwise(columns, base, twin)),
+        time=np.asarray(base.times),
+        symmetrized_entropy=series.h_sym,
+        regularized_entropy=cert.f_series,
+        dissipation=series.q_values,
+        identity_residual=series.residuals(),
+        gronwall_lhs=cert.master_lhs,
+        gronwall_rhs=cert.master_rhs,
+    )
 
 
 def twin_study(cfg, rng):
@@ -397,9 +386,12 @@ def twin_study(cfg, rng):
 
     twin = sim.run(replace(twin_sc, dt=dt0))
     cert = gronwall_certificate(base, twin, scenario.D, delta)
-    reports = _twin_reports(base, twin, cert, scenario.D, delta)
+    cols = _twin_reports(base, twin, cert, scenario.D, delta)
     art_csv = os.path.join(cfg.out_dir, "twin_diagnostics.csv")
-    write_reports_csv(reports, art_csv)
+    with open(art_csv, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(zip(*([repr(v) for v in cols[key].tolist()] for key in CSV_COLUMNS)))
 
     checks = [
         _check("dt_refinement_order", "entropy.regularized_relative_entropy", slope, 0.9, ">="),

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,21 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     code = main([str(tmp_path / "missing.cfg")])
     assert code == 2
+
+
+def test_cli_refuses_an_over_long_run_before_building_its_state(tmp_path, capsys):
+    # ten million cells need a 160 MB initial state and about 10^12 steps;
+    # the step cap refuses the run before any of that state is allocated
+    path = write_cfg(tmp_path, "n = 2\nD.1.2 = 1\ncells = 10000000\n")
+    tracemalloc.start()
+    try:
+        code = main([path, "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "scenario rejected: the run needs" in capsys.readouterr().err
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Entropy functionals, the balance identity, and the twin certificates."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from msdiff import suites
 from msdiff.entropy import (
     DeltaNonpositive,
     MeshMismatch,
@@ -26,7 +28,7 @@ from msdiff.entropy import (
 )
 from msdiff.flux import DiffusionMatrix, _velocities
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate
-from msdiff.sim import Perturbation, Scenario, run, twin_experiment
+from msdiff.sim import Perturbation, Scenario, max_stable_dt, run, twin_experiment
 
 
 def constant_state(grid, fractions, time=0.0):
@@ -371,3 +373,96 @@ def test_certificate_requires_positive_delta():
     traj = run(sc)
     with pytest.raises(DeltaNonpositive):
         gronwall_certificate(traj, traj, sc.D, 0.0)
+
+
+# The per-snapshot loops that the batched trajectory functionals replaced,
+# kept as their references.
+def loop_identity_series(traj_a, traj_b, D):
+    h_vals, q_vals, rhs_vals = [], [], []
+    for k in range(len(traj_a.times)):
+        a, b = traj_a.state(k), traj_b.state(k)
+        u = _velocities(traj_a.fluxes[k], a.c)
+        ub = _velocities(traj_b.fluxes[k], b.c)
+        q_vals.append(dissipation(a, b, u, ub, D))
+        rhs_vals.append(_entropy_rhs(a.c, b.c, u, ub, D, a.grid))
+        h_vals.append(symmetrized_relative_entropy(a, b))
+    return np.array(h_vals), np.array(q_vals), np.array(rhs_vals)
+
+
+def loop_certificate_series(traj_a, traj_b, delta):
+    fb = 0.0
+    for traj in (traj_a, traj_b):
+        for J in traj.fluxes:
+            fb = max(fb, float(np.sqrt((J**2).sum(axis=1)).max()))
+    f_series, r_series, s_series = [], [], []
+    for idx in range(len(traj_a.times)):
+        a, b = traj_a.state(idx), traj_b.state(idx)
+        d, dbar = a.c + delta, b.c + delta
+        dv = _velocities(traj_a.fluxes[idx], d) - _velocities(traj_b.fluxes[idx], dbar)
+        f_series.append(regularized_relative_entropy(a, b, delta))
+        r_series.append(float(integrate(((a.c - b.c) ** 2).sum(axis=0), a.grid)))
+        gap = (d + dbar) * (dv**2).sum(axis=1)
+        s_series.append(float(integrate(gap.sum(axis=0), a.grid)))
+    return fb, np.array(f_series), np.array(r_series), np.array(s_series)
+
+
+def loop_twin_columns(base, twin, cert, D, delta):
+    """Mixing, relative and renormalized entropy and j1..j4 per snapshot."""
+    beta = log_shift_renorm(delta)
+    rows = []
+    for k in range(len(base.times)):
+        a, b = base.state(k), twin.state(k)
+        d, dbar = a.c + delta, b.c + delta
+        v = _velocities(base.fluxes[k], d)
+        vbar = _velocities(twin.fluxes[k], dbar)
+        terms = error_terms(d, dbar, v, vbar, D, delta, a.grid, flux_bound=cert.flux_bound)
+        rows.append([
+            entropy(a), relative_entropy(a, b), renormalized_entropy(a, beta),
+            terms.j1, terms.j2, terms.j3, terms.j4,
+        ])
+    return np.array(rows)
+
+
+def assert_series_close(got, ref):
+    """Equal to 1e-13 relative to the largest entry of the reference series."""
+    got, ref = np.asarray(got, float), np.asarray(ref, float)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max()), (got, ref)
+
+
+@pytest.mark.parametrize("blocks", ["one", "several"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("scheme,cadence", [("euler", 1), ("euler", 3), ("heun", 1), ("heun", 3)])
+@pytest.mark.parametrize("cells", [(12,), (6, 5)])
+def test_batched_trajectory_functionals_match_snapshot_loops(
+    monkeypatch, cells, scheme, cadence, n, blocks
+):
+    entropy_module = importlib.import_module("msdiff.entropy")
+    if blocks == "several":  # blocks of one or two snapshots
+        monkeypatch.setattr(entropy_module, "_BLOCK_VALUES", 2 * n * n * math.prod(cells))
+    rng = np.random.default_rng(7 * n + len(cells))
+    vals = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=(n, n)))
+    D = DiffusionMatrix(np.triu(vals, 1) + np.triu(vals, 1).T)
+    grid = PeriodicGrid(cells)
+    sc = Scenario(n=n, D=D, grid=grid, t_final=10 * 0.25 * max_stable_dt(grid, D),
+                  amplitude=0.3, delta=0.05, scheme=scheme, cadence=cadence)
+    res = twin_experiment(sc, perturbation=Perturbation(amplitude=0.02, mode=1))
+    base, twin, cert = res.base, res.twin, res.certificate
+    assert len(base.times) >= 4
+
+    series = identity_series(base, twin, D)
+    for got, ref in zip((series.h_sym, series.q_values, series.rhs_values),
+                        loop_identity_series(base, twin, D)):
+        assert_series_close(got, ref)
+
+    fb, f_ref, r_ref, s_ref = loop_certificate_series(base, twin, sc.delta)
+    assert cert.flux_bound == fb
+    for got, ref in zip((cert.f_series, cert.r_series, cert.s_series), (f_ref, r_ref, s_ref)):
+        assert_series_close(got, ref)
+
+    cols = suites._twin_reports(base, twin, cert, D, sc.delta)
+    keys = ("entropy", "relative_entropy", "renorm_entropy", "j1", "j2", "j3", "j4")
+    ref = loop_twin_columns(base, twin, cert, D, sc.delta)
+    for k, key in enumerate(keys):
+        assert_series_close(cols[key], ref[:, k])
+    assert cols["time"].tolist() == base.times

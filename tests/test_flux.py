@@ -426,3 +426,19 @@ def test_random_solves_stay_certified(n, seed):
     scale = max(1.0, float(np.abs(grad).max()))
     assert _balance_residual(c, grad, j, D) <= 1e-10 * scale
     assert np.abs(j.sum(axis=0)).max() <= 1e-12 * max(1.0, np.abs(j).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_residual_gate_scales_with_the_largest_gradient(n):
+    rng = np.random.default_rng(60 + n)
+    D, c, grad = _batch_problem(rng, n, 64)
+    c, grad = c[2 * n:], 10.0 * grad[2 * n:]  # interior rows, max |grad| > 2
+    G = float(np.abs(grad).max())
+    _, r0 = solve_fluxes_batch(c, grad, D)
+    assert G > 2.0 and r0 > 0.0
+    # above the unit tolerance 2 r0 / G, within the scaled one 2 r0: passes
+    _, res = solve_fluxes_batch(c, grad, D, residual_tol=2.0 * r0 / G)
+    assert res == r0
+    # above the scaled tolerance r0 / 2 as well: raises
+    with pytest.raises(SingularComposition):
+        solve_fluxes_batch(c, grad, D, residual_tol=r0 / (2.0 * G))

@@ -1,5 +1,6 @@
 """Time integration: conservation, stability guards, twins, weak forms."""
 
+import importlib
 import math
 import typing
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from msdiff import sim
-from msdiff.entropy import identity_renorm
+from msdiff.entropy import entropy, identity_renorm
 from msdiff.flux import DiffusionMatrix, solve_fluxes_batch
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate, l2_norm
 from msdiff.mollify import fit_loglog
@@ -80,6 +81,19 @@ def test_entropy_series_never_increases():
     assert np.diff(traj.entropy_series).max() <= 1e-10
 
 
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("cells", [(16,), (6, 5)])
+def test_entropy_series_equals_the_entropy_of_each_state(monkeypatch, cells, block):
+    if block is not None:  # blocks of two states
+        monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
+                            block * math.prod(cells))
+    sc = Scenario(n=3, D=D3, grid=PeriodicGrid(cells), t_final=0.002, amplitude=0.4,
+                  scheme="heun", cadence=1)
+    traj = run(sc)
+    assert len(traj.entropy_series) == len(traj.states) > 3
+    assert traj.entropy_series == [entropy(traj.state(k)) for k in range(len(traj.states))]
+
+
 def test_runs_are_deterministic():
     sc = Scenario(n=3, D=D3, grid=PeriodicGrid((24,)), t_final=0.002, cadence=4)
     a, b = run(sc), run(sc)
@@ -98,7 +112,7 @@ def test_snapshot_fluxes_equal_a_fresh_solve(scheme, cadence):
     traj = run(replace(sc, cadence=steps if cadence == "steps" else cadence))
     assert len(traj.fluxes) == len(traj.states) >= 2
     for c, J in zip(traj.states, traj.fluxes):
-        fresh = sim._cell_average(sim._face_divergence(c, D3, traj.grid)[1])
+        fresh = sim._cell_average(sim._face_divergence(c, D3, traj.grid)[1], np.empty_like(J))
         assert J.tobytes() == fresh.tobytes()
 
 
@@ -158,6 +172,32 @@ def test_face_divergence_matches_reference_without_copies(monkeypatch, n, cells)
         assert np.shares_memory(F, J)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("cells", [(6,), (4, 3)])
+def test_face_divergence_keeps_the_zero_filled_sign_of_zero(monkeypatch, n, cells):
+    # face fluxes of +0.0 and -0.0: where a face holds -0.0 and its left
+    # neighbour +0.0, the first axis's difference is -0.0, and a zero-filled
+    # sum turns that into 0.0 + (-0.0) = +0.0
+    rng = np.random.default_rng(n + len(cells))
+    grid = PeriodicGrid(cells)
+    c = np.full((n, *cells), 1.0 / n)
+    m = math.prod(cells)
+
+    def signed_zeros(cf, g, D):
+        J = np.where(rng.uniform(size=(n, m)) < 0.5, -0.0, 0.0)
+        return J.T, 0.0
+
+    monkeypatch.setattr(sim, "solve_fluxes_batch", signed_zeros)
+    div = sim._face_divergence(c, D3 if n == 3 else D2, grid)[0]
+    rng = np.random.default_rng(n + len(cells))  # the same face fluxes again
+    monkeypatch.setitem(globals(), "solve_fluxes_batch", signed_zeros)
+    ref, faces, _, _ = _face_divergence_reference(c, D3 if n == 3 else D2, grid)
+    first = faces[0] - np.roll(faces[0], 1, axis=1)
+    assert np.any(np.signbit(first))  # the -0.0 case occurs
+    assert div.tobytes() == ref.tobytes()
+    assert not np.any(np.signbit(div))
+
+
 @pytest.mark.parametrize("cells", [(24,), (2,), (1, 5), (12, 10), (6, 5, 4)])
 def test_cell_average_matches_its_roll_reference(cells):
     rng = np.random.default_rng(len(cells) + sum(cells))
@@ -166,7 +206,7 @@ def test_cell_average_matches_its_roll_reference(cells):
     ref = np.stack(
         [0.5 * (F + np.roll(F, 1, axis=1 + k)) for k, F in enumerate(faces)], axis=1
     )
-    assert sim._cell_average(faces).tobytes() == ref.tobytes()
+    assert sim._cell_average(faces, np.empty_like(ref)).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("cells", [(16,), (8, 6)])
@@ -181,8 +221,10 @@ def test_runs_take_no_roll(monkeypatch, cells):
     monkeypatch.setattr(np, "roll", no_roll)
     traj = run(sc)
     assert len(traj.states) == len(expected.states) >= 3
-    for got, ref in zip(traj.states + traj.fluxes, expected.states + expected.fluxes):
-        assert got.tobytes() == ref.tobytes()
+    assert len(traj.fluxes) == len(expected.fluxes) == len(traj.states)
+    for k in range(len(traj.states)):
+        assert traj.states[k].tobytes() == expected.states[k].tobytes()
+        assert traj.fluxes[k].tobytes() == expected.fluxes[k].tobytes()
     assert traj.entropy_series == expected.entropy_series
 
 

@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -220,3 +221,32 @@ def test_zero_errors_fail_the_order_check_with_strict_json(tmp_path, monkeypatch
     assert order["check"] == "binary_convergence_order"
     assert order["value"] == "nan" and not order["passed"]
     assert summary["details"]["orders"] == ["nan", "nan"]
+
+
+@pytest.mark.parametrize("suite", ["flux-certify", "spectral-certify"])
+def test_check_operations_name_the_code_that_ran(tmp_path, monkeypatch, suite):
+    cfg = study_config(
+        tmp_path,
+        "flux-certify.samples = 40\n"
+        "spectral-certify.samples = 30\n"
+        "spectral-certify.operator_samples = 10\n",
+    )
+    run_suite = lambda: suites._SUITES[suite](cfg, np.random.default_rng(0))
+    labels = {c["operation"] for c in run_suite().checks}
+    calls = dict.fromkeys(labels, 0)
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("msdiff.")]
+    for label in labels:
+        layer, name = label.split(".")
+        real = getattr(importlib.import_module(f"msdiff.{layer}"), name)
+
+        def counted(*args, _label=label, _real=real, **kwargs):
+            calls[_label] += 1
+            return _real(*args, **kwargs)
+
+        # patch every module that holds the function, as the tracer does
+        for module in modules:
+            for key, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, key, counted)
+    run_suite()
+    assert calls and all(calls.values()), calls
