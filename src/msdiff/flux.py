@@ -6,23 +6,25 @@ and zero column sums, so it maps onto the zero-sum hyperplane. The batched
 kernel finds the unique zero-sum flux by eliminating the last species with
 sum J = 0: a closed form for two species, a 2x2 Cramer solve for three,
 both from c K and c without assembling the matrix. From four species on,
-a rank-one bordering of the system makes it a square LAPACK solve. Every
+the rank-one update M + mu c 1' makes every column strictly diagonally
+dominant, so Gaussian elimination without pivoting solves it on
+species-first stacks, one block update over all points per pivot. Every
 solve is gated by its residual, evaluated from the same structure.
 
 Layout: the batched kernel's public contract is (m, n) points by species,
 with any strides. It computes on (n, m) species rows, so a transposed view
 of C-ordered (n, m) rows (what the face divergence passes) is the fast
 path with no copy, and other layouts cost one copy. The fluxes come back
-as an (m, n) view of (n, m) rows (for n >= 4, in the bordered solve's own
-(m, n) order).
+as an (m, n) view of (n, m) rows.
 
 The symmetric form A = diag(s)^-1 M diag(s), s = sqrt(c + delta), is the
 Maxwell-Stefan matrix whose spectrum carries the uniqueness argument: it
 is positive semidefinite with kernel s, and its second eigenvalue is at
 least |c + delta| mu. One batched builder serves the point-wise operator
 (with the shift correction that keeps every entry bounded away from the
-singular set), the spectral certificate, and the dense flux oracle, which
-solves on the range of A: a different algorithm from the kernel's.
+singular set) and the spectral certificate. The dense flux oracle solves
+on the range of A, built in its own species-first layout: a different
+system from the kernel's, sharing only the elimination routine.
 """
 
 from __future__ import annotations
@@ -272,16 +274,18 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     species rows: it takes c.T and grad_c.T as C-contiguous rows, which is
     free when the caller passes transposed views of (n, m) rows (the fast
     path) and one copy otherwise. Returns (fluxes (m, n), max residual); the
-    fluxes are an (m, n) view of (n, m) rows (for n >= 4, the bordered
-    solve's own C-ordered (m, n) result).
+    fluxes are an (m, n) view of (n, m) rows.
 
     The friction matrix M = diag(c K) - diag(c) K has zero column sums, so
     the zero-sum flux is found from the first n - 1 rows with the last
     species eliminated by sum x = 0. For n = 2 that is the closed form
     x_1 = b_1 / (K_12 (c_1 + c_2)); for n = 3 a 2x2 Cramer solve whose
-    entries come from c K and c, with no (m, n, n) stack. For n >= 4, M
-    bordered with the all-ones matrix is invertible and a zero-sum
-    right-hand side yields the zero-sum solution through one LAPACK solve.
+    entries come from c K and c, with no (m, n, n) stack. For n >= 4,
+    B = M + mu c 1' (mu = D.mu <= K_ij) has B_ij = c_i (mu - K_ij) <= 0 off
+    the diagonal and column margin B_jj - sum_i!=j |B_ij| = mu sum c > 0 at
+    every composition, so _eliminate needs no pivoting; 1' B = mu (sum c) 1'
+    makes the solution of B x = b zero-sum for a zero-sum b, hence M x = b,
+    and a shift along the kernel c takes the rounding out of sum x.
     The residual M x - b is evaluated from the same structure as
     (c K) x - c (K x) - b (K is symmetric); above tolerance times
     max(1, |grad_c|) (computed only above the unit tolerance), or NaN, it
@@ -302,11 +306,12 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
         elif n == 3:
             x = _solve_reduced_3(c, cK, K, b)
         else:
-            try:
-                x = np.linalg.solve(_friction_system(c.T, K) + 1.0, b.T[..., None])
-            except np.linalg.LinAlgError as exc:
-                raise SingularComposition(str(exc)) from None
-            x = x[..., 0].T
+            # B = M + mu c 1': B_ij = c_i (mu - K_ij), B_jj = (c K)_j + mu c_j
+            B = (D.mu - K)[:, :, None] * c[:, None, :]
+            B.reshape(n * n, -1)[:: n + 1] += cK
+            x = _eliminate(B, b.copy())
+            # sum x is zero up to rounding amplified by 1 / mu; shift along M's kernel
+            x -= x.sum(axis=0) / c.sum(axis=0) * c
         # residual (c K) x - c (K x) - b, built in the buffer of c K
         cKx = K @ x
         cKx *= c
@@ -347,16 +352,34 @@ def _solve_reduced_3(c, cK, K, b):
     return x
 
 
+def _eliminate(B, b):
+    """Solve B x = b at every point by Gaussian elimination without pivoting,
+    for (n, n, m) species-first matrices B and (n, m) rows b, one block
+    update over all m points per pivot. Both are overwritten; x comes back
+    in b. Safe for column diagonally dominant or positive definite B; a zero
+    pivot gives inf or NaN, which the callers' checks reject."""
+    n = len(b)
+    for k in range(n - 1):
+        lower = B[k + 1:, k] / B[k, k]
+        B[k + 1:, k + 1:] -= lower[:, None] * B[k, k + 1:]
+        b[k + 1:] -= lower * b[k]
+    for k in range(n - 1, -1, -1):
+        b[k] /= B[k, k]
+        b[:k] -= B[:k, k] * b[k]
+    return b
+
+
 def _dense_oracle(c, grad_c, D):
     """Dense oracle for solve_fluxes_batch, same shapes: a solve on the range
     of the symmetric friction A = diag(s)^-1 M diag(s), s = sqrt(c).
 
     A is positive semidefinite with kernel s, and b / s is orthogonal to s
-    for a zero-sum b, so (A + s s' / |s|^2) y = b / s is exact: its solution
-    has A y = b / s and y orthogonal to s. Then x = s y solves M x = b, and
-    a multiple of the kernel c shifts it onto the zero-sum slice. The
-    division by s needs every composition entry strictly positive; a row
-    with a zero or negative entry raises SingularComposition.
+    for a zero-sum b, so the positive definite (A + s s' / |s|^2) y = b / s,
+    built as (n, n, m) species-first stacks and solved by _eliminate, is
+    exact: its solution has A y = b / s and y orthogonal to s. Then x = s y
+    solves M x = b, and a multiple of the kernel c shifts it onto the
+    zero-sum slice. The division by s needs every composition entry strictly
+    positive; a row with a zero or negative entry raises SingularComposition.
     """
     bad = np.flatnonzero(~np.all(c > 0.0, axis=1))
     if bad.size:
@@ -364,13 +387,18 @@ def _dense_oracle(c, grad_c, D):
             f"dense oracle needs strictly positive compositions; "
             f"row {bad[0]} is {c[bad[0]].tolist()}"
         )
-    s, A = _symmetric_friction(c, D.inv)
-    mass = c.sum(axis=-1, keepdims=True)
-    A += s[:, :, None] * s[:, None, :] / mass[:, :, None]
-    b = -grad_c
-    b = b - b.mean(axis=-1, keepdims=True)
-    x = s * np.linalg.solve(A, (b / s)[..., None])[..., 0]
-    return x - x.sum(axis=-1, keepdims=True) / mass * c
+    K = D.inv
+    n = c.shape[1]
+    c = np.ascontiguousarray(c.T)  # (n, m) species rows
+    s = np.sqrt(c)
+    mass = c.sum(axis=0)
+    # A + s s' / |s|^2: s_i s_j (1 / |s|^2 - K_ij), plus (c K)_j on the diagonal
+    A = (1.0 / mass - K[:, :, None]) * (s[:, None, :] * s[None, :, :])
+    A.reshape(n * n, -1)[:: n + 1] += K @ c
+    b = grad_c.T.mean(axis=0) - grad_c.T
+    x = s * _eliminate(A, b / s)
+    x -= x.sum(axis=0) / mass * c
+    return x.T
 
 
 def solve_fluxes_lstsq(comp, grad_c, D):

@@ -122,8 +122,9 @@ def flux_certify(cfg, rng):
         for m in filter(None, _shares(per_n, 4)):
             total += m
             D = _random_diffusivities(rng, n)
-            c = _random_simplex(rng, m, n)
-            g = _zero_sum_gradients(rng, m, n)
+            # (m, n) views of (n, m) rows: the kernel and the oracle copy neither
+            c = np.ascontiguousarray(_random_simplex(rng, m, n).T).T
+            g = np.ascontiguousarray(_zero_sum_gradients(rng, m, n).T).T
             j, res = solve_fluxes_batch(c, g, D)
             max_res = max(max_res, res)
             max_zero = max(max_zero, float(np.abs(j.sum(axis=1)).max()))

@@ -1,6 +1,7 @@
 """Pointwise force-flux inversion against closed forms and dense oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -201,11 +202,13 @@ def test_batch_solve_agrees_with_pointwise():
     assert np.abs(J[k] - single).max() < 1e-13
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_reduced_kernel_matches_bordered_reference(n):
     rng = np.random.default_rng(20 + n)
     for _ in range(50):
         D, c, grad = _batch_problem(rng, n, 64)
+        # row 2n - 1 is the edge with only the last species absent
+        assert c[2 * n - 1, -1] == 0.0 and np.all(c[2 * n - 1, :-1] > 0.0)
         x, res = solve_fluxes_batch(c, grad, D)
         ref = _bordered_reference(c, grad, D)
         row_scale = np.abs(ref).max(axis=1)
@@ -214,13 +217,66 @@ def test_reduced_kernel_matches_bordered_reference(n):
         assert res <= 1e-12 * max(1.0, np.abs(grad).max())
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_bordered_kernel_is_the_reference_bit_for_bit(n):
-    rng = np.random.default_rng(30 + n)
-    for _ in range(10):
-        D, c, grad = _batch_problem(rng, n, 64)
-        x, _ = solve_fluxes_batch(c, grad, D)
-        assert np.array_equal(x, _bordered_reference(c, grad, D))
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("m", [1, 7, 512])
+@pytest.mark.parametrize("kind", ["spd", "column-dominant"])
+def test_eliminate_matches_lapack(n, m, kind):
+    rng = np.random.default_rng(10 * n + m)
+    R = rng.normal(size=(m, n, n))
+    if kind == "spd":
+        A = R @ np.swapaxes(R, 1, 2) + 0.1 * np.eye(n)
+    else:  # columns dominant by a margin of at least 0.01 of their size
+        A = R.copy()
+        idx = np.arange(n)
+        A[:, idx, idx] = np.abs(R).sum(axis=1) * rng.uniform(1.01, 2.0, size=(m, n))
+    b = rng.normal(size=(m, n))
+    ref = np.linalg.solve(A, b[..., None])[..., 0]
+    # species-first copies: (n, n, m) matrices and (n, m) rows
+    x = flux._eliminate(np.ascontiguousarray(A.transpose(1, 2, 0)), b.T.copy())
+    scale = np.abs(ref).max(axis=1)
+    assert x.shape == (n, m)
+    assert np.all(np.abs(x.T - ref).max(axis=1) <= 1e-12 * scale)
+
+
+def _recorded_bordered_matrix(c, grad, D):
+    """The (n, n, m) matrix B that the n >= 4 kernel hands to _eliminate."""
+    seen = []
+    eliminate = flux._eliminate
+
+    def recording(B, b):
+        seen.append(B.copy())
+        return eliminate(B, b)
+
+    with mock.patch.object(flux, "_eliminate", recording):
+        solve_fluxes_batch(c, grad, D)
+    assert len(seen) == 1
+    return seen[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=8),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["interior", "edge", "face", "vertex"]),
+)
+def test_bordered_matrix_keeps_its_column_margin(n, seed, where):
+    rng = np.random.default_rng(seed)
+    D, _, _ = random_problem(rng, n)
+    m = 16
+    c = -np.log(rng.uniform(size=(m, n)))
+    absent = {"interior": 0, "edge": 1, "face": n // 2, "vertex": n - 1}[where]
+    for row in c:  # `absent` species of each point set to zero
+        row[rng.permutation(n)[:absent]] = 0.0
+    c /= c.sum(axis=1, keepdims=True)
+    grad = rng.normal(size=(m, n))
+    grad -= grad.mean(axis=1, keepdims=True)
+    B = _recorded_bordered_matrix(c, grad, D)
+    diag = np.einsum("jjm->jm", B)
+    off = np.abs(B).sum(axis=0) - np.abs(diag)
+    # B = M + mu c 1': every column's margin is mu times the composition sum
+    floor = D.mu * c.sum(axis=1)
+    assert np.all(diag - off >= floor * (1.0 - 1e-12) - 1e-14 * np.abs(B).sum(axis=0))
+    assert np.all(B[~np.eye(n, dtype=bool)] <= 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -267,15 +323,15 @@ def test_kernel_result_does_not_depend_on_input_layout(n):
     xb, res_b = solve_fluxes_batch(cb, grad, D)
     xc, res_c = solve_fluxes_batch(np.ascontiguousarray(cb), grad, D)
     assert xb.tobytes() == xc.tobytes() and res_b == res_c
-    if n <= 3:  # the reduced kernels hand back a view of (n, m) rows
-        assert x.T.flags.c_contiguous and rows.T.flags.c_contiguous
+    # every n hands back a view of (n, m) rows
+    assert x.T.flags.c_contiguous and rows.T.flags.c_contiguous
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("bad", ["zero-row", "nan-row", "inf-gradient"])
 def test_kernel_rejects_degenerate_points(n, bad):
     rng = np.random.default_rng(40 + n)
-    D, c, grad = _batch_problem(rng, n, 8)
+    D, c, grad = _batch_problem(rng, n, max(8, 2 * n + 2))
     if bad == "zero-row":
         c[5] = 0.0
     elif bad == "nan-row":
@@ -288,7 +344,7 @@ def test_kernel_rejects_degenerate_points(n, bad):
         solve_fluxes_batch(_species_rows(c), _species_rows(grad), D)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_range_oracle_matches_pseudo_inverse(n):
     rng = np.random.default_rng(50 + n)
     D, c, grad = _batch_problem(rng, n, 256)
