@@ -8,12 +8,7 @@ range of the symmetric friction matrix.
 
 import numpy as np
 
-from msdiff.flux import (
-    DiffusionMatrix,
-    PointComposition,
-    solve_fluxes_batch,
-    solve_fluxes_lstsq,
-)
+from msdiff.flux import DiffusionMatrix, solve_fluxes_batch, solve_fluxes_lstsq
 
 
 def main():
@@ -39,10 +34,7 @@ def main():
     print(f"recomputed residual: {direct:.3e}")
     print(f"worst flux sum     : {zero_sum:.3e}")
 
-    worst = 0.0
-    for k in range(0, m, 100):
-        ref = solve_fluxes_lstsq(PointComposition(c[k]), force[k], D)
-        worst = max(worst, float(np.abs(J[k] - ref).max()))
+    worst = np.abs(J - solve_fluxes_lstsq(c, force, D)).max()
     print(f"oracle disagreement: {worst:.3e} (range solve of the symmetric friction)")
 
 

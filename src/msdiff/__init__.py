@@ -7,17 +7,12 @@ from .flux import (
     DeltaOutOfRange,
     DiffusionMatrix,
     InconsistentGradient,
-    MsOperator,
-    PointComposition,
-    PointFlux,
     SingularComposition,
     StabilityConstants,
     admissible_delta_max,
-    assemble_operator,
     solve_fluxes,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
-    spectral_gap_check,
     stability_constants,
 )
 from .grid import (

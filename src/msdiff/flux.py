@@ -20,11 +20,13 @@ as an (m, n) view of (n, m) rows.
 The symmetric form A = diag(s)^-1 M diag(s), s = sqrt(c + delta), is the
 Maxwell-Stefan matrix whose spectrum carries the uniqueness argument: it
 is positive semidefinite with kernel s, and its second eigenvalue is at
-least |c + delta| mu. One batched builder serves the point-wise operator
-(with the shift correction that keeps every entry bounded away from the
-singular set) and the spectral certificate. The dense flux oracle solves
-on the range of A, built in its own species-first layout: a different
-system from the kernel's, sharing only the elimination routine.
+least |c + delta| mu. One batched builder, over (m, n) stacks of shifted
+compositions, serves the operator algebra (with the shift correction that
+keeps every entry bounded away from the singular set) and the spectral
+certificate; there is no per-point operator. The dense flux oracle
+solve_fluxes_lstsq solves on the range of A, built in its own
+species-first layout: a different system from the kernel's, sharing only
+the elimination routine, with the kernel's (m, n) contract.
 """
 
 from __future__ import annotations
@@ -98,91 +100,10 @@ class DiffusionMatrix:
         return f"DiffusionMatrix(n={self.n}, mu={self.mu!r}, big_m={self.big_m!r})"
 
 
-@dataclass
-class PointComposition:
-    """Mole fractions at one spatial point, with an optional shift delta."""
-
-    c: np.ndarray
-    delta: float = 0.0
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        if self.c.ndim != 1 or self.c.size < 2:
-            raise ValueError("composition must be a vector of at least two entries")
-        if self.delta < 0.0:
-            raise DeltaOutOfRange(f"delta must be nonnegative, got {self.delta}")
-
-    @property
-    def n(self):
-        return self.c.size
-
-    @property
-    def d(self):
-        return self.c + self.delta
-
-
-@dataclass
-class PointFlux:
-    """Zero-sum species fluxes at a point; shape (n, dim) or (n,)."""
-
-    j: np.ndarray
-
-    @property
-    def n(self):
-        return self.j.shape[0]
-
-
 def _velocities(j, w, floor=1e-14):
     """Velocities j_i / max(w_i, floor); j is (n,), (n, dim) or (n, dim, *cells)."""
     w = np.maximum(np.asarray(w, dtype=float), floor)
     return j / (w[:, None] if j.ndim > w.ndim else w)
-
-
-@dataclass
-class MsOperator:
-    """Assembled quadratic-form data for a shifted composition.
-
-    friction      -- symmetric PSD matrix with kernel spanned by sqrt_shifted
-    perturbation  -- delta-correction matrix, annihilated by sqrt_shifted on the left
-    proj_range    -- orthogonal projector onto the complement of the kernel
-    proj_kernel   -- projector onto the kernel direction
-    mu            -- coercivity floor, the smallest reciprocal diffusivity
-    """
-
-    friction: np.ndarray
-    perturbation: np.ndarray
-    proj_range: np.ndarray
-    proj_kernel: np.ndarray
-    mu: float
-    sqrt_shifted: np.ndarray
-    shifted_mass: float
-    delta: float
-
-    @property
-    def n(self):
-        return self.friction.shape[0]
-
-
-def assemble_operator(comp, D):
-    """Assemble the friction and shift-correction matrices at a composition."""
-    if comp.n != D.n:
-        raise ValueError(f"composition has {comp.n} species, diffusivities {D.n}")
-    d = comp.d
-    if np.any(d < 0.0):
-        raise ValueError("shifted composition has negative entries")
-    s, friction = _symmetric_friction(d[None, :], D.inv)
-    total = float(d.sum())
-    proj_kernel = np.outer(s[0], s[0]) / total
-    return MsOperator(
-        friction=friction[0],
-        perturbation=_shift_correction(s, D.inv)[0],
-        proj_range=np.eye(comp.n) - proj_kernel,
-        proj_kernel=proj_kernel,
-        mu=D.mu,
-        sqrt_shifted=s[0],
-        shifted_mass=total,
-        delta=float(comp.delta),
-    )
 
 
 def _symmetric_friction(d, K):
@@ -215,19 +136,6 @@ def _row_times(c, K):
     return c @ K if K.ndim == 2 else np.einsum("mi,mij->mj", c, K)
 
 
-def spectral_gap_check(op, z):
-    """Evaluate the coercivity bound z'Az >= (1 + n*delta) * mu * |Pz|^2.
-
-    Returns (lhs, rhs, holds) with a 1e-12 slack on ``holds``. Equality is
-    attained for z orthogonal to the kernel when all diffusivities agree.
-    """
-    z = np.asarray(z, dtype=float)
-    lhs = float(z @ op.friction @ z)
-    pz = op.proj_range @ z
-    rhs = op.shifted_mass * op.mu * float(pz @ pz)
-    return lhs, rhs, lhs >= rhs - 1e-12
-
-
 def _friction_system(c, K):
     """Batched force-flux matrices M = diag(c K) - diag(c) K: (m, n)
     compositions and a shared (n, n) or per-point (m, n, n) K -> (m, n, n)."""
@@ -237,34 +145,30 @@ def _friction_system(c, K):
     return M
 
 
-def _columns(grad):
-    """Per-species gradients as (n, k) columns, and whether one vector came in."""
-    g = np.asarray(grad, dtype=float)
-    return (g[:, None], True) if g.ndim == 1 else (g, False)
-
-
-def solve_fluxes(comp, grad_c, D, consistency_tol=1e-10, residual_tol=1e-10):
-    """Invert the force-flux balance at a point.
+def solve_fluxes(c, grad_c, D, consistency_tol=1e-10, residual_tol=1e-10):
+    """Invert the force-flux balance at one composition c, shape (n,).
 
     grad_c holds one driving gradient per species, shape (n, dim) or (n,).
     The gradients must sum to zero across species (the simplex constraint
-    propagates); the returned fluxes sum to zero by construction.
+    propagates); the returned fluxes, of grad_c's shape, sum to zero by
+    construction.
     """
-    if comp.n != D.n:
-        raise ValueError(f"composition has {comp.n} species, diffusivities {D.n}")
-    g, squeeze = _columns(grad_c)
-    if g.shape[0] != comp.n:
-        raise ValueError(f"gradient shape {g.shape} does not match {comp.n} species")
+    c = np.asarray(c, dtype=float)
+    if c.shape != (D.n,):
+        raise ValueError(f"composition has shape {c.shape}, diffusivities {D.n} species")
+    g = np.asarray(grad_c, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[0] != D.n:
+        raise ValueError(f"gradient shape {g.shape} does not match {D.n} species")
     defect = np.abs(g.sum(axis=0)).max()
     if defect > consistency_tol:
         raise InconsistentGradient(
             f"species gradients sum to {defect:.3e}, above {consistency_tol:.1e}"
         )
     # each gradient column is one point of the batched solve
-    c = np.broadcast_to(comp.c, (g.shape[1], comp.n))
-    x, _ = solve_fluxes_batch(c, g.T, D, residual_tol)
-    j = x.T
-    return PointFlux(j[:, 0] if squeeze else j)
+    cols = g.reshape(D.n, -1)
+    c = np.broadcast_to(c, (cols.shape[1], D.n))
+    x, _ = solve_fluxes_batch(c, cols.T, D, residual_tol)
+    return x.T.reshape(g.shape)
 
 
 def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
@@ -369,9 +273,10 @@ def _eliminate(B, b):
     return b
 
 
-def _dense_oracle(c, grad_c, D):
-    """Dense oracle for solve_fluxes_batch, same shapes: a solve on the range
-    of the symmetric friction A = diag(s)^-1 M diag(s), s = sqrt(c).
+def solve_fluxes_lstsq(c, grad_c, D):
+    """Dense oracle for solve_fluxes_batch, same (m, n) contract: a solve on
+    the range of the symmetric friction A = diag(s)^-1 M diag(s), s = sqrt(c),
+    independent of the kernel's elimination; used to cross-check it.
 
     A is positive semidefinite with kernel s, and b / s is orthogonal to s
     for a zero-sum b, so the positive definite (A + s s' / |s|^2) y = b / s,
@@ -399,21 +304,6 @@ def _dense_oracle(c, grad_c, D):
     x = s * _eliminate(A, b / s)
     x -= x.sum(axis=0) / mass * c
     return x.T
-
-
-def solve_fluxes_lstsq(comp, grad_c, D):
-    """Dense oracle for the force-flux solve at a point.
-
-    Same shapes as solve_fluxes. Solves on the range of the symmetric
-    friction diag(s)^-1 M diag(s), s = sqrt(c), and shifts the result onto
-    the zero-sum slice, independently of the kernel's elimination; used to
-    cross-check it. The composition must be strictly positive, otherwise
-    SingularComposition is raised.
-    """
-    g, squeeze = _columns(grad_c)
-    c = np.broadcast_to(comp.c, (g.shape[1], comp.n))
-    j = _dense_oracle(c, g.T, D).T
-    return j[:, 0] if squeeze else j
 
 
 @dataclass

@@ -34,7 +34,7 @@ from .entropy import (
 from .flux import (
     DiffusionMatrix,
     solve_fluxes_batch,
-    _dense_oracle,
+    solve_fluxes_lstsq,
     _friction_system,
     _shift_correction,
     _symmetric_friction,
@@ -128,7 +128,7 @@ def flux_certify(cfg, rng):
             j, res = solve_fluxes_batch(c, g, D)
             max_res = max(max_res, res)
             max_zero = max(max_zero, float(np.abs(j.sum(axis=1)).max()))
-            j_or = _dense_oracle(c, g, D)
+            j_or = solve_fluxes_lstsq(c, g, D)
             max_oracle = max(max_oracle, float(np.abs(j - j_or).max()))
 
     checks = [

@@ -23,11 +23,9 @@ from msdiff.entropy import (
 )
 from msdiff.flux import (
     DiffusionMatrix,
-    PointComposition,
-    assemble_operator,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
-    spectral_gap_check,
+    _symmetric_friction,
 )
 from msdiff.grid import PeriodicGrid, l2_norm
 from msdiff.mollify import (
@@ -47,6 +45,7 @@ from msdiff.sim import (
     twin_experiment,
     weak_form_residual,
 )
+from msdiff.suites import _gap_sides
 
 D3 = DiffusionMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
 
@@ -89,9 +88,8 @@ def test_criterion_01_flux_solve():
             residual = (c @ K) * J - c * (J @ K) + g
             worst_res = max(worst_res, float(np.abs(residual).max()))
             worst_sum = max(worst_sum, float(np.abs(J.sum(axis=1)).max()))
-            for k in range(chunk):
-                ref = solve_fluxes_lstsq(PointComposition(c[k]), g[k], D)
-                worst_oracle = max(worst_oracle, float(np.abs(J[k] - ref).max()))
+            ref = solve_fluxes_lstsq(c, g, D)
+            worst_oracle = max(worst_oracle, float(np.abs(J - ref).max()))
     elapsed = time.time() - t0
     ok = worst_res <= 1e-10 and worst_sum <= 1e-12 and worst_oracle <= 1e-9
     _report(1, "force-flux solve", ok,
@@ -100,29 +98,38 @@ def test_criterion_01_flux_solve():
     _budget(1, "force-flux solve", elapsed, 10.0)
 
 
+def _stacks_by_species(draws):
+    """Per-sample tuples of arrays, grouped by species count into stacks."""
+    groups = {}
+    for row in draws:
+        groups.setdefault(len(row[0]), []).append(row)
+    return {n: [np.array(col) for col in zip(*rows)] for n, rows in groups.items()}
+
+
 def test_criterion_02_operator_algebra():
     rng = np.random.default_rng(102)
     t0 = time.time()
-    worst_kernel = worst_idem = worst_complete = worst_scaling = 0.0
+    draws = []
     for _ in range(1000):
         n = int(rng.integers(2, 6))
         c = _random_simplex(rng, 1, n)[0]
         delta = float(rng.uniform(1e-6, 0.5))
         D = _random_diffusivities(rng, n, 0.5, 2.0)
-        op = assemble_operator(PointComposition(c, delta), D)
-        s = op.sqrt_shifted
-        worst_kernel = max(worst_kernel, float(np.abs(op.friction @ s).max()))
-        for P in (op.proj_range, op.proj_kernel):
+        draws.append((c + delta, D.inv))
+    worst_kernel = worst_idem = worst_complete = worst_scaling = 0.0
+    for n, (d, K) in _stacks_by_species(draws).items():
+        s, A = _symmetric_friction(d, K)
+        proj_kernel = s[:, :, None] * s[:, None, :] / d.sum(axis=1)[:, None, None]
+        proj_range = np.eye(n) - proj_kernel
+        kernel_action = np.einsum("kij,kj->ki", A, s)
+        worst_kernel = max(worst_kernel, float(np.abs(kernel_action).max()))
+        for P in (proj_range, proj_kernel):
             worst_idem = max(worst_idem, float(np.abs(P @ P - P).max()))
         worst_complete = max(
-            worst_complete,
-            float(np.abs(op.proj_range + op.proj_kernel - np.eye(n)).max()),
+            worst_complete, float(np.abs(proj_range + proj_kernel - np.eye(n)).max())
         )
-        doubled = assemble_operator(PointComposition(2.0 * c, 2.0 * delta), D)
-        worst_scaling = max(
-            worst_scaling,
-            float(np.abs(doubled.friction - 2.0 * op.friction).max()),
-        )
+        _, doubled = _symmetric_friction(2.0 * d, K)
+        worst_scaling = max(worst_scaling, float(np.abs(doubled - 2.0 * A).max()))
     elapsed = time.time() - t0
     ok = max(worst_kernel, worst_idem, worst_complete, worst_scaling) <= 1e-12
     _report(2, "operator algebra", ok,
@@ -135,18 +142,19 @@ def test_criterion_02_operator_algebra():
 def test_criterion_03_spectral_bound():
     rng = np.random.default_rng(103)
     t0 = time.time()
-    violations = 0
-    worst_margin = math.inf
+    draws = []
     for _ in range(10000):
         n = int(rng.integers(2, 5))
         c = _random_simplex(rng, 1, n)[0]
         delta = float(rng.uniform(0.0, 0.3))
         D = _random_diffusivities(rng, n)
-        op = assemble_operator(PointComposition(c, delta), D)
-        z = rng.normal(size=n)
-        lhs, rhs, holds = spectral_gap_check(op, z)
-        violations += 0 if holds else 1
-        worst_margin = min(worst_margin, lhs - rhs)
+        draws.append((c + delta, D.inv, D.mu, rng.normal(size=n)))
+    violations = 0
+    worst_margin = math.inf
+    for d, K, mu, z in _stacks_by_species(draws).values():
+        lhs, rhs, _, _ = _gap_sides(d, K, mu, z)
+        violations += int(np.count_nonzero(~(lhs >= rhs - 1e-12)))
+        worst_margin = min(worst_margin, float((lhs - rhs).min()))
     elapsed = time.time() - t0
     _report(3, "spectral coercivity", violations == 0,
             f"{violations} violations over 10^4 samples (slack 1e-12, "

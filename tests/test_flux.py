@@ -13,18 +13,17 @@ from msdiff.flux import (
     DeltaOutOfRange,
     DiffusionMatrix,
     InconsistentGradient,
-    PointComposition,
     SingularComposition,
     admissible_delta_max,
-    assemble_operator,
     solve_fluxes,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
-    spectral_gap_check,
     stability_constants,
-    _dense_oracle,
     _friction_system,
+    _shift_correction,
+    _symmetric_friction,
 )
+from msdiff.suites import _gap_sides
 
 
 def random_problem(rng, n):
@@ -72,17 +71,18 @@ def _batch_problem(rng, n, m):
     return D, c, grad
 
 
-def _shifted_velocities(comp, grad_sqrt_d, D):
+def _shifted_velocities(c, delta, grad_sqrt_d, D):
     """Reference solve of the shifted system for velocities v with
-    sum_i d_i v_i = 0, from gradients of sqrt(c_i + delta), delta > 0.
+    sum_i d_i v_i = 0, d = c + delta, from gradients of sqrt(d_i), delta > 0.
     Algebraically v = J / (c + delta) at matched data."""
-    op = assemble_operator(comp, D)
-    s = op.sqrt_shifted
-    G = op.friction + comp.delta * op.perturbation
+    d = c + delta
+    s, A = _symmetric_friction(d[None, :], D.inv)
+    G = A[0] + delta * _shift_correction(s, D.inv)[0]
+    s = s[0]
     rhs = -2.0 * grad_sqrt_d
     # project onto the hyperplane orthogonal to sqrt(d); the bordered term
     # sqrt(d) sqrt(d)' then pins the unique solution with s . w = 0
-    rhs = rhs - s[:, None] * (s @ rhs)[None, :] / op.shifted_mass
+    rhs = rhs - s[:, None] * (s @ rhs)[None, :] / d.sum()
     w = np.linalg.solve(G + np.outer(s, s), rhs)
     return w / s[:, None]
 
@@ -130,10 +130,9 @@ def test_friction_system_column_sums_vanish():
 def test_binary_solve_reduces_to_scalar_diffusion():
     # two species: J1 = -D12 * grad c1 exactly, at any composition
     D = DiffusionMatrix.uniform(2, 2.5)
-    comp = PointComposition(np.array([0.3, 0.7]))
     g = np.array([0.4, -0.4])
-    flux = solve_fluxes(comp, g, D)
-    assert np.abs(flux.j - np.array([-1.0, 1.0])).max() < 1e-14
+    j = solve_fluxes(np.array([0.3, 0.7]), g, D)
+    assert np.abs(j - np.array([-1.0, 1.0])).max() < 1e-14
 
 
 def test_equal_diffusivity_solve_decouples():
@@ -141,8 +140,8 @@ def test_equal_diffusivity_solve_decouples():
     D = DiffusionMatrix.uniform(4, 3.0)
     rng = np.random.default_rng(1)
     _, c, grad = random_problem(rng, 4)
-    flux = solve_fluxes(PointComposition(c), grad, D)
-    assert np.abs(flux.j - (-3.0) * grad).max() < 1e-12
+    j = solve_fluxes(c, grad, D)
+    assert np.abs(j - (-3.0) * grad).max() < 1e-12
 
 
 def test_solve_matches_lstsq_and_pinv_oracles():
@@ -150,11 +149,11 @@ def test_solve_matches_lstsq_and_pinv_oracles():
     for n in (2, 3, 4, 6):
         for _ in range(20):
             D, c, grad = random_problem(rng, n)
-            comp = PointComposition(c)
-            j = solve_fluxes(comp, grad, D).j
+            j = solve_fluxes(c, grad, D)
             assert _balance_residual(c, grad, j, D) < 1e-12
             assert np.abs(j.sum(axis=0)).max() < 1e-13
-            j_ls = solve_fluxes_lstsq(comp, grad, D)
+            # the oracle on one point per gradient column
+            j_ls = solve_fluxes_lstsq(np.tile(c, (grad.shape[1], 1)), grad.T, D).T
             assert np.abs(j - j_ls).max() < 1e-9
             # independent reference: the zero-sum row stacked under the
             # friction system, [M; 1'] x = [-g; 0], solved by least squares
@@ -171,21 +170,35 @@ def test_solve_matches_lstsq_and_pinv_oracles():
 
 def test_solve_vector_and_scalar_shapes():
     D = DiffusionMatrix.uniform(3, 1.0)
-    comp = PointComposition(np.full(3, 1.0 / 3.0))
+    c = np.full(3, 1.0 / 3.0)
     g1 = np.array([0.2, -0.3, 0.1])
-    f1 = solve_fluxes(comp, g1, D)
-    assert f1.j.shape == (3,)
-    f2 = solve_fluxes(comp, np.tile(g1[:, None], (1, 2)), D)
-    assert f2.j.shape == (3, 2)
-    assert np.abs(f2.j[:, 0] - f1.j).max() < 1e-15
-    assert f1.n == f2.n == 3
+    j1 = solve_fluxes(c, g1, D)
+    assert j1.shape == (3,)
+    j2 = solve_fluxes(c, np.tile(g1[:, None], (1, 2)), D)
+    assert j2.shape == (3, 2)
+    assert np.abs(j2[:, 0] - j1).max() < 1e-15
 
 
 def test_solve_rejects_inconsistent_gradient():
     D = DiffusionMatrix.uniform(2, 1.0)
-    comp = PointComposition(np.array([0.5, 0.5]))
     with pytest.raises(InconsistentGradient):
-        solve_fluxes(comp, np.array([0.1, 0.1]), D)
+        solve_fluxes(np.array([0.5, 0.5]), np.array([0.1, 0.1]), D)
+
+
+@pytest.mark.parametrize(
+    "c, grad",
+    [
+        ([0.5, 0.5], [0.1, -0.1, 0.0]),  # two entries for three species
+        ([0.2, 0.3, 0.4, 0.1], [0.1, -0.1, 0.0]),  # four
+        ([[0.2, 0.3, 0.5]], [0.1, -0.1, 0.0]),  # a stack, not a vector
+        ([0.2, 0.3, 0.5], [0.1, -0.1]),  # two gradients for three species
+        ([0.2, 0.3, 0.5], [[0.1, -0.1, 0.0]]),  # species on the wrong axis
+    ],
+)
+def test_solve_rejects_a_species_count_that_differs_from_D(c, grad):
+    D = DiffusionMatrix.uniform(3, 1.0)
+    with pytest.raises(ValueError, match="species"):
+        solve_fluxes(np.array(c), np.array(grad), D)
 
 
 def test_batch_solve_agrees_with_pointwise():
@@ -198,7 +211,7 @@ def test_batch_solve_agrees_with_pointwise():
     J, res = solve_fluxes_batch(c, grad, D)
     assert res < 1e-12
     k = 17
-    single = solve_fluxes(PointComposition(c[k]), grad[k], D).j
+    single = solve_fluxes(c[k], grad[k], D)
     assert np.abs(J[k] - single).max() < 1e-13
 
 
@@ -349,7 +362,7 @@ def test_range_oracle_matches_pseudo_inverse(n):
     rng = np.random.default_rng(50 + n)
     D, c, grad = _batch_problem(rng, n, 256)
     c, grad = c[2 * n:], grad[2 * n:]  # interior rows only
-    x = _dense_oracle(c, grad, D)
+    x = solve_fluxes_lstsq(c, grad, D)
     # reference: the SVD pseudo-inverse of M, shifted onto the zero-sum slice
     M = _friction_system(c, D.inv)
     ref = np.einsum("mij,mj->mi", np.linalg.pinv(M), -grad)
@@ -366,9 +379,9 @@ def test_range_oracle_rejects_the_simplex_boundary(where):
     bad = 1 if where == "vertex" else 4
     rows = np.r_[6, 7, bad, 8]
     with pytest.raises(SingularComposition, match="row 2 "):
-        _dense_oracle(c[rows], grad[rows], D)
+        solve_fluxes_lstsq(c[rows], grad[rows], D)
     with pytest.raises(SingularComposition, match="row 0 "):
-        solve_fluxes_lstsq(PointComposition(c[bad]), grad[bad], D)
+        solve_fluxes_lstsq(c[bad][None, :], grad[bad][None, :], D)
 
 
 def test_operator_algebra_identities():
@@ -376,29 +389,30 @@ def test_operator_algebra_identities():
     for n in (2, 3, 5):
         D, c, _ = random_problem(rng, n)
         delta = 0.2
-        op = assemble_operator(PointComposition(c, delta), D)
-        s = op.sqrt_shifted
-        n_ = op.n
+        d = (c + delta)[None, :]
+        s, A = _symmetric_friction(d, D.inv)
+        P = _shift_correction(s, D.inv)
+        s, A, P = s[0], A[0], P[0]
+        mass = float(d.sum())
+        proj_kernel = np.outer(s, s) / mass
+        proj_range = np.eye(n) - proj_kernel
         # friction is symmetric, kills sqrt(d), and the full matrix has
         # sqrt(d) as left null vector
-        assert np.abs(op.friction - op.friction.T).max() < 1e-14
-        assert np.abs(op.friction @ s).max() < 1e-13
-        assert np.abs(s @ (op.friction + delta * op.perturbation)).max() < 1e-13
-        assert np.abs(op.proj_range @ op.proj_range - op.proj_range).max() < 1e-14
-        assert np.abs(op.proj_range + op.proj_kernel - np.eye(n_)).max() < 1e-14
-        assert np.abs(op.proj_kernel @ s - s).max() < 1e-13
-        assert abs(op.shifted_mass - (1.0 + n_ * delta)) < 1e-12
-    with pytest.raises(DeltaOutOfRange):
-        PointComposition(np.array([0.5, 0.5]), -0.1)
+        assert np.abs(A - A.T).max() < 1e-14
+        assert np.abs(A @ s).max() < 1e-13
+        assert np.abs(s @ (A + delta * P)).max() < 1e-13
+        assert np.abs(proj_range @ proj_range - proj_range).max() < 1e-14
+        assert np.abs(proj_kernel @ s - s).max() < 1e-13
+        assert abs(mass - (1.0 + n * delta)) < 1e-12
 
 
 def test_operator_friction_scales_linearly():
     rng = np.random.default_rng(5)
     D, c, _ = random_problem(rng, 3)
-    comp = PointComposition(c, 0.3)
-    lam = float(comp.d.sum())
-    big = assemble_operator(comp, D).friction
-    small = assemble_operator(PointComposition(comp.d / lam, 0.0), D).friction
+    d = (c + 0.3)[None, :]
+    lam = float(d.sum())
+    _, big = _symmetric_friction(d, D.inv)
+    _, small = _symmetric_friction(d / lam, D.inv)
     assert np.abs(big - lam * small).max() < 1e-13
 
 
@@ -407,17 +421,20 @@ def test_spectral_gap_random_and_equality_case():
     for _ in range(200):
         n = int(rng.integers(2, 5))
         D, c, _ = random_problem(rng, n)
-        op = assemble_operator(PointComposition(c, float(rng.uniform(0.0, 0.5))), D)
-        lhs, rhs, holds = spectral_gap_check(op, rng.normal(size=n))
-        assert holds, (lhs, rhs)
+        d = (c + float(rng.uniform(0.0, 0.5)))[None, :]
+        z = rng.normal(size=(1, n))
+        lhs, rhs, lam2, floor = _gap_sides(d, D.inv, D.mu, z)
+        assert lhs[0] >= rhs[0] - 1e-12, (lhs, rhs)
+        assert lam2[0] >= floor[0] - 1e-12, (lam2, floor)
     # equal diffusivities attain the bound for z orthogonal to the kernel
     D = DiffusionMatrix.uniform(3, 2.0)
-    comp = PointComposition(np.array([0.2, 0.5, 0.3]), 0.1)
-    op = assemble_operator(comp, D)
+    d = np.array([[0.3, 0.6, 0.4]])
+    s = np.sqrt(d[0])
     z = np.array([1.0, -0.4, 0.7])
-    z = op.proj_range @ z
-    lhs, rhs, holds = spectral_gap_check(op, z)
-    assert holds and abs(lhs - rhs) < 1e-12
+    z = z - s * (s @ z) / d.sum()
+    lhs, rhs, lam2, floor = _gap_sides(d, D.inv, D.mu, z[None, :])
+    assert lhs[0] >= rhs[0] - 1e-12 and abs(lhs[0] - rhs[0]) < 1e-12
+    assert abs(lam2[0] - floor[0]) < 1e-12
 
 
 def test_shifted_solve_matches_plain_solve_exactly():
@@ -427,9 +444,9 @@ def test_shifted_solve_matches_plain_solve_exactly():
         D, c, grad = random_problem(rng, n)
         delta = 0.07
         d = c + delta
-        j = solve_fluxes(PointComposition(c), grad, D).j
+        j = solve_fluxes(c, grad, D)
         gs = 0.5 * grad / np.sqrt(d)[:, None]
-        v = _shifted_velocities(PointComposition(c, delta), gs, D)
+        v = _shifted_velocities(c, delta, gs, D)
         assert np.abs(v - j / d[:, None]).max() < 1e-12
         assert np.abs((d[:, None] * v).sum(axis=0)).max() < 1e-13
 
@@ -437,12 +454,12 @@ def test_shifted_solve_matches_plain_solve_exactly():
 def test_shifted_velocities_drift_linearly_in_delta():
     rng = np.random.default_rng(8)
     D, c, grad = random_problem(rng, 3)
-    j = solve_fluxes(PointComposition(c), grad, D).j
+    j = solve_fluxes(c, grad, D)
     u = j / c[:, None]
     gaps = []
     for delta in (0.08, 0.04, 0.02, 0.01):
         gs = 0.5 * grad / np.sqrt(c + delta)[:, None]
-        v = _shifted_velocities(PointComposition(c, delta), gs, D)
+        v = _shifted_velocities(c, delta, gs, D)
         gaps.append(float(np.abs(v - u).max()))
     ratios = [gaps[k] / gaps[k + 1] for k in range(3)]
     assert all(1.7 < r < 2.3 for r in ratios), ratios
@@ -477,8 +494,7 @@ def test_stability_constants_structure():
 def test_random_solves_stay_certified(n, seed):
     rng = np.random.default_rng(seed)
     D, c, grad = random_problem(rng, n)
-    comp = PointComposition(c)
-    j = solve_fluxes(comp, grad, D).j
+    j = solve_fluxes(c, grad, D)
     scale = max(1.0, float(np.abs(grad).max()))
     assert _balance_residual(c, grad, j, D) <= 1e-10 * scale
     assert np.abs(j.sum(axis=0)).max() <= 1e-12 * max(1.0, np.abs(j).max())

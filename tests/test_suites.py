@@ -13,12 +13,7 @@ import pytest
 from msdiff import sim, suites
 from msdiff.config import parse_config
 from msdiff.entropy import regularized_relative_entropy, symmetrized_relative_entropy
-from msdiff.flux import (
-    DiffusionMatrix,
-    PointComposition,
-    assemble_operator,
-    spectral_gap_check,
-)
+from msdiff.flux import DiffusionMatrix
 
 STUDY = """
 n = 3
@@ -154,6 +149,20 @@ def test_flux_certify_keeps_its_draws_for_multiples_of_twenty(tmp_path, samples)
     assert got["samples"] == samples and got["species"] == [2, 3, 4, 5, 6]
 
 
+def _dense_friction(d, K):
+    """A_ij = -sqrt(d_i d_j) K_ij off the diagonal and (d K)_i on it, entry
+    by entry at one shifted composition d."""
+    n = len(d)
+    A = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                A[i, i] = sum(d[l] * K[l, i] for l in range(n))
+            else:
+                A[i, j] = -math.sqrt(d[i] * d[j]) * K[i, j]
+    return A
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_batched_gap_matches_point_operators(n):
     k = 300
@@ -162,21 +171,22 @@ def test_batched_gap_matches_point_operators(n):
     d = suites._diffusivity_draws(np.random.default_rng(70 + n), n, k)
     z = np.random.default_rng(80 + n).normal(size=(k, n))
     lhs, rhs, lam2, floor = suites._gap_sides(c + delta[:, None], K, mu, z)
-    violations = 0
     for i in range(k):
         D = DiffusionMatrix(d[i])
         assert np.array_equal(D.inv, K[i]) and D.mu == mu[i]
-        op = assemble_operator(PointComposition(c[i], delta[i]), D)
-        lhs_i, rhs_i, holds = spectral_gap_check(op, z[i])
-        violations += not holds
+        di = c[i] + delta[i]
+        A = _dense_friction(di, D.inv)
+        eig = np.linalg.eigvalsh(A)
+        s = np.sqrt(di)
+        pz = z[i] - s * (s @ z[i]) / di.sum()
         # relative to the size of the form, lambda_max |z|^2: both sides
         # cancel when z lies close to the kernel
-        scale = np.linalg.eigvalsh(op.friction)[-1] * (z[i] @ z[i])
-        assert abs(lhs[i] - lhs_i) <= 1e-13 * scale
-        assert abs(rhs[i] - rhs_i) <= 1e-13 * scale
-        assert abs(lam2[i] - np.linalg.eigvalsh(op.friction)[1]) <= 1e-13 * lam2[i]
-        assert abs(floor[i] - op.shifted_mass * op.mu) <= 1e-15 * floor[i]
-    assert violations == np.count_nonzero(~(lhs >= rhs - 1e-12)) == 0
+        scale = eig[-1] * (z[i] @ z[i])
+        assert abs(lhs[i] - z[i] @ A @ z[i]) <= 1e-13 * scale
+        assert abs(rhs[i] - di.sum() * D.mu * (pz @ pz)) <= 1e-13 * scale
+        assert abs(lam2[i] - eig[1]) <= 1e-13 * lam2[i]
+        assert abs(floor[i] - di.sum() * D.mu) <= 1e-15 * floor[i]
+    assert np.all(lhs >= rhs - 1e-12)
     assert np.all(lam2 >= floor - 1e-12)
 
 
