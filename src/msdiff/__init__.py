@@ -40,10 +40,7 @@ from .entropy import (
     log_shift_renorm,
     quadratic_log_gap,
     regularized_relative_entropy,
-    relative_entropy,
-    renormalized_entropy,
     square_renorm,
-    symmetrized_relative_entropy,
 )
 from .mollify import (
     EpsilonTooSmallForGrid,

@@ -16,7 +16,7 @@ import numpy as np
 from .flux import DiffusionMatrix, admissible_delta_max
 from .grid import PeriodicGrid
 from .sim import Perturbation, Scenario, max_stable_dt
-from .suites import SUITE_PARAMS, _SUITES, study_runs
+from .suites import SUITE_PARAMS, _SUITES, check_ladder, study_runs
 
 KNOWN_SUITES = tuple(_SUITES)
 
@@ -225,13 +225,16 @@ def parse_config(text):
 
 def check_suites(cfg):
     """Resolve the steps and build the perturbed initial state of every run
-    of the selected suites, so a study's own perturbation cannot fail late.
-    Sets the warnings that follow from the final suite selection."""
+    of the selected suites, so a study's own perturbation cannot fail late,
+    and resolve the finest rung of each ladder, so none fails after its
+    earlier rungs ran. Sets the warnings that follow from the final suite
+    selection."""
     for name in cfg.suites:
         try:
             for _, sc in study_runs(name, cfg.scenario, cfg.params):
                 sc.resolve_steps()
                 sc.initial_state()
+            check_ladder(name, cfg.scenario, cfg.params)
         except ValueError as exc:
             raise ValidationError(f"scenario rejected: {name}: {exc}") from None
     cfg.warnings = []

@@ -10,7 +10,10 @@ certificate assembled from all of the above.
 
 Each functional is one array core on species-first fields, (n, *cells) and
 (n, dim, *cells); axes between those and the cells are batch axes that the
-result keeps. Trajectory functionals evaluate blocks of snapshots per call.
+result keeps. Sums over species pairs expand into contractions
+(K f)_i = sum_j K_ij f_j of (n, ...) fields with K = D.inv, so no
+(n, n, ...) array is formed. A trajectory pair is evaluated in one pass
+over blocks of snapshots, which recovers each velocity field once.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rel_entr, xlogy
 
-from .flux import DeltaOutOfRange, _velocities, stability_constants
-from .grid import ConcentrationState, GridMismatch, integrate
+from .flux import DeltaOutOfRange, stability_constants
+from .grid import GridMismatch, integrate
 
 
 class MeshMismatch(ValueError):
@@ -85,14 +88,6 @@ def square_renorm():
     )
 
 
-def _pair_layout(a, b):
-    if a.grid != b.grid:
-        raise GridMismatch("states live on different grids")
-    if a.n != b.n:
-        raise GridMismatch(f"species counts differ: {a.n} vs {b.n}")
-    return a.grid
-
-
 def _mixing_entropy(c, grid):
     return integrate((xlogy(c, c) - c).sum(axis=0), grid)
 
@@ -103,40 +98,17 @@ def entropy(state):
 
 
 def _relative_entropy(c, cb, grid):
+    """H(c|cb) = integral of sum_i [c_i ln(c_i/cb_i) - (c_i - cb_i)]; +inf
+    where c has mass and cb vanishes, and 0 ln 0 = 0 where c vanishes."""
     return integrate((rel_entr(c, cb) - (c - cb)).sum(axis=0), grid)
 
 
-def relative_entropy(a, b):
-    """H(a|b) = integral of sum_i [c_i ln(c_i/cb_i) - (c_i - cb_i)].
-
-    Infinite when a has mass where b vanishes; the convention 0 ln 0 = 0
-    applies where a vanishes.
-    """
-    return _relative_entropy(a.c, b.c, _pair_layout(a, b))
-
-
-def _symmetrized_entropy(c, cb, grid, both_vanish="inf"):
+def _symmetrized_entropy(c, cb, grid):
+    """Integral of sum_i (ln c_i - ln cb_i)(c_i - cb_i); one cell where c_i
+    or cb_i vanishes makes it +inf."""
     pos = (c > 0.0) & (cb > 0.0)
-    infinite = (c > 0.0) ^ (cb > 0.0)
-    if both_vanish == "inf":
-        infinite |= (c <= 0.0) & (cb <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = (np.log(np.where(pos, c, 1.0)) - np.log(np.where(pos, cb, 1.0))) * (c - cb)
-    # one infinite cell makes the whole integral +inf
-    cells = np.where(pos, gap, np.where(infinite, math.inf, 0.0))
-    return integrate(cells.sum(axis=0), grid)
-
-
-def symmetrized_relative_entropy(a, b, both_vanish="inf"):
-    """Symmetrized relative entropy, integral of (ln c - ln cb)(c - cb).
-
-    Where exactly one of the two concentrations vanishes the integrand is
-    +inf. Where both vanish the limit is ambiguous; ``both_vanish`` selects
-    "inf" (default) or "zero".
-    """
-    if both_vanish not in ("inf", "zero"):
-        raise ValueError(f"both_vanish must be 'inf' or 'zero', got {both_vanish!r}")
-    return _symmetrized_entropy(a.c, b.c, _pair_layout(a, b), both_vanish)
+    gap = (np.log(np.where(pos, c, 1.0)) - np.log(np.where(pos, cb, 1.0))) * (c - cb)
+    return integrate(np.where(pos, gap, math.inf).sum(axis=0), grid)
 
 
 def _regularized_entropy(c, cb, delta, grid):
@@ -148,28 +120,27 @@ def regularized_relative_entropy(a, b, delta):
     """Shift-regularized symmetric entropy, always finite for delta > 0."""
     if delta <= 0.0:
         raise DeltaNonpositive(f"regularization needs delta > 0, got {delta}")
-    return _regularized_entropy(a.c, b.c, delta, _pair_layout(a, b))
+    if a.grid != b.grid:
+        raise GridMismatch("states live on different grids")
+    if a.n != b.n:
+        raise GridMismatch(f"species counts differ: {a.n} vs {b.n}")
+    return _regularized_entropy(a.c, b.c, delta, a.grid)
 
 
 def _renormalized_entropy(c, beta, grid):
+    """Integral of the primitive of the profile beta over all species."""
     return integrate(beta.antideriv(c).sum(axis=0), grid)
 
 
-def renormalized_entropy(state, beta):
-    """Integral of the primitive of the profile over all species."""
-    if beta.antideriv is None:
-        raise ValueError(f"profile {beta.label} has no antiderivative")
-    return _renormalized_entropy(state.c, beta, state.grid)
+def _velocities(j, w, floor=1e-14):
+    """Velocities j_i / max(w_i, floor); j is (n,), (n, dim) or (n, dim, *cells)."""
+    w = np.maximum(np.asarray(w, dtype=float), floor)
+    return j / (w[:, None] if j.ndim > w.ndim else w)
 
 
-def _trajectory_pair(traj_a, traj_b):
-    """Snapshot times and grid shared by a trajectory pair."""
-    ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
-    if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12:
-        raise MeshMismatch("trajectories have different snapshot times")
-    if traj_a.grid != traj_b.grid:
-        raise GridMismatch("trajectories live on different grids")
-    return ta, traj_a.grid
+def _contract(K, f):
+    """(K f)_i = sum_j K_ij f_j over the leading species axis of f."""
+    return np.einsum("ij,j...->i...", K, f)
 
 
 # values in the largest temporary of one block of snapshots or states, so
@@ -181,7 +152,8 @@ def _blockwise(fn, traj_a, traj_b):
     """Evaluate fn(c, cb, J, Jb) over the snapshots of a trajectory pair.
 
     fn gets species-first views of a block of S snapshots, states (n, S, *cells)
-    and fluxes (n, dim, S, *cells), and returns (S,) arrays, each joined over blocks.
+    and fluxes (n, dim, S, *cells), and returns a dict of (S,) arrays; each is
+    joined over blocks.
     """
     per = max(1, _BLOCK_VALUES // (traj_a.n * traj_a.fluxes[0].size))
     parts = []
@@ -189,7 +161,7 @@ def _blockwise(fn, traj_a, traj_b):
         states = [np.moveaxis(t.states[lo:lo + per], 0, 1) for t in (traj_a, traj_b)]
         fluxes = [np.moveaxis(t.fluxes[lo:lo + per], 0, 2) for t in (traj_a, traj_b)]
         parts.append(fn(*states, *fluxes))
-    return [np.concatenate(column) for column in zip(*parts)]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def _cumulative_trapezoid(values, times):
@@ -198,13 +170,8 @@ def _cumulative_trapezoid(values, times):
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _velocity_gap(d, dbar, dv):
-    """Per-species cells (d_i + dbar_i) |dv_i|^2; their sum is the S integrand."""
-    return (d + dbar) * (dv**2).sum(axis=1)
-
-
 def _weights_and_grid(a, grid):
-    if isinstance(a, ConcentrationState):
+    if hasattr(a, "grid"):  # a state
         return a.c, a.grid
     if grid is None:
         raise GridMismatch("raw weight arrays need an explicit grid")
@@ -220,24 +187,95 @@ def dissipation(a, b, u, ubar, D, grid=None):
     ``a`` and ``b`` may be states or plain nonnegative weight fields (the
     shifted variant passes c + delta); velocities have shape (n, dim, *cells).
     Raw fields may carry batch axes before the cells; the result keeps them.
+    Each weight x contributes sum_i x_i (K x)_i |du_i|^2 - sum_a (x du_a)' K (x du_a).
     """
     w, g1 = _weights_and_grid(a, grid)
     wb, g2 = _weights_and_grid(b, grid)
     if g1 != g2:
         raise GridMismatch("states live on different grids")
     du = np.asarray(u, dtype=float) - np.asarray(ubar, dtype=float)
-    weights = np.einsum("i...,j...->ij...", w, w) + np.einsum("i...,j...->ij...", wb, wb)
-    rel2 = ((du[:, None] - du[None]) ** 2).sum(axis=2)
-    # the contraction runs over ordered pairs, so each pair counts twice
-    cells = 0.5 * np.einsum("ij,ij...,ij...->...", D.inv, weights, rel2)
+    sq, cells = (du**2).sum(axis=1), 0.0
+    for x in (w, wb):
+        f = x[:, None] * du
+        cells = cells + (x * _contract(D.inv, x) * sq).sum(axis=0)
+        cells = cells - (f * _contract(D.inv, f)).sum(axis=(0, 1))
     return integrate(cells, g1)
 
 
 def _entropy_rhs(c, cb, u, ub, D, grid):
-    """Right-hand side of the symmetric-entropy balance for a pair."""
-    mix = c[:, None, None] * (ub[:, None] - ub[None]) + cb[:, None, None] * (u[:, None] - u[None])
-    cells = np.einsum("ij,j...,ia...,ija...->...", D.inv, c - cb, u - ub, mix)
-    return -integrate(cells, grid)
+    """Right-hand side of the symmetric-entropy balance for a pair:
+    minus the integral of sum_i (K dc)_i du_i.(c_i ub_i + cb_i u_i)
+    - sum_i du_i.(c_i (K(dc ub))_i + cb_i (K(dc u))_i)."""
+    K = D.inv
+    dc, du = c - cb, u - ub
+    c, cb, dc = c[:, None], cb[:, None], dc[:, None]
+    lead = _contract(K, dc) * (c * ub + cb * u)
+    back = c * _contract(K, dc * ub) + cb * _contract(K, dc * u)
+    return -integrate((du * (lead - back)).sum(axis=(0, 1)), grid)
+
+
+def _cross_terms(d, dbar, v, vbar, K, delta, grid):
+    """The twin cross terms j1..j4 of shifted fields, and the per-species
+    cells (d_i + dbar_i) |dv_i|^2 whose sum is the S integrand."""
+    dv = v - vbar
+    gap = (d + dbar) * (dv**2).sum(axis=1)
+    d, dbar = d[:, None], dbar[:, None]
+    dd = d - dbar
+    k_dd = _contract(K, dd)
+    total = lambda cells: integrate(cells.sum(axis=(0, 1)), grid)
+
+    def drift(w, vel):  # sum_i w_i dv_i.sum_j K_ij dd_j (vel_i - vel_j)
+        return -total(w * dv * (k_dd * vel - _contract(K, dd * vel)))
+
+    # d_i sum_j K_ij (d_j v_j / d_i - dbar_j vbar_j / dbar_i), with the small
+    # difference of the two fluxes taken before K acts
+    flux_bar = dbar * vbar
+    mix = _contract(K, d * v - flux_bar) - _contract(K, flux_bar) * (dd / dbar)
+    j3 = delta * integrate(np.einsum("i,i...->...", K.sum(axis=1), gap), grid)
+    j4 = -delta * total((d + dbar) * dv * mix / d)
+    return drift(d, vbar), drift(dbar, v), j3, j4, gap
+
+
+def _pair_columns(traj_a, traj_b, D, delta=None):
+    """Every per-snapshot column of a trajectory pair, in one blocked pass.
+
+    Velocities are recovered once per block: u = J / max(c, 1e-14) for the
+    entropy identity and, when delta is given, v = J / (c + delta) for the
+    twin columns. Returns the snapshot times and a dict of (S,) columns.
+    """
+    ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
+    if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12:
+        raise MeshMismatch("trajectories have different snapshot times")
+    if traj_a.grid != traj_b.grid:
+        raise GridMismatch("trajectories live on different grids")
+    grid = traj_a.grid
+    beta = None if delta is None else log_shift_renorm(delta)
+
+    def columns(c, cb, J, Jb):
+        u, ub = _velocities(J, c), _velocities(Jb, cb)
+        out = dict(symmetrized_entropy=_symmetrized_entropy(c, cb, grid),
+                   dissipation=dissipation(c, cb, u, ub, D, grid),
+                   rhs=_entropy_rhs(c, cb, u, ub, D, grid))
+        if delta is None:
+            return out
+        d, dbar = c + delta, cb + delta
+        j1, j2, j3, j4, gap = _cross_terms(
+            d, dbar, _velocities(J, d), _velocities(Jb, dbar), D.inv, delta, grid
+        )
+        speed = np.sqrt(np.concatenate([(J**2).sum(axis=1), (Jb**2).sum(axis=1)]))
+        return dict(
+            out,
+            regularized_entropy=_regularized_entropy(c, cb, delta, grid),
+            r_distance=integrate(((c - cb) ** 2).sum(axis=0), grid),
+            s_dissipation=integrate(gap.sum(axis=0), grid),
+            sup_flux=speed.reshape(speed.shape[:2] + (-1,)).max(axis=(0, 2)),
+            entropy=_mixing_entropy(c, grid),
+            relative_entropy=_relative_entropy(c, cb, grid),
+            renorm_entropy=_renormalized_entropy(c, beta, grid),
+            j1=j1, j2=j2, j3=j3, j4=j4,
+        )
+
+    return ta, _blockwise(columns, traj_a, traj_b)
 
 
 @dataclass
@@ -267,6 +305,12 @@ class IdentitySeries:
         )
 
 
+def _identity_series(ta, cols):
+    q, rhs = cols["dissipation"], cols["rhs"]
+    return IdentitySeries(ta, cols["symmetrized_entropy"], q, rhs,
+                          _cumulative_trapezoid(q, ta), _cumulative_trapezoid(rhs, ta))
+
+
 def identity_series(traj_a, traj_b, D):
     """Evaluate the symmetric-entropy balance pieces at every snapshot.
 
@@ -274,25 +318,7 @@ def identity_series(traj_a, traj_b, D):
     time integrals are cumulative trapezoids over the snapshot times.
     Trajectories must share snapshot times and grids.
     """
-    ta, grid = _trajectory_pair(traj_a, traj_b)
-
-    def pieces(c, cb, J, Jb):
-        u, ub = _velocities(J, c), _velocities(Jb, cb)
-        return (
-            _symmetrized_entropy(c, cb, grid),
-            dissipation(c, cb, u, ub, D, grid),
-            _entropy_rhs(c, cb, u, ub, D, grid),
-        )
-
-    h_vals, q_vals, rhs_vals = _blockwise(pieces, traj_a, traj_b)
-    return IdentitySeries(
-        times=ta,
-        h_sym=h_vals,
-        q_values=q_vals,
-        rhs_values=rhs_vals,
-        q_cumulative=_cumulative_trapezoid(q_vals, ta),
-        rhs_cumulative=_cumulative_trapezoid(rhs_vals, ta),
-    )
+    return _identity_series(*_pair_columns(traj_a, traj_b, D))
 
 
 def identity_residual(traj_a, traj_b, D, window=None):
@@ -329,7 +355,7 @@ class ErrorTerms:
 
     Each value comes with the certified upper bound built from the
     stability constants; ``s_dissipation`` and ``r_distance`` are the
-    weighted velocity-difference and concentration-distance integrals the
+    weighted velocity-difference and composition-distance integrals the
     bounds are expressed in. Batched fields give arrays over the batch.
     """
 
@@ -359,7 +385,7 @@ class ErrorTerms:
 def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
     """Evaluate the four twin cross terms and their certified bounds.
 
-    d, dbar      -- shifted concentrations (entries >= delta), shape (n, *cells)
+    d, dbar      -- shifted compositions (entries >= delta), shape (n, *cells)
     v, vbar      -- partial velocities, shape (n, dim, *cells)
     flux_bound   -- sup-norm bound on d_i v_i; measured from the fields if omitted
 
@@ -374,30 +400,13 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
         raise DeltaOutOfRange(f"error terms need delta < 1, got {delta}")
     d, dbar, v, vbar = (np.asarray(x, dtype=float) for x in (d, dbar, v, vbar))
     n = d.shape[0]
-    K = D.inv
-    dv = v - vbar
-    dd = d - dbar
-    gap = _velocity_gap(d, dbar, dv)
-
     if flux_bound is None:
         speed = lambda w, vel: np.sqrt(((w[:, None] * vel) ** 2).sum(axis=1)).max()
         flux_bound = max(speed(d, v), speed(dbar, vbar))
 
-    pair = "ij,i...,j...,ia...,ija...->..."
-    j1_cells = np.einsum(pair, K, d, dd, dv, vbar[:, None] - vbar[None])
-    j2_cells = np.einsum(pair, K, dbar, dd, dv, v[:, None] - v[None])
-    # mix[i, j] = (d_j / d_i) v_j - (dbar_j / dbar_i) vbar_j
-    ratio = lambda w: (w[None] / w[:, None])[:, :, None]
-    mix = ratio(d) * v[None] - ratio(dbar) * vbar[None]
-    j4_cells = np.einsum("ij,i...,ia...,ija...->...", K, d + dbar, dv, mix)
-    j3_cells = np.einsum("i,i...->...", K.sum(axis=1), gap)
-    j1 = -integrate(j1_cells, grid)
-    j2 = -integrate(j2_cells, grid)
-    j3 = delta * integrate(j3_cells, grid)
-    j4 = -delta * integrate(j4_cells, grid)
-
+    j1, j2, j3, j4, gap = _cross_terms(d, dbar, v, vbar, D.inv, delta, grid)
     s_val = integrate(gap.sum(axis=0), grid)
-    r_val = integrate((dd**2).sum(axis=0), grid)
+    r_val = integrate(((d - dbar) ** 2).sum(axis=0), grid)
     q_val = dissipation(d, dbar, v, vbar, D, grid=grid)
 
     k = stability_constants(D, delta, flux_bound, enforce_admissible=False)
@@ -408,19 +417,10 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
     q_lower = mu * s_val - (2.0 * n * mu / delta**2) * flux_bound**2 * r_val
 
     return ErrorTerms(
-        j1=j1,
-        j2=j2,
-        j3=j3,
-        j4=j4,
-        bound_j12=bound_j12,
-        bound_j3=bound_j3,
-        bound_j4=bound_j4,
-        s_dissipation=s_val,
-        r_distance=r_val,
-        q_shifted=q_val,
-        q_lower_bound=q_lower,
-        flux_bound=float(flux_bound),
-        constants=k,
+        j1=j1, j2=j2, j3=j3, j4=j4,
+        bound_j12=bound_j12, bound_j3=bound_j3, bound_j4=bound_j4,
+        s_dissipation=s_val, r_distance=r_val, q_shifted=q_val, q_lower_bound=q_lower,
+        flux_bound=float(flux_bound), constants=k,
     )
 
 
@@ -447,7 +447,8 @@ class GronwallReport:
     with A(T) = F(0) + max(0, c4 delta - mu/4) int_0^T S. The envelope is
     compared in log space; when delta exceeds its admissible window the
     eroded dissipation margin is carried explicitly instead of dropped,
-    and ``admissible`` records the fact.
+    and ``admissible`` records the fact. ``diagnostics`` maps each of
+    CSV_COLUMNS to its per-snapshot series.
     """
 
     times: np.ndarray
@@ -463,6 +464,7 @@ class GronwallReport:
     admissible: bool
     constants: object
     flux_bound: float
+    diagnostics: dict
 
     @property
     def holds(self):
@@ -474,27 +476,17 @@ def gronwall_certificate(traj_a, traj_b, D, delta, flux_bound=None, slack=1e-9):
 
     Velocities are recovered from the recorded fluxes as v = J / (c + delta),
     which satisfies the shifted zero-sum constraint exactly. The flux bound
-    defaults to the measured sup of |J_i| over both trajectories.
+    defaults to the measured sup of |J_i| over both trajectories. The same
+    pass evaluates the entropy identity and the cross terms j1..j4 that
+    fill ``diagnostics``.
     """
     if delta <= 0.0:
         raise DeltaNonpositive(f"certificate needs delta > 0, got {delta}")
-    ta, grid = _trajectory_pair(traj_a, traj_b)
-
-    def pieces(c, cb, J, Jb):
-        d, dbar = c + delta, cb + delta
-        dv = _velocities(J, d) - _velocities(Jb, dbar)
-        # sup over species and cells of |J_i| per snapshot, both trajectories
-        speed = np.sqrt(np.concatenate([(J**2).sum(axis=1), (Jb**2).sum(axis=1)]))
-        return (
-            _regularized_entropy(c, cb, delta, grid),
-            integrate(((c - cb) ** 2).sum(axis=0), grid),
-            integrate(_velocity_gap(d, dbar, dv).sum(axis=0), grid),
-            speed.reshape(speed.shape[:2] + (-1,)).max(axis=(0, 2)),
-        )
-
-    f_series, r_series, s_series, sup_flux = _blockwise(pieces, traj_a, traj_b)
+    ta, cols = _pair_columns(traj_a, traj_b, D, delta)
+    f_series, r_series, s_series = (
+        cols[key] for key in ("regularized_entropy", "r_distance", "s_dissipation"))
     if flux_bound is None:
-        flux_bound = float(sup_flux.max())
+        flux_bound = float(cols["sup_flux"].max())
     k = stability_constants(D, delta, flux_bound, enforce_admissible=False)
 
     t0 = ta - ta[0]
@@ -519,6 +511,8 @@ def gronwall_certificate(traj_a, traj_b, D, delta, flux_bound=None, slack=1e-9):
     else:
         holds_envelope = bool(np.all((r_series <= slack) | (log_r <= log_env + slack)))
 
+    cols.update(time=ta, identity_residual=_identity_series(ta, cols).residuals(),
+                gronwall_lhs=master_lhs, gronwall_rhs=master_rhs)
     return GronwallReport(
         times=ta,
         f_series=f_series,
@@ -533,6 +527,7 @@ def gronwall_certificate(traj_a, traj_b, D, delta, flux_bound=None, slack=1e-9):
         admissible=k.admissible,
         constants=k,
         flux_bound=float(flux_bound),
+        diagnostics={key: cols[key] for key in CSV_COLUMNS},
     )
 
 

@@ -100,12 +100,6 @@ class DiffusionMatrix:
         return f"DiffusionMatrix(n={self.n}, mu={self.mu!r}, big_m={self.big_m!r})"
 
 
-def _velocities(j, w, floor=1e-14):
-    """Velocities j_i / max(w_i, floor); j is (n,), (n, dim) or (n, dim, *cells)."""
-    w = np.maximum(np.asarray(w, dtype=float), floor)
-    return j / (w[:, None] if j.ndim > w.ndim else w)
-
-
 def _symmetric_friction(d, K):
     """The symmetric friction A = diag(s)^-1 M diag(s), s = sqrt(d), of
     (m, n) shifted compositions d, for a shared (n, n) or a per-point

@@ -20,16 +20,9 @@ import numpy as np
 from . import mollify, sim
 from .entropy import (
     CSV_COLUMNS,
-    error_terms,
     gronwall_certificate,
     identity_residual,
-    identity_series,
-    log_shift_renorm,
     regularized_relative_entropy,
-    _blockwise,
-    _mixing_entropy,
-    _relative_entropy,
-    _renormalized_entropy,
 )
 from .flux import (
     DiffusionMatrix,
@@ -38,7 +31,6 @@ from .flux import (
     _friction_system,
     _shift_correction,
     _symmetric_friction,
-    _velocities,
 )
 from .grid import PeriodicGrid, l2_norm
 
@@ -259,6 +251,35 @@ def study_runs(name, scenario, params):
     return [(sc, replace(sc, perturbation=pert)) for sc in bases]
 
 
+def _twin_ladder(base, halvings):
+    """The twin ladder's rungs above rung 0: base at dt0 / 2^k, k = 1..halvings,
+    with one snapshot at the final time."""
+    _, steps0 = base.resolve_steps()
+    return [
+        replace(base, dt=base.t_final / s, cadence=s)
+        for s in (steps0 * 2**k for k in range(1, halvings + 1))
+    ]
+
+
+def check_ladder(name, scenario, params):
+    """Resolve the steps of the finest rung of a suite's refinement ladder:
+    the last twin-study rung or the last convergence-study level. A rung
+    over the step cap raises ValueError naming the key that sets the depth,
+    so no ladder meets the cap after its earlier rungs have run."""
+    if name == "twin-study":
+        [(base, _)] = study_runs(name, scenario, params)
+        key, finest = "twin-study.halvings", _twin_ladder(base, params["twin-study.halvings"])[-1]
+    elif name == "convergence-study":
+        key = "convergence-study.levels"
+        finest = _convergence_scenario(params["convergence-study.cells"] * 2 ** (params[key] - 1))
+    else:
+        return
+    try:
+        finest.resolve_steps()
+    except ValueError as exc:
+        raise ValueError(f"the finest run of {key} = {params[key]}: {exc}") from None
+
+
 def _identity_level(args):
     level, (base, twin) = args
     res = identity_residual(sim.run(base), sim.run(twin), base.D)
@@ -333,33 +354,6 @@ def mollifier_study(cfg, rng):
     )
 
 
-def _twin_reports(base, twin, cert, D, delta):
-    """The diagnostics table of a certified trajectory pair: CSV_COLUMNS ->
-    per-snapshot arrays, each functional evaluated over snapshot blocks."""
-    grid = base.grid
-    beta = log_shift_renorm(delta)
-    series = identity_series(base, twin, D)
-
-    def columns(c, cb, J, Jb):
-        d, dbar = c + delta, cb + delta
-        v, vbar = _velocities(J, d), _velocities(Jb, dbar)
-        terms = error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=cert.flux_bound)
-        return (_mixing_entropy(c, grid), _relative_entropy(c, cb, grid),
-                _renormalized_entropy(c, beta, grid), terms.j1, terms.j2, terms.j3, terms.j4)
-
-    names = ("entropy", "relative_entropy", "renorm_entropy", "j1", "j2", "j3", "j4")
-    return dict(
-        zip(names, _blockwise(columns, base, twin)),
-        time=np.asarray(base.times),
-        symmetrized_entropy=series.h_sym,
-        regularized_entropy=cert.f_series,
-        dissipation=series.q_values,
-        identity_residual=series.residuals(),
-        gronwall_lhs=cert.master_lhs,
-        gronwall_rhs=cert.master_rhs,
-    )
-
-
 def twin_study(cfg, rng):
     """Twin stability: dt-refinement distance decay plus the certificate."""
     suite = "twin-study"
@@ -372,12 +366,9 @@ def twin_study(cfg, rng):
     # shrink at least first order in dt under dt halving. Rung 0 keeps the
     # configured cadence and is also the certificate's base run.
     [(base_sc, twin_sc)] = study_runs(suite, scenario, cfg.params)
-    dt0, steps0 = scenario.resolve_steps()
+    dt0, _ = scenario.resolve_steps()
     base = sim.run(replace(base_sc, dt=dt0))
-    ladder = [
-        replace(base_sc, dt=scenario.t_final / s, cadence=s)
-        for s in (steps0 * 2**k for k in range(1, halvings + 1))
-    ]
+    ladder = _twin_ladder(base_sc, halvings)
     finals = [base.state(-1)] + [sim.run(sc).state(-1) for sc in ladder]
     dts = [dt0] + [sc.dt for sc in ladder[:-1]]
     f_gaps = [
@@ -387,7 +378,7 @@ def twin_study(cfg, rng):
 
     twin = sim.run(replace(twin_sc, dt=dt0))
     cert = gronwall_certificate(base, twin, scenario.D, delta)
-    cols = _twin_reports(base, twin, cert, scenario.D, delta)
+    cols = cert.diagnostics
     art_csv = os.path.join(cfg.out_dir, "twin_diagnostics.csv")
     with open(art_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -418,24 +409,19 @@ def twin_study(cfg, rng):
     return SuiteResult(suite, passed, checks, [art_csv, art_json], details)
 
 
+def _convergence_scenario(cells):
+    """The single-mode binary run of one convergence level; D_12 = 1."""
+    return sim.Scenario(n=2, D=DiffusionMatrix.uniform(2, 1.0), grid=PeriodicGrid((cells,)),
+                        t_final=0.01, preset="binary_mode", amplitude=0.2, mode=1, cfl=0.25)
+
+
 def _convergence_level(cells):
-    d12, t_final, amplitude, mode = 1.0, 0.01, 0.2, 1
-    grid = PeriodicGrid((cells,))
-    scenario = sim.Scenario(
-        n=2,
-        D=DiffusionMatrix.uniform(2, d12),
-        grid=grid,
-        t_final=t_final,
-        preset="binary_mode",
-        amplitude=amplitude,
-        mode=mode,
-        cfl=0.25,
-    )
-    _, steps = scenario.resolve_steps()
-    traj = sim.run(replace(scenario, cadence=steps))
-    exact = sim.exact_binary_mode(grid, d12, amplitude, mode, t_final)
-    err = l2_norm(traj.states[-1] - exact.c, grid) / l2_norm(exact.c, grid)
-    return cells, grid.spacing[0], err
+    sc = _convergence_scenario(cells)
+    _, steps = sc.resolve_steps()
+    traj = sim.run(replace(sc, cadence=steps))
+    exact = sim.exact_binary_mode(sc.grid, 1.0, sc.amplitude, sc.mode, sc.t_final)
+    err = l2_norm(traj.states[-1] - exact.c, sc.grid) / l2_norm(exact.c, sc.grid)
+    return cells, sc.grid.spacing[0], err
 
 
 def convergence_study(cfg, rng):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msdiff import config, suites
+from msdiff import config, sim, suites
 from msdiff.cli import main
 from msdiff.config import (
     KNOWN_SUITES,
@@ -359,6 +359,36 @@ def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
         fragment = f"line 4: {fragment}"
     assert f"error: {fragment}" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines,fragment",
+    [
+        (
+            "suites = twin-study\ntwin-study.halvings = 14\n",
+            "scenario rejected: twin-study: the finest run of twin-study.halvings = 14: "
+            "the run needs 3.277e+04 steps, more than 1000",
+        ),
+        (
+            "suites = convergence-study\nconvergence-study.cells = 4\n"
+            "convergence-study.levels = 7\n",
+            "scenario rejected: convergence-study: the finest run of "
+            "convergence-study.levels = 7: the run needs 5.243e+03 steps, more than 1000",
+        ),
+    ],
+)
+def test_cli_ladder_rung_over_the_step_cap_exits_two_before_any_run(
+    tmp_path, capsys, monkeypatch, lines, fragment
+):
+    # with the cap at 1000 steps, the base run fits but the finest rung does not
+    monkeypatch.setattr(sim, "MAX_STEPS", 1000)
+    runs = []
+    monkeypatch.setattr(sim, "run", lambda scenario: runs.append(scenario))
+    text = MINIMAL + "cells = 4\n" + lines
+    out = tmp_path / "out"
+    assert main([write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert f"error: {fragment}" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
 
 
 def test_cli_suite_flag_checks_the_selected_study(tmp_path, capsys):

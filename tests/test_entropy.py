@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from msdiff import suites
 from msdiff.entropy import (
     DeltaNonpositive,
     MeshMismatch,
     _entropy_rhs,
+    _relative_entropy,
+    _renormalized_entropy,
+    _symmetrized_entropy,
+    _velocities,
     dissipation,
     entropy,
     error_terms,
@@ -21,12 +24,9 @@ from msdiff.entropy import (
     log_shift_renorm,
     quadratic_log_gap,
     regularized_relative_entropy,
-    relative_entropy,
-    renormalized_entropy,
     square_renorm,
-    symmetrized_relative_entropy,
 )
-from msdiff.flux import DiffusionMatrix, _velocities
+from msdiff.flux import DiffusionMatrix
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate
 from msdiff.sim import Perturbation, Scenario, max_stable_dt, run, twin_experiment
 
@@ -54,12 +54,12 @@ def test_relative_entropy_hand_values():
     a = constant_state(GRID, [0.6, 0.4])
     b = constant_state(GRID, [0.5, 0.5])
     expected = 0.6 * math.log(0.6 / 0.5) + 0.4 * math.log(0.4 / 0.5)
-    assert abs(relative_entropy(a, b) - expected) < 1e-14
-    assert relative_entropy(a, a) == 0.0
+    assert abs(_relative_entropy(a.c, b.c, GRID) - expected) < 1e-14
+    assert _relative_entropy(a.c, a.c, GRID) == 0.0
     # mass term cancels only when both states sit on the simplex
     skew = 0.6 * math.log(0.6 / 0.3) - 0.3
     c = ConcentrationState(GRID, np.tile([[0.3], [0.7]], (1, 16)))
-    got = relative_entropy(constant_state(GRID, [0.6, 0.4]), c)
+    got = _relative_entropy(constant_state(GRID, [0.6, 0.4]).c, c.c, GRID)
     expected = skew + 0.4 * math.log(0.4 / 0.7) + 0.3
     assert abs(got - expected) < 1e-14
 
@@ -67,27 +67,26 @@ def test_relative_entropy_hand_values():
 def test_relative_entropy_infinite_on_lost_support():
     a = constant_state(GRID, [0.5, 0.5])
     b = constant_state(GRID, [1.0, 0.0])
-    assert relative_entropy(a, b) == math.inf
+    assert _relative_entropy(a.c, b.c, GRID) == math.inf
 
 
 def test_symmetrized_entropy_matches_sum_of_relatives():
     a = constant_state(GRID, [0.6, 0.4])
     b = constant_state(GRID, [0.4, 0.6])
     expected = 0.4 * math.log(1.5)  # (0.2) ln(0.6/0.4) twice
-    val = symmetrized_relative_entropy(a, b)
+    val = _symmetrized_entropy(a.c, b.c, GRID)
     assert abs(val - expected) < 1e-14
-    assert abs(val - (relative_entropy(a, b) + relative_entropy(b, a))) < 1e-14
+    both_ways = _relative_entropy(a.c, b.c, GRID) + _relative_entropy(b.c, a.c, GRID)
+    assert abs(val - both_ways) < 1e-14
 
 
 def test_symmetrized_entropy_vanishing_conventions():
     a = constant_state(GRID, [1.0, 0.0])
     b = constant_state(GRID, [0.5, 0.5])
-    assert symmetrized_relative_entropy(a, b) == math.inf
+    assert _symmetrized_entropy(a.c, b.c, GRID) == math.inf
+    # where both vanish the limit is ambiguous, and it counts as infinite too
     both = constant_state(GRID, [1.0, 0.0])
-    assert symmetrized_relative_entropy(both, both.copy()) == math.inf
-    assert symmetrized_relative_entropy(both, both.copy(), both_vanish="zero") == 0.0
-    with pytest.raises(ValueError):
-        symmetrized_relative_entropy(a, b, both_vanish="nan")
+    assert _symmetrized_entropy(both.c, both.c.copy(), GRID) == math.inf
 
 
 def test_regularized_entropy_value_and_guard():
@@ -118,7 +117,7 @@ def test_renorm_antiderivatives():
     num = (log3.antideriv(s + h) - log3.antideriv(s - h)) / (2 * h)
     assert np.abs(num - log3.f(s)).max() < 1e-9
     state = constant_state(GRID, [0.5, 0.5])
-    val = renormalized_entropy(state, square_renorm())
+    val = _renormalized_entropy(state.c, square_renorm(), GRID)
     assert abs(val - 2 * 0.125 / 3.0) < 1e-14
 
 
@@ -213,7 +212,13 @@ def test_error_terms_delta_guards():
 
 
 # Pair-loop definitions of the dissipation, the balance right-hand side and
-# the cross terms, kept as the reference for the einsum forms.
+# the cross terms, kept as the reference for the contracted forms. They
+# compute in the dtype of their inputs, so long-double fields give a
+# long-double reference.
+def quad(cells, grid):
+    return cells.sum(axis=tuple(range(-grid.dim, 0))) * cells.dtype.type(grid.cell_volume)
+
+
 def loop_dissipation(w, wb, du, K, grid):
     n = w.shape[0]
     cells = 0.0
@@ -221,7 +226,7 @@ def loop_dissipation(w, wb, du, K, grid):
         for j in range(i + 1, n):
             rel2 = ((du[i] - du[j]) ** 2).sum(axis=0)
             cells = cells + K[i, j] * (w[i] * w[j] + wb[i] * wb[j]) * rel2
-    return float(integrate(cells, grid))
+    return quad(cells, grid)
 
 
 def loop_entropy_rhs(c, cb, u, ub, K, grid):
@@ -232,7 +237,7 @@ def loop_entropy_rhs(c, cb, u, ub, K, grid):
         for j in range(n):
             mix = c[i] * (ub[i] - ub[j]) + cb[i] * (u[i] - u[j])
             cells = cells + K[i, j] * (c[j] - cb[j]) * (du[i] * mix).sum(axis=0)
-    return -float(integrate(cells, grid))
+    return -quad(cells, grid)
 
 
 def loop_cross_terms(d, dbar, v, vbar, K, delta, grid):
@@ -248,10 +253,10 @@ def loop_cross_terms(d, dbar, v, vbar, K, delta, grid):
     row = K.sum(axis=1)
     j3 = sum(row[i] * (d[i] + dbar[i]) * (dv[i] ** 2).sum(axis=0) for i in range(n))
     return (
-        -float(integrate(j1, grid)),
-        -float(integrate(j2, grid)),
-        delta * float(integrate(j3, grid)),
-        -delta * float(integrate(j4, grid)),
+        -quad(j1, grid),
+        -quad(j2, grid),
+        delta * quad(j3, grid),
+        -delta * quad(j4, grid),
     )
 
 
@@ -276,6 +281,47 @@ def test_einsum_forms_match_pair_loops(n, cells):
         ref = loop_cross_terms(d, dbar, v, vbar, K, delta, grid)
         for got, want in zip((terms.j1, terms.j2, terms.j3, terms.j4), ref):
             assert close(got, want), (got, want)
+
+
+@pytest.mark.parametrize("amplitude", [1e-4, 1e-7])
+@pytest.mark.parametrize("cells", [(16,), (6, 5)])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pair_sums_stay_accurate_on_nearly_equal_twins(n, cells, amplitude):
+    # twin fields differ by about the perturbation amplitude, so their
+    # differences carry a relative rounding error of order eps / amplitude;
+    # C bounds the error against long-double pair loops in that unit. The
+    # worst value measured is about 0.013, for j4. Splitting j4's bracket into
+    # (K d v)_i / d_i - (K dbar vbar)_i / dbar_i, two large terms that cancel,
+    # exceeds C.
+    C = 0.05
+    rng = np.random.default_rng(100 + n)
+    vals = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=(n, n)))
+    D = DiffusionMatrix(np.triu(vals, 1) + np.triu(vals, 1).T)
+    grid = PeriodicGrid(cells)
+    delta = 0.05
+    sc = Scenario(n=n, D=D, grid=grid, t_final=8 * 0.25 * max_stable_dt(grid, D),
+                  amplitude=0.3, delta=delta, cadence=2)
+    res = twin_experiment(sc, perturbation=Perturbation(amplitude=amplitude, mode=1))
+    K = D.inv.astype(np.longdouble)
+    got, ref = [], []
+    for k in range(len(res.base.times)):
+        c, cb = res.base.states[k], res.twin.states[k]
+        J, Jb = res.base.fluxes[k], res.twin.fluxes[k]
+        u, ub = _velocities(J, c), _velocities(Jb, cb)
+        d, dbar = c + delta, cb + delta
+        v, vbar = _velocities(J, d), _velocities(Jb, dbar)
+        terms = error_terms(d, dbar, v, vbar, D, delta, grid)
+        got.append([dissipation(c, cb, u, ub, D, grid=grid), _entropy_rhs(c, cb, u, ub, D, grid),
+                    terms.j1, terms.j2, terms.j3, terms.j4])
+        c, cb, u, ub, d, dbar, v, vbar = (
+            np.asarray(x, np.longdouble) for x in (c, cb, u, ub, d, dbar, v, vbar)
+        )
+        ref.append([loop_dissipation(c, cb, u - ub, K, grid),
+                    loop_entropy_rhs(c, cb, u, ub, K, grid),
+                    *loop_cross_terms(d, dbar, v, vbar, K, delta, grid)])
+    got, ref = np.array(got, np.longdouble), np.array(ref)
+    err = np.abs(got - ref).max(axis=0) / np.abs(ref).max(axis=0)
+    assert np.all(err <= C * np.finfo(float).eps / amplitude), err
 
 
 def test_velocities_floor_and_shapes():
@@ -385,7 +431,7 @@ def loop_identity_series(traj_a, traj_b, D):
         ub = _velocities(traj_b.fluxes[k], b.c)
         q_vals.append(dissipation(a, b, u, ub, D))
         rhs_vals.append(_entropy_rhs(a.c, b.c, u, ub, D, a.grid))
-        h_vals.append(symmetrized_relative_entropy(a, b))
+        h_vals.append(_symmetrized_entropy(a.c, b.c, a.grid))
     return np.array(h_vals), np.array(q_vals), np.array(rhs_vals)
 
 
@@ -417,7 +463,7 @@ def loop_twin_columns(base, twin, cert, D, delta):
         vbar = _velocities(twin.fluxes[k], dbar)
         terms = error_terms(d, dbar, v, vbar, D, delta, a.grid, flux_bound=cert.flux_bound)
         rows.append([
-            entropy(a), relative_entropy(a, b), renormalized_entropy(a, beta),
+            entropy(a), _relative_entropy(a.c, b.c, a.grid), _renormalized_entropy(a.c, beta, a.grid),
             terms.j1, terms.j2, terms.j3, terms.j4,
         ])
     return np.array(rows)
@@ -460,7 +506,7 @@ def test_batched_trajectory_functionals_match_snapshot_loops(
     for got, ref in zip((cert.f_series, cert.r_series, cert.s_series), (f_ref, r_ref, s_ref)):
         assert_series_close(got, ref)
 
-    cols = suites._twin_reports(base, twin, cert, D, sc.delta)
+    cols = cert.diagnostics
     keys = ("entropy", "relative_entropy", "renorm_entropy", "j1", "j2", "j3", "j4")
     ref = loop_twin_columns(base, twin, cert, D, sc.delta)
     for k, key in enumerate(keys):

@@ -12,7 +12,7 @@ import pytest
 
 from msdiff import sim, suites
 from msdiff.config import parse_config
-from msdiff.entropy import regularized_relative_entropy, symmetrized_relative_entropy
+from msdiff.entropy import _regularized_entropy, _symmetrized_entropy, regularized_relative_entropy
 from msdiff.flux import DiffusionMatrix
 
 STUDY = """
@@ -91,10 +91,28 @@ def test_twin_diagnostics_entropies_match_the_functionals(tmp_path, monkeypatch)
     assert len(rows) == len(base.times) > 2
     for k, row in enumerate(rows):
         a, b = base.state(k), twin.state(k)
-        assert float(row["symmetrized_entropy"]) == symmetrized_relative_entropy(a, b)
-        assert float(row["regularized_entropy"]) == regularized_relative_entropy(
-            a, b, cfg.scenario.delta
+        assert float(row["symmetrized_entropy"]) == _symmetrized_entropy(a.c, b.c, a.grid)
+        assert float(row["regularized_entropy"]) == _regularized_entropy(
+            a.c, b.c, cfg.scenario.delta, a.grid
         )
+
+
+def test_each_trajectory_pair_takes_one_entropy_pass(tmp_path, monkeypatch):
+    entropy_module = importlib.import_module("msdiff.entropy")
+    passes = []
+    real = entropy_module._blockwise
+
+    def counted(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(entropy_module, "_blockwise", counted)
+    suites.twin_study(study_config(tmp_path, "twin-study.halvings = 2\n"), np.random.default_rng(0))
+    # the certificate, the identity columns and j1..j4 come from one pass
+    assert len(passes) == 1
+    passes.clear()
+    result = suites.identity_study(study_config(tmp_path), np.random.default_rng(0))
+    assert len(passes) == result.details["levels"] == 2
 
 
 def test_identity_study_certifies_nothing(tmp_path, monkeypatch):
