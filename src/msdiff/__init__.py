@@ -1,4 +1,4 @@
-"""Multicomponent diffusion on the torus: pointwise force-flux inversion,
+"""Multicomponent diffusion on the torus: batched force-flux inversion,
 finite-volume time integration, entropy functionals with twin-stability
 certificates, space-time mollification studies, and certification suites.
 """
@@ -6,11 +6,9 @@ certificates, space-time mollification studies, and certification suites.
 from .flux import (
     DeltaOutOfRange,
     DiffusionMatrix,
-    InconsistentGradient,
     SingularComposition,
     StabilityConstants,
     admissible_delta_max,
-    solve_fluxes,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
     stability_constants,

@@ -1,4 +1,4 @@
-"""Pointwise force-flux linear algebra for multicomponent diffusion.
+"""Batched force-flux linear algebra for multicomponent diffusion.
 
 The cross-diffusion force balance at a point is a singular linear system:
 the friction matrix M = diag(c K) - diag(c) K has the composition as kernel
@@ -15,7 +15,12 @@ Layout: the batched kernel's public contract is (m, n) points by species,
 with any strides. It computes on (n, m) species rows, so a transposed view
 of C-ordered (n, m) rows (what the face divergence passes) is the fast
 path with no copy, and other layouts cost one copy. The fluxes come back
-as an (m, n) view of (n, m) rows.
+as an (m, n) view of fresh (n, m) rows. Scratch rule: every other
+temporary of the kernel (the right-hand side and its column sum, c K, the
+Cramer entries and det, K x) is written into one block that this thread
+reuses while (n, m) stays the same, so a time step on a grid already seen
+allocates only its fluxes. Only the n >= 4 (n, n, m) stack is per call,
+and once spent it holds K x.
 
 The symmetric form A = diag(s)^-1 M diag(s), s = sqrt(c + delta), is the
 Maxwell-Stefan matrix whose spectrum carries the uniqueness argument: it
@@ -35,9 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class InconsistentGradient(ValueError):
-    """Driving gradients must sum to zero across species."""
+from ._scratch import scratch
 
 
 class SingularComposition(ValueError):
@@ -139,40 +142,15 @@ def _friction_system(c, K):
     return M
 
 
-def solve_fluxes(c, grad_c, D, consistency_tol=1e-10, residual_tol=1e-10):
-    """Invert the force-flux balance at one composition c, shape (n,).
-
-    grad_c holds one driving gradient per species, shape (n, dim) or (n,).
-    The gradients must sum to zero across species (the simplex constraint
-    propagates); the returned fluxes, of grad_c's shape, sum to zero by
-    construction.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (D.n,):
-        raise ValueError(f"composition has shape {c.shape}, diffusivities {D.n} species")
-    g = np.asarray(grad_c, dtype=float)
-    if g.ndim not in (1, 2) or g.shape[0] != D.n:
-        raise ValueError(f"gradient shape {g.shape} does not match {D.n} species")
-    defect = np.abs(g.sum(axis=0)).max()
-    if defect > consistency_tol:
-        raise InconsistentGradient(
-            f"species gradients sum to {defect:.3e}, above {consistency_tol:.1e}"
-        )
-    # each gradient column is one point of the batched solve
-    cols = g.reshape(D.n, -1)
-    c = np.broadcast_to(c, (cols.shape[1], D.n))
-    x, _ = solve_fluxes_batch(c, cols.T, D, residual_tol)
-    return x.T.reshape(g.shape)
-
-
 def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     """Vectorized force-flux solve for many points, one gradient component.
 
-    c, grad_c: shape (m, n), with any strides. The kernel works on (n, m)
-    species rows: it takes c.T and grad_c.T as C-contiguous rows, which is
-    free when the caller passes transposed views of (n, m) rows (the fast
-    path) and one copy otherwise. Returns (fluxes (m, n), max residual); the
-    fluxes are an (m, n) view of (n, m) rows.
+    c, grad_c: shape (m, n) for the n species of D, with any strides; other
+    shapes raise ValueError. The kernel works on (n, m) species rows: it
+    takes c.T and grad_c.T as C-contiguous rows, which is free when the
+    caller passes transposed views of (n, m) rows (the fast path) and one
+    copy otherwise. Returns (fluxes (m, n), max residual); the fluxes are
+    an (m, n) view of fresh (n, m) rows.
 
     The friction matrix M = diag(c K) - diag(c) K has zero column sums, so
     the zero-sum flux is found from the first n - 1 rows with the last
@@ -189,29 +167,48 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     max(1, |grad_c|) (computed only above the unit tolerance), or NaN, it
     raises SingularComposition. The per-point gradient consistency is not
     rechecked here; callers feed gradients that are zero-sum by construction.
+
+    Every temporary but the n >= 4 stack B (which holds K x once spent)
+    lives in one scratch block of this thread, kept for the latest (n, m)
+    (see ``_scratch``), so a call at a size already seen allocates only its
+    fluxes. At n >= 4 a point's result can depend on the size of its batch:
+    K @ c rounds differently with m, by a few ulp, so one point solved
+    alone need not be bit-equal to the same point inside a larger batch.
+    No such difference has been observed at n <= 3.
     """
+    if c.ndim != 2 or c.shape[1] != D.n or grad_c.shape != c.shape:
+        raise ValueError(
+            f"compositions {c.shape} and gradients {grad_c.shape} must both be "
+            f"(m, {D.n}) for {D.n} species"
+        )
     K = D.inv
-    n = c.shape[1]
+    m, n = c.shape
     c = np.ascontiguousarray(c.T)  # (n, m) species rows from here on
+    b, cK, Kx, rows = scratch("flux", (n, m), _kernel_scratch)
     # degenerate points give NaN or inf here; the residual test rejects them
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = _zero_sum_rhs(grad_c.T)
-        cK = K @ c
+        _zero_sum_rhs(grad_c.T, b, rows[0])
+        np.matmul(K, c, out=cK)
         if n == 2:
             x = np.empty_like(b)
-            x[0] = b[0] / (K[0, 1] * (c[0] + c[1]))
-            x[1] = -x[0]
+            t = np.add(c[0], c[1], out=rows[0])
+            t *= K[0, 1]
+            np.divide(b[0], t, out=x[0])
+            np.negative(x[0], out=x[1])
         elif n == 3:
-            x = _solve_reduced_3(c, cK, K, b)
+            x = _solve_reduced_3(c, cK, K, b, rows)
         else:
             # B = M + mu c 1': B_ij = c_i (mu - K_ij), B_jj = (c K)_j + mu c_j
             B = (D.mu - K)[:, :, None] * c[:, None, :]
             B.reshape(n * n, -1)[:: n + 1] += cK
             x = _eliminate(B, b.copy())
+            Kx = B[0]  # B is spent; its first (n, m) block row is free
             # sum x is zero up to rounding amplified by 1 / mu; shift along M's kernel
-            x -= x.sum(axis=0) / c.sum(axis=0) * c
+            shift = x.sum(axis=0, out=rows[0])
+            shift /= c.sum(axis=0, out=rows[1])
+            x -= np.multiply(shift, c, out=Kx)
         # residual (c K) x - c (K x) - b, built in the buffer of c K
-        cKx = K @ x
+        cKx = np.matmul(K, x, out=Kx)
         cKx *= c
         cK *= x
         cK -= cKx
@@ -225,28 +222,53 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     return x.T, residual
 
 
-def _zero_sum_rhs(grad_rows):
-    """The kernel's right-hand side: -grad_c as C-ordered (n, m) species rows,
-    projected onto sum_i b_i = 0 at every point (a sum over n, then / n)."""
-    b = np.negative(grad_rows, order="C")
-    b -= b.sum(axis=0) / len(b)
+def _kernel_scratch(n, m):
+    """The kernel's buffers for n species at m points, carved from one
+    array: (n, m) blocks for b, c K and, up to three species, K x (from
+    four on, K x goes into the spent stack B instead, which keeps the held
+    block small), and (m,) rows for the rest."""
+    blocks = 2 if n >= 4 else 3
+    block = np.empty((blocks * n + (6 if n == 3 else 2), m))
+    Kx = None if n >= 4 else block[2 * n:3 * n]
+    return block[:n], block[n:2 * n], Kx, tuple(block[blocks * n:])
+
+
+def _zero_sum_rhs(grad_rows, out, total):
+    """The kernel's right-hand side, into out: -grad_c as C-ordered (n, m)
+    species rows, projected onto sum_i b_i = 0 at every point (a sum over n
+    into the (m,) buffer total, then / n)."""
+    b = np.negative(grad_rows, out=out)
+    total = b.sum(axis=0, out=total)
+    total /= len(b)
+    b -= total
     return b
 
 
-def _solve_reduced_3(c, cK, K, b):
+def _solve_reduced_3(c, cK, K, b, rows):
     """Three species: rows 1-2 of M x = b with x_3 = -x_1 - x_2, by Cramer.
-    Every argument but K holds (3, m) species rows."""
+    Every argument but K and rows holds (3, m) species rows; rows holds six
+    (m,) buffers, for the matrix entries, det and one product."""
     c1, c2 = c[0], c[1]
-    a11 = cK[0] + c1 * K[0, 2]
-    a12 = c1 * (K[0, 2] - K[0, 1])
-    a21 = c2 * (K[1, 2] - K[0, 1])
-    a22 = cK[1] + c2 * K[1, 2]
     b1, b2 = b[0], b[1]
-    det = a11 * a22 - a12 * a21
+    a11, a12, a21, a22, det, t = rows
     x = np.empty_like(b)
-    x[0] = (b1 * a22 - a12 * b2) / det
-    x[1] = (a11 * b2 - a21 * b1) / det
-    x[2] = -x[0] - x[1]
+    x1, x2, x3 = x
+    np.multiply(c1, K[0, 2], out=a11)
+    a11 += cK[0]
+    np.multiply(c1, K[0, 2] - K[0, 1], out=a12)
+    np.multiply(c2, K[1, 2] - K[0, 1], out=a21)
+    np.multiply(c2, K[1, 2], out=a22)
+    a22 += cK[1]
+    np.multiply(a11, a22, out=det)
+    det -= np.multiply(a12, a21, out=t)
+    np.multiply(b1, a22, out=x1)
+    x1 -= np.multiply(a12, b2, out=t)
+    x1 /= det
+    np.multiply(a11, b2, out=x2)
+    x2 -= np.multiply(a21, b1, out=t)
+    x2 /= det
+    np.negative(x1, out=x3)
+    x3 -= x2
     return x
 
 

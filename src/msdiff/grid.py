@@ -4,9 +4,10 @@ Cell-centered fields on a 1-3 dimensional torus: central-difference
 gradients and midpoint quadrature; the solver's conservative face
 divergence lives in ``sim``. Every periodic stencil takes its neighbours
 from one shift helper, ``_shift``: two slices and a concatenate,
-byte-equal to numpy's ``roll`` by one cell. A grid computes its spacing,
-cell volume and axis count once and caches them. All reductions use numpy's
-pairwise summation, so results are reproducible across runs.
+byte-equal to numpy's ``roll`` by one cell, into a given buffer or a new
+array. A grid computes its spacing, cell volume and axis count once and
+caches them. All reductions use numpy's pairwise summation, so results
+are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ class PeriodicGrid:
             )
 
 
-def _shift(f, step, axis):
+def _shift(f, step, axis, out=None):
     """Periodic shift by one cell: numpy's ``roll(f, step, axis)`` for
-    step = +1 or -1, as two slices joined by one concatenate (a pure copy)."""
+    step = +1 or -1, as two slices joined by one concatenate (a pure copy),
+    written into ``out`` (of f's shape, any strides) when it is given."""
     axis %= f.ndim
     lead = (slice(None),) * axis
     cut = -1 if step == 1 else 1
     return np.concatenate(
-        (f[lead + (slice(cut, None),)], f[lead + (slice(None, cut),)]), axis=axis
+        (f[lead + (slice(cut, None),)], f[lead + (slice(None, cut),)]), axis=axis, out=out
     )
 
 

@@ -7,6 +7,12 @@ faces of an axis. The divergence telescopes, so species masses are
 conserved to rounding and the zero-sum of the face solves keeps every
 cell on the simplex. Explicit Euler is the default scheme with a Heun
 toggle; the time step respects a parabolic stability bound.
+
+Scratch rule: a face divergence on a grid that this thread has already
+seen allocates only what it returns, the divergence and the face fluxes.
+Its other temporaries, and the kernel's, are reused buffers held per
+thread for the latest shape (``_scratch``); nothing that a caller keeps
+points into them.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._scratch import scratch
 from .flux import DiffusionMatrix, solve_fluxes_batch
 from .grid import ConcentrationState, PeriodicGrid, _shift, gradient, integrate
 
@@ -51,38 +58,54 @@ def _face_divergence(c, D, grid):
     gradients go to the kernel as transposed views of their (n, m) species
     rows, and each face array is a view of the kernel's output: no copies.
     Both periodic neighbours come from the grid's one shift helper; the
-    composition shift is reused in place as the gradient's buffer. Each
-    axis's face difference is added in place to the sum so far, starting
-    from 0.0 (which turns -0.0 into +0.0, as a zero-filled buffer would).
+    composition shift is reused in place as the gradient's buffer. The
+    first axis's face difference is added to 0.0 into a new array (which
+    turns -0.0 into +0.0, as a zero-filled buffer would), and each later
+    axis's difference is added to that sum in place.
+
+    The shifted compositions and gradients, the face compositions and their
+    column sum, the shifted faces and |J| live in this thread's scratch for
+    c.shape (see ``_scratch``). The divergence and the faces are fresh:
+    Heun holds the first divergence across its second call, and ``run``
+    records the faces.
     """
     n = c.shape[0]
+    right, face, total = scratch("face_divergence", c.shape, _divergence_scratch)
     div = 0.0
     faces = []
     fmax = 0.0
     residual = 0.0
     for k, h in enumerate(grid.spacing):
         ax = 1 + k
-        cR = _shift(c, -1, ax)
-        cf = c + cR
+        cR = _shift(c, -1, ax, out=right)
+        cf = np.add(c, cR, out=face)
         cf *= 0.5
-        cf /= cf.sum(axis=0, keepdims=True)
+        cf /= cf.sum(axis=0, keepdims=True, out=total)
         g = np.subtract(cR, c, out=cR)
         g /= h
         J, res = solve_fluxes_batch(cf.reshape(n, -1).T, g.reshape(n, -1).T, D)
         Jf = J.T.reshape(c.shape)
         faces.append(Jf)
-        diff = Jf - _shift(Jf, 1, ax)
-        diff /= h
-        div = np.add(div, diff, out=diff)
-        fmax = max(fmax, float(np.abs(Jf).max()))
+        # the kernel is done with the face compositions and the gradients
+        fmax = max(fmax, float(np.abs(Jf, out=face).max()))
         residual = max(residual, res)
+        diff = _shift(Jf, 1, ax, out=right)
+        np.subtract(Jf, diff, out=diff)
+        diff /= h
+        div = np.add(div, diff, out=div if k else None)
     return div, faces, fmax, residual
+
+
+def _divergence_scratch(*shape):
+    """Two state-sized buffers and one for the face compositions' column sum."""
+    return np.empty(shape), np.empty(shape), np.empty((1,) + shape[1:])
 
 
 def _cell_average(faces, out):
     """Cell-centered flux vectors by averaging face fluxes, into out (n, dim, *cells)."""
     for k, F in enumerate(faces):
-        np.add(F, _shift(F, 1, 1 + k), out=out[:, k])
+        slot = _shift(F, 1, 1 + k, out=out[:, k])
+        slot += F
     out *= 0.5
     return out
 

@@ -1,4 +1,4 @@
-"""Pointwise force-flux inversion against closed forms and dense oracles."""
+"""Batched force-flux inversion against closed forms and dense oracles."""
 
 import math
 from unittest import mock
@@ -12,10 +12,8 @@ from msdiff import flux
 from msdiff.flux import (
     DeltaOutOfRange,
     DiffusionMatrix,
-    InconsistentGradient,
     SingularComposition,
     admissible_delta_max,
-    solve_fluxes,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
     stability_constants,
@@ -35,6 +33,12 @@ def random_problem(rng, n):
     grad = rng.normal(size=(n, 3))
     grad -= grad.mean(axis=0, keepdims=True)
     return D, c, grad
+
+
+def _solve_at_point(c, grad, D):
+    """Fluxes at one composition c (n,) for the gradient columns grad (n, k):
+    each column is one point of a batch that broadcasts c. Returns (n, k)."""
+    return solve_fluxes_batch(np.broadcast_to(c, (grad.shape[1], len(c))), grad.T, D)[0].T
 
 
 def _balance_residual(c, grad, j, D):
@@ -130,9 +134,9 @@ def test_friction_system_column_sums_vanish():
 def test_binary_solve_reduces_to_scalar_diffusion():
     # two species: J1 = -D12 * grad c1 exactly, at any composition
     D = DiffusionMatrix.uniform(2, 2.5)
-    g = np.array([0.4, -0.4])
-    j = solve_fluxes(np.array([0.3, 0.7]), g, D)
-    assert np.abs(j - np.array([-1.0, 1.0])).max() < 1e-14
+    g = np.array([[0.4, -0.4]])
+    j, _ = solve_fluxes_batch(np.array([[0.3, 0.7]]), g, D)
+    assert np.abs(j - np.array([[-1.0, 1.0]])).max() < 1e-14
 
 
 def test_equal_diffusivity_solve_decouples():
@@ -140,7 +144,7 @@ def test_equal_diffusivity_solve_decouples():
     D = DiffusionMatrix.uniform(4, 3.0)
     rng = np.random.default_rng(1)
     _, c, grad = random_problem(rng, 4)
-    j = solve_fluxes(c, grad, D)
+    j = _solve_at_point(c, grad, D)
     assert np.abs(j - (-3.0) * grad).max() < 1e-12
 
 
@@ -149,7 +153,7 @@ def test_solve_matches_lstsq_and_pinv_oracles():
     for n in (2, 3, 4, 6):
         for _ in range(20):
             D, c, grad = random_problem(rng, n)
-            j = solve_fluxes(c, grad, D)
+            j = _solve_at_point(c, grad, D)
             assert _balance_residual(c, grad, j, D) < 1e-12
             assert np.abs(j.sum(axis=0)).max() < 1e-13
             # the oracle on one point per gradient column
@@ -169,36 +173,32 @@ def test_solve_matches_lstsq_and_pinv_oracles():
 
 
 def test_solve_vector_and_scalar_shapes():
+    # one gradient component is one point; an (n, dim) gradient is dim points
     D = DiffusionMatrix.uniform(3, 1.0)
     c = np.full(3, 1.0 / 3.0)
     g1 = np.array([0.2, -0.3, 0.1])
-    j1 = solve_fluxes(c, g1, D)
-    assert j1.shape == (3,)
-    j2 = solve_fluxes(c, np.tile(g1[:, None], (1, 2)), D)
+    j1, _ = solve_fluxes_batch(c[None, :], g1[None, :], D)
+    assert j1.shape == (1, 3)
+    j2 = _solve_at_point(c, np.stack([g1, -2.0 * g1], axis=1), D)
     assert j2.shape == (3, 2)
-    assert np.abs(j2[:, 0] - j1).max() < 1e-15
-
-
-def test_solve_rejects_inconsistent_gradient():
-    D = DiffusionMatrix.uniform(2, 1.0)
-    with pytest.raises(InconsistentGradient):
-        solve_fluxes(np.array([0.5, 0.5]), np.array([0.1, 0.1]), D)
+    assert np.abs(j2[:, 0] - j1[0]).max() < 1e-15
+    assert np.abs(j2[:, 1] + 2.0 * j1[0]).max() < 1e-15
 
 
 @pytest.mark.parametrize(
     "c, grad",
     [
-        ([0.5, 0.5], [0.1, -0.1, 0.0]),  # two entries for three species
-        ([0.2, 0.3, 0.4, 0.1], [0.1, -0.1, 0.0]),  # four
-        ([[0.2, 0.3, 0.5]], [0.1, -0.1, 0.0]),  # a stack, not a vector
-        ([0.2, 0.3, 0.5], [0.1, -0.1]),  # two gradients for three species
-        ([0.2, 0.3, 0.5], [[0.1, -0.1, 0.0]]),  # species on the wrong axis
+        ([[0.5, 0.5]], [[0.1, -0.1, 0.0]]),  # two entries for three species
+        ([[0.2, 0.3, 0.4, 0.1]], [[0.1, -0.1, 0.0]]),  # four
+        ([[0.2, 0.3, 0.5]], [0.1, -0.1, 0.0]),  # a vector, not a stack
+        ([[0.2, 0.3, 0.5]], [[0.1, -0.1]]),  # two gradients for three species
+        ([[0.2, 0.3, 0.5]], [[0.1], [-0.1], [0.0]]),  # species on the wrong axis
     ],
 )
 def test_solve_rejects_a_species_count_that_differs_from_D(c, grad):
     D = DiffusionMatrix.uniform(3, 1.0)
     with pytest.raises(ValueError, match="species"):
-        solve_fluxes(np.array(c), np.array(grad), D)
+        solve_fluxes_batch(np.array(c), np.array(grad), D)
 
 
 def test_batch_solve_agrees_with_pointwise():
@@ -211,8 +211,8 @@ def test_batch_solve_agrees_with_pointwise():
     J, res = solve_fluxes_batch(c, grad, D)
     assert res < 1e-12
     k = 17
-    single = solve_fluxes(c[k], grad[k], D)
-    assert np.abs(J[k] - single).max() < 1e-13
+    single, _ = solve_fluxes_batch(c[k:k + 1], grad[k:k + 1], D)
+    assert np.abs(J[k] - single[0]).max() < 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -304,8 +304,8 @@ def test_kernel_projects_the_rhs_like_a_mean(monkeypatch, n, m):
     seen = []
     project = flux._zero_sum_rhs
 
-    def recording(grad_rows):
-        b = project(grad_rows)
+    def recording(grad_rows, *buffers):
+        b = project(grad_rows, *buffers)
         seen.append(b.copy())
         return b
 
@@ -331,7 +331,7 @@ def test_kernel_result_does_not_depend_on_input_layout(n):
     assert x.shape == (64, n)
     rows, rows_res = solve_fluxes_batch(_species_rows(c), _species_rows(grad), D)
     assert rows.tobytes() == x.tobytes() and rows_res == res
-    # the solve_fluxes front: one composition broadcast over every point
+    # one composition broadcast over every point
     cb = np.broadcast_to(c[-1], c.shape)
     xb, res_b = solve_fluxes_batch(cb, grad, D)
     xc, res_c = solve_fluxes_batch(np.ascontiguousarray(cb), grad, D)
@@ -444,7 +444,7 @@ def test_shifted_solve_matches_plain_solve_exactly():
         D, c, grad = random_problem(rng, n)
         delta = 0.07
         d = c + delta
-        j = solve_fluxes(c, grad, D)
+        j = _solve_at_point(c, grad, D)
         gs = 0.5 * grad / np.sqrt(d)[:, None]
         v = _shifted_velocities(c, delta, gs, D)
         assert np.abs(v - j / d[:, None]).max() < 1e-12
@@ -454,7 +454,7 @@ def test_shifted_solve_matches_plain_solve_exactly():
 def test_shifted_velocities_drift_linearly_in_delta():
     rng = np.random.default_rng(8)
     D, c, grad = random_problem(rng, 3)
-    j = solve_fluxes(c, grad, D)
+    j = _solve_at_point(c, grad, D)
     u = j / c[:, None]
     gaps = []
     for delta in (0.08, 0.04, 0.02, 0.01):
@@ -494,7 +494,7 @@ def test_stability_constants_structure():
 def test_random_solves_stay_certified(n, seed):
     rng = np.random.default_rng(seed)
     D, c, grad = random_problem(rng, n)
-    j = solve_fluxes(c, grad, D)
+    j = _solve_at_point(c, grad, D)
     scale = max(1.0, float(np.abs(grad).max()))
     assert _balance_residual(c, grad, j, D) <= 1e-10 * scale
     assert np.abs(j.sum(axis=0)).max() <= 1e-12 * max(1.0, np.abs(j).max())

@@ -90,6 +90,14 @@ def test_shift_is_roll_by_one_cell_byte_for_byte(shape):
             ref = np.roll(f, step, axis=axis)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
             assert not np.shares_memory(got, f)
+            # into a given buffer: a C-ordered one, and a strided slot out[:, 1]
+            # of a wider array, whose other slot stays as it was
+            buf = np.full_like(f, np.nan)
+            assert _shift(f, step, axis, out=buf) is buf
+            assert buf.tobytes() == ref.tobytes()
+            wide = np.full(f.shape[:1] + (2,) + f.shape[1:], np.nan)
+            slot = _shift(f, step, axis, out=wide[:, 1])
+            assert slot.tobytes() == ref.tobytes() and np.isnan(wide[:, 0]).all()
 
 
 def _gradient_by_roll(f, grid):

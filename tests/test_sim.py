@@ -2,6 +2,9 @@
 
 import importlib
 import math
+import sys
+import threading
+import tracemalloc
 import typing
 from dataclasses import replace
 
@@ -196,6 +199,81 @@ def test_face_divergence_keeps_the_zero_filled_sign_of_zero(monkeypatch, n, cell
     assert np.any(np.signbit(first))  # the -0.0 case occurs
     assert div.tobytes() == ref.tobytes()
     assert not np.any(np.signbit(div))
+
+
+def _random_state(rng, n, cells):
+    c = rng.uniform(0.05, 1.0, size=(n, *cells))
+    return c / c.sum(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("cells", [(128,), (64, 64)])
+def test_face_divergence_allocates_little_beyond_its_outputs(cells):
+    # on a grid seen before, a call allocates its divergence and one face
+    # array per axis; every other temporary is reused scratch
+    grid = PeriodicGrid(cells)
+    c = _random_state(np.random.default_rng(len(cells)), 3, cells)
+    sim._face_divergence(c, D3, grid)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sim._face_divergence(c, D3, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (grid.dim + 1.5) * c.nbytes
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("cells", [(24,), (12, 10)])
+def test_results_do_not_alias_the_scratch(n, cells):
+    rng = np.random.default_rng(10 * n + len(cells))
+    d = np.triu(rng.uniform(0.5, 4.0, size=(n, n)), 1)
+    D = DiffusionMatrix(d + d.T)
+    grid = PeriodicGrid(cells)
+    c, other = _random_state(rng, n, cells), _random_state(rng, n, cells)
+    div, faces, _, _ = sim._face_divergence(c, D, grid)
+    m = math.prod(cells)
+    g = rng.normal(size=(m, n))
+    g -= g.mean(axis=1, keepdims=True)
+    J, _ = solve_fluxes_batch(c.reshape(n, m).T, g, D)
+    kept = [div.tobytes(), [F.tobytes() for F in faces], J.tobytes()]
+    # a second call of the same shape on other data reuses the scratch
+    sim._face_divergence(other, D, grid)
+    solve_fluxes_batch(other.reshape(n, m).T, -2.0 * g, D)
+    assert kept == [div.tobytes(), [F.tobytes() for F in faces], J.tobytes()]
+
+
+def test_threads_running_on_one_grid_match_serial_runs():
+    # more threads than cores, switching often, on one grid and species count:
+    # each thread has its own scratch, so every run matches its serial bytes
+    grid = PeriodicGrid((40, 32))
+    base = Scenario(n=3, D=D3, grid=grid, t_final=0.0004, amplitude=0.4, cadence=3)
+    scenarios = [base, replace(base, mode=2, scheme="heun", amplitude=0.3)] * 2
+    serial = [run(sc) for sc in scenarios[:2]] * 2
+    threaded = [None] * len(scenarios)
+    start = threading.Barrier(len(scenarios))
+
+    def work(k):
+        start.wait(timeout=60)
+        threaded[k] = run(scenarios[k])
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(len(scenarios))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for a, b in zip(serial, threaded):
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.fluxes.tobytes() == b.fluxes.tobytes()
+        assert a.entropy_series == b.entropy_series
+        assert a.residual_series == b.residual_series
 
 
 @pytest.mark.parametrize("cells", [(24,), (2,), (1, 5), (12, 10), (6, 5, 4)])
