@@ -62,6 +62,7 @@ from .sim import (
     exact_binary_mode,
     max_stable_dt,
     run,
+    run_lockstep,
     step,
     twin_experiment,
     weak_form_residual,

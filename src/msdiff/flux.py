@@ -9,7 +9,7 @@ both from c K and c without assembling the matrix. From four species on,
 the rank-one update M + mu c 1' makes every column strictly diagonally
 dominant, so Gaussian elimination without pivoting solves it on
 species-first stacks, one block update over all points per pivot. Every
-solve is gated by its residual, evaluated from the same structure.
+point is gated by its own residual, evaluated from the same structure.
 
 Layout: the batched kernel's public contract is (m, n) points by species,
 with any strides. It computes on (n, m) species rows, so a transposed view
@@ -163,9 +163,12 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     makes the solution of B x = b zero-sum for a zero-sum b, hence M x = b,
     and a shift along the kernel c takes the rounding out of sum x.
     The residual M x - b is evaluated from the same structure as
-    (c K) x - c (K x) - b (K is symmetric); above tolerance times
-    max(1, |grad_c|) (computed only above the unit tolerance), or NaN, it
-    raises SingularComposition. The per-point gradient consistency is not
+    (c K) x - c (K x) - b (K is symmetric). Each point is held to its own
+    scale: when the largest |r| is above residual_tol, every point's
+    largest |r_i| must be within residual_tol * max(1, max_i |grad_c_i|) of
+    that point, so pooling points of different gradient scales into one
+    call loosens no point's test. A point beyond it, or a NaN, raises
+    SingularComposition. The per-point gradient consistency is not
     rechecked here; callers feed gradients that are zero-sum by construction.
 
     Every temporary but the n >= 4 stack B (which holds K x once spent)
@@ -213,13 +216,20 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
         cK *= x
         cK -= cKx
         cK -= b
-        residual = float(np.abs(cK, out=cK).max())
-    if not (residual <= residual_tol
-            or residual <= residual_tol * max(1.0, float(np.abs(grad_c).max()))):
+        r = np.abs(cK, out=cK)
+        residual = float(r.max())
+    if not (residual <= residual_tol or _points_within(r, grad_c, residual_tol)):
         raise SingularComposition(
             f"force-flux residual {residual:.3e} exceeds tolerance"
         )
     return x.T, residual
+
+
+def _points_within(r, grad_c, tol):
+    """Whether every point's largest |r_i| ((n, m) rows) is at most tol *
+    max(1, max_i |grad_c_i|) of that point ((m, n) gradients); NaN is not."""
+    scale = np.maximum(np.abs(grad_c).max(axis=1), 1.0)
+    return bool(np.all(r.max(axis=0) <= tol * scale))
 
 
 def _kernel_scratch(n, m):

@@ -8,6 +8,15 @@ conserved to rounding and the zero-sum of the face solves keeps every
 cell on the simplex. Explicit Euler is the default scheme with a Heun
 toggle; the time step respects a parabolic stability bound.
 
+One private step core, ``_advance``, holds the Euler and Heun arithmetic.
+``step`` is its checked front for one state, and ``run`` loops over
+``step``. ``run_lockstep`` steps several runs of one grid, D, scheme and
+final time together: their states are stacked as (n, B, *cells), the
+members due at a tick are a prefix of the stack, and each stage makes one
+face solve for all of them. Every member comes out byte-equal to its own
+``run``, except that a residual entry is the largest residual of the
+shared solve, so at least the member's own.
+
 Scratch rule: a face divergence on a grid that this thread has already
 seen allocates only what it returns, the divergence and the face fluxes.
 Its other temporaries, and the kernel's, are reused buffers held per
@@ -51,17 +60,22 @@ def max_stable_dt(grid, D):
 def _face_divergence(c, D, grid):
     """Assemble the conservative divergence of the face fluxes.
 
-    Returns (divergence (n, *cells), per-axis face fluxes, max |face flux|,
-    max kernel residual). Face index k holds the face between cells k and
-    k+1 along that axis. Each axis is one kernel call, so the residual gate
-    scales with that axis's own gradients. The face compositions and
-    gradients go to the kernel as transposed views of their (n, m) species
-    rows, and each face array is a view of the kernel's output: no copies.
-    Both periodic neighbours come from the grid's one shift helper; the
-    composition shift is reused in place as the gradient's buffer. The
-    first axis's face difference is added to 0.0 into a new array (which
-    turns -0.0 into +0.0, as a zero-filled buffer would), and each later
-    axis's difference is added to that sum in place.
+    c is (n, *members, *cells): the spatial axes are the last grid.dim,
+    and any axes between the species and the cells stack members that are
+    solved together. Returns (divergence of c's shape, per-axis face
+    fluxes, max |face flux| per member (a scalar without member axes), max
+    kernel residual over the whole call). Face index k holds the face
+    between cells k and k+1 along that axis. Each axis is one kernel call
+    over every member's faces; the kernel holds each face to its own
+    gradient scale, so stacking loosens no residual test, and at n <= 3 a
+    member's results do not depend on what it is stacked with. The face
+    compositions and gradients go to the kernel as transposed views of
+    their (n, m) species rows, and each face array is a view of the
+    kernel's output: no copies. Both periodic neighbours come from the
+    grid's one shift helper; the composition shift is reused in place as
+    the gradient's buffer. The first axis's face difference is added to 0.0
+    into a new array (which turns -0.0 into +0.0, as a zero-filled buffer
+    would), and each later axis's difference is added to that sum in place.
 
     The shifted compositions and gradients, the face compositions and their
     column sum, the shifted faces and |J| live in this thread's scratch for
@@ -69,14 +83,16 @@ def _face_divergence(c, D, grid):
     Heun holds the first divergence across its second call, and ``run``
     records the faces.
     """
-    n = c.shape[0]
+    n, dim = c.shape[0], grid.dim
     right, face, total = scratch("face_divergence", c.shape, _divergence_scratch)
+    # |J| is reduced over the species and the cells, leaving the members
+    red = (0,) + tuple(range(c.ndim - dim, c.ndim))
     div = 0.0
     faces = []
     fmax = 0.0
     residual = 0.0
     for k, h in enumerate(grid.spacing):
-        ax = 1 + k
+        ax = c.ndim - dim + k
         cR = _shift(c, -1, ax, out=right)
         cf = np.add(c, cR, out=face)
         cf *= 0.5
@@ -87,7 +103,7 @@ def _face_divergence(c, D, grid):
         Jf = J.T.reshape(c.shape)
         faces.append(Jf)
         # the kernel is done with the face compositions and the gradients
-        fmax = max(fmax, float(np.abs(Jf, out=face).max()))
+        fmax = np.maximum(fmax, np.abs(Jf, out=face).max(axis=red))
         residual = max(residual, res)
         diff = _shift(Jf, 1, ax, out=right)
         np.subtract(Jf, diff, out=diff)
@@ -130,6 +146,42 @@ def apply_positivity(c, cell_volume, budget=1e-8, trigger=-1e-12):
     return clipped, lost
 
 
+def _clip(c, grid):
+    """apply_positivity on c (n, *cells), or member by member on a fresh
+    stack (n, B, *cells), in place; returns (c, clipped mass per member)."""
+    if c.ndim == 1 + grid.dim:
+        return apply_positivity(c, grid.cell_volume)
+    lost = np.zeros(c.shape[1])
+    if c.min() < 0.0:
+        for i in range(c.shape[1]):
+            c[:, i], lost[i] = apply_positivity(c[:, i], grid.cell_volume)
+    return c, lost
+
+
+def _advance(c, D, grid, dt, scheme):
+    """One explicit step of c, the step body of ``step`` and ``run_lockstep``.
+
+    c is one state (n, *cells) with a scalar dt, or a stack (n, B, *cells)
+    with dt a column that broadcasts against (B, *cells). Returns (new c,
+    max |face flux| and clipped mass, per member for a stack, and the
+    largest kernel residual of the step's face solves).
+    """
+    div, _, fmax, residual = _face_divergence(c, D, grid)
+    if scheme == "euler":
+        c_new = c - dt * div
+        clipped = 0.0
+    elif scheme == "heun":
+        c_pred, clipped = _clip(c - dt * div, grid)
+        div2, _, fmax2, residual2 = _face_divergence(c_pred, D, grid)
+        fmax = np.maximum(fmax, fmax2)
+        residual = max(residual, residual2)
+        c_new = c - 0.5 * dt * (div + div2)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    c_new, lost = _clip(c_new, grid)
+    return c_new, fmax, clipped + lost, residual
+
+
 @dataclass
 class StepInfo:
     flux_max: float
@@ -147,26 +199,10 @@ def step(state, D, dt, scheme="euler"):
     """Advance one explicit step; returns (new state, StepInfo)."""
     grid = state.grid
     _check_stable(dt, grid, D)
-    vol = grid.cell_volume
-    div, _, fmax, residual = _face_divergence(state.c, D, grid)
-    clipped = 0.0
-    if scheme == "euler":
-        c_new = state.c - dt * div
-    elif scheme == "heun":
-        c_pred = state.c - dt * div
-        c_pred, lost = apply_positivity(c_pred, vol)
-        clipped += lost
-        div2, _, fmax2, residual2 = _face_divergence(c_pred, D, grid)
-        fmax = max(fmax, fmax2)
-        residual = max(residual, residual2)
-        c_new = state.c - 0.5 * dt * (div + div2)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    c_new, lost = apply_positivity(c_new, vol)
-    clipped += lost
+    c_new, fmax, clipped, residual = _advance(state.c, D, grid, dt, scheme)
     return (
         ConcentrationState(grid, c_new, state.time + dt),
-        StepInfo(flux_max=fmax, clipped_mass=clipped, residual=residual),
+        StepInfo(flux_max=float(fmax), clipped_mass=clipped, residual=residual),
     )
 
 
@@ -310,8 +346,9 @@ class Trajectory:
 
     Entry k of flux_inf_series, clipped_series and residual_series belongs
     to step k: its largest |face flux|, its clipped mass, and the largest
-    force-flux kernel residual of its face solves. Entry 0, the initial
-    state, is zero in all three.
+    force-flux kernel residual of its face solves (for a ``run_lockstep``
+    member, of the solves it shared). Entry 0, the initial state, is zero
+    in all three.
     """
 
     grid: PeriodicGrid
@@ -352,6 +389,53 @@ class Trajectory:
         )
 
 
+class _EntropyTally:
+    """The mixing entropy of one run's states, in the order they are added,
+    evaluated over blocks of states copied into one buffer. The buffer
+    holds up to ``entropy._BLOCK_VALUES / members`` values (at least one
+    state), so the tallies of ``members`` runs stepped together hold as
+    much as one run's. Each state's value is the same as a per-state
+    evaluation, bit for bit, so the blocking does not change the series."""
+
+    def __init__(self, c, grid, members=1):
+        from .entropy import _BLOCK_VALUES
+
+        self.grid, self.series, self.count = grid, [], 0
+        per = max(1, _BLOCK_VALUES // (members * c.size))
+        self.block = np.empty((c.shape[0], per) + c.shape[1:])
+        self.add(c)
+
+    def add(self, c):
+        if self.count == self.block.shape[1]:
+            self.flush()
+        self.block[:, self.count] = c
+        self.count += 1
+
+    def flush(self):
+        from .entropy import _mixing_entropy
+
+        self.series += _mixing_entropy(self.block[:, :self.count], self.grid).tolist()
+        self.count = 0
+
+
+def _trajectory(scenario, dt, steps, n):
+    """An empty Trajectory for a run of ``steps`` steps of size dt, with
+    room for the S = 1 + ceil(steps / cadence) snapshots."""
+    grid = scenario.grid
+    lead = (1 + -(-steps // scenario.cadence), n)
+    return Trajectory(grid, np.empty(lead + grid.cells), np.empty(lead + (grid.dim,) + grid.cells),
+                      step_times=[0.0], flux_inf_series=[0.0], clipped_series=[0.0],
+                      residual_series=[0.0], dt=dt, scheme=scenario.scheme)
+
+
+def _record(traj, t, c, faces):
+    """Append snapshot (t, c) to traj, with the cell average of its faces."""
+    slot = len(traj.times)
+    traj.times.append(t)
+    traj.states[slot] = c
+    _cell_average(faces, traj.fluxes[slot])
+
+
 def run(scenario):
     """Integrate a scenario, recording snapshots every ``cadence`` steps.
 
@@ -360,45 +444,116 @@ def run(scenario):
     from a face solve of it, fill arrays allocated up front. The mixing
     entropy of every step is evaluated over blocks of states, in the order
     of a per-state evaluation, so it is bit-for-bit the same. Deterministic.
+    Each step goes through ``step``; ``run_lockstep`` is the stacked loop.
     """
-    from .entropy import _BLOCK_VALUES, _mixing_entropy
-
     dt, steps = scenario.resolve_steps()
     state = scenario.initial_state()
     D, grid, cadence = scenario.D, scenario.grid, scenario.cadence
-    lead = (1 + -(-steps // cadence), state.n)
-    states, fluxes = np.empty(lead + grid.cells), np.empty(lead + (grid.dim,) + grid.cells)
-    traj = Trajectory(grid, states, fluxes, step_times=[0.0], flux_inf_series=[0.0],
-                      clipped_series=[0.0], residual_series=[0.0], dt=dt, scheme=scenario.scheme)
-
-    def record(st):
-        slot = len(traj.times)
-        traj.times.append(st.time)
-        traj.states[slot] = st.c
-        _cell_average(_face_divergence(st.c, D, grid)[1], traj.fluxes[slot])
-
-    pending, per = [state.c], max(1, _BLOCK_VALUES // state.c.size)
-
-    def tally():
-        traj.entropy_series += _mixing_entropy(np.stack(pending, axis=1), grid).tolist()
-        pending.clear()
-
-    record(state)
+    traj = _trajectory(scenario, dt, steps, state.n)
+    tally = _EntropyTally(state.c, grid)
+    _record(traj, state.time, state.c, _face_divergence(state.c, D, grid)[1])
 
     for k in range(1, steps + 1):
-        if len(pending) == per:
-            tally()
         state, info = step(state, D, dt, scheme=scenario.scheme)
         state.time = k * dt
         traj.step_times.append(state.time)
-        pending.append(state.c)
+        tally.add(state.c)
         traj.flux_inf_series.append(info.flux_max)
         traj.clipped_series.append(info.clipped_mass)
         traj.residual_series.append(info.residual)
         if k % cadence == 0 or k == steps:
-            record(state)
-    tally()
+            _record(traj, state.time, state.c, _face_divergence(state.c, D, grid)[1])
+    tally.flush()
+    traj.entropy_series = tally.series
     return traj
+
+
+def _lockstep_plan(scenarios):
+    """Check that scenarios can step together and order them: returns the
+    member order, each member's (dt, steps) and step ratio S / steps, and
+    the tick count S. Raises ValueError for an empty list, a mismatched n,
+    grid, D, scheme or t_final, or step ratios that do not divide one
+    another once sorted."""
+    if not scenarios:
+        raise ValueError("run_lockstep needs at least one scenario")
+    first = scenarios[0]
+    for sc in scenarios[1:]:
+        for key, same in (("n", sc.n == first.n), ("grid", sc.grid == first.grid),
+                          ("D", np.array_equal(sc.D.d, first.D.d)),
+                          ("scheme", sc.scheme == first.scheme),
+                          ("t_final", sc.t_final == first.t_final)):
+            if not same:
+                raise ValueError(f"lockstep runs must share {key}")
+    plans = [sc.resolve_steps() for sc in scenarios]
+    ticks = max(steps for _, steps in plans)
+    if any(ticks % steps for _, steps in plans):
+        raise ValueError(f"step counts {[s for _, s in plans]} do not all divide {ticks}")
+    order = sorted(range(len(scenarios)), key=lambda i: ticks // plans[i][1])
+    ratios = [ticks // plans[i][1] for i in order]
+    if any(b % a for a, b in zip(ratios, ratios[1:])):
+        raise ValueError(f"step ratios {ratios} do not divide one another")
+    return order, [plans[i] for i in order], ratios, ticks
+
+
+def run_lockstep(scenarios):
+    """Run scenarios of one grid, D, scheme and t_final together; returns
+    their Trajectories in the order given.
+
+    Member i takes s_i steps; with S the largest, it steps at every tick j
+    of 1..S that its ratio r_i = S / s_i divides. The members are stacked
+    as (n, B, *cells) in order of r_i; when the sorted ratios divide one
+    another (a twin ladder of halved steps, or runs of one dt), the members
+    due at a tick are a prefix of the stack, and each Heun or Euler stage
+    makes one face solve for the whole prefix, with dt a broadcast column.
+    Members that record at the same tick share one snapshot solve. Anything
+    else raises ValueError (see ``_lockstep_plan``).
+
+    Each member's states, fluxes, times, step times, entropy, flux and
+    clipping series are byte-equal to ``run`` of it alone. The kernel is
+    pointwise at n <= 3; at n >= 4 its K c product can round differently
+    with the batch size (seen for single points, not for stacked grids
+    in the tests). Its residual series holds the largest kernel residual
+    of each tick's shared solves, so every entry is at least its own.
+    """
+    order, plans, ratios, ticks = _lockstep_plan(scenarios)
+    members = [scenarios[i] for i in order]
+    D, grid, scheme = members[0].D, members[0].grid, members[0].scheme
+    X = np.stack([sc.initial_state().c for sc in members], axis=1)
+    trajs = [_trajectory(sc, dt, steps, X.shape[0]) for sc, (dt, steps) in zip(members, plans)]
+    tallies = [_EntropyTally(X[:, i], grid, len(members)) for i in range(len(members))]
+    dts = np.array([dt for dt, _ in plans]).reshape((-1,) + (1,) * grid.dim)
+
+    def record(due):
+        # one face solve for every member due, each at its latest step time
+        faces = _face_divergence(X[:, due], D, grid)[1]
+        for t, i in enumerate(due):
+            _record(trajs[i], trajs[i].step_times[-1], X[:, i], [F[:, t] for F in faces])
+
+    record(list(range(len(members))))
+    for j in range(1, ticks + 1):
+        b = 1
+        while b < len(ratios) and j % ratios[b] == 0:
+            b += 1
+        X[:, :b], fmax, clipped, residual = _advance(X[:, :b], D, grid, dts[:b], scheme)
+        due = []
+        for i in range(b):
+            traj, (dt, steps), k = trajs[i], plans[i], j // ratios[i]
+            traj.step_times.append(k * dt)
+            tallies[i].add(X[:, i])
+            traj.flux_inf_series.append(float(fmax[i]))
+            traj.clipped_series.append(float(clipped[i]))
+            traj.residual_series.append(residual)
+            if k % members[i].cadence == 0 or k == steps:
+                due.append(i)
+        if due:
+            record(due)
+    for traj, tally in zip(trajs, tallies):
+        tally.flush()
+        traj.entropy_series = tally.series
+    out = [None] * len(trajs)
+    for i, traj in zip(order, trajs):
+        out[i] = traj
+    return out
 
 
 @dataclass
@@ -413,7 +568,8 @@ def twin_experiment(scenario, perturbation=None, dt_divisor=1):
 
     ``perturbation`` displaces the twin's initial data; ``dt_divisor``
     refines the twin's time step by an integer factor while keeping the
-    snapshot times aligned. Both may be combined.
+    snapshot times aligned. Both may be combined. The two runs step
+    together through ``run_lockstep``.
     """
     from .entropy import gronwall_certificate
 
@@ -427,8 +583,7 @@ def twin_experiment(scenario, perturbation=None, dt_divisor=1):
         cadence=scenario.cadence * int(dt_divisor),
         perturbation=perturbation,
     )
-    base = run(base_sc)
-    twin = run(twin_sc)
+    base, twin = run_lockstep([base_sc, twin_sc])
     cert = gronwall_certificate(base, twin, scenario.D, scenario.delta)
     return TwinResult(base=base, twin=twin, certificate=cert)
 

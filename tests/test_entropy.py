@@ -200,6 +200,29 @@ def test_error_terms_bounds_hold_on_random_pairs():
         )
 
 
+def test_dissipation_bound_is_positive_and_holds_on_near_equal_twins():
+    # shifted compositions a convex step of 1e-3 apart, so R is small and the
+    # lower bound mu S - (2 n mu / delta^2) F^2 R stays positive: unlike on
+    # unrelated fields, where it is negative and Q >= bound cannot fail
+    rng = np.random.default_rng(108)
+    ratios = []
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        grid = PeriodicGrid((10,)) if rng.uniform() < 0.5 else PeriodicGrid((5, 4))
+        vals = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=(n, n)))
+        D = DiffusionMatrix(np.triu(vals, 1) + np.triu(vals, 1).T)
+        delta = float(rng.uniform(0.02, 0.3))
+        d, other, v, vbar = make_pair_fields(rng, grid, n, delta)
+        dbar = 0.999 * d + 0.001 * other
+        vbar -= (dbar[:, None] * vbar).sum(axis=0) / dbar.sum(axis=0)
+        terms = error_terms(d, dbar, v, vbar, D, delta, grid)
+        assert terms.q_lower_bound > 0.0
+        assert terms.q_shifted >= terms.q_lower_bound - 1e-12 * terms.q_lower_bound
+        ratios.append(terms.q_shifted / terms.q_lower_bound)
+    # the bound is close on some draws, so a Q off by a few percent fails
+    assert min(ratios) < 1.1
+
+
 def test_error_terms_delta_guards():
     grid = PeriodicGrid((8,))
     D = DiffusionMatrix.uniform(2, 1.0)

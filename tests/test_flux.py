@@ -500,17 +500,50 @@ def test_random_solves_stay_certified(n, seed):
     assert np.abs(j.sum(axis=0)).max() <= 1e-12 * max(1.0, np.abs(j).max())
 
 
+def _point_residuals(c, grad, D):
+    """Each point's kernel residual inside the whole batch: the same call
+    with every other point's gradient zeroed (a zero gradient solves to
+    zero flux with zero residual), so the compositions and the batch size
+    are those of the full call."""
+    out = []
+    for p in range(len(c)):
+        alone = np.zeros_like(grad)
+        alone[p] = grad[p]
+        out.append(solve_fluxes_batch(c, alone, D)[1])
+    return np.array(out)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_residual_gate_scales_with_the_largest_gradient(n):
+def test_residual_gate_holds_each_point_to_its_own_gradient(n):
     rng = np.random.default_rng(60 + n)
     D, c, grad = _batch_problem(rng, n, 64)
-    c, grad = c[2 * n:], 10.0 * grad[2 * n:]  # interior rows, max |grad| > 2
-    G = float(np.abs(grad).max())
-    _, r0 = solve_fluxes_batch(c, grad, D)
-    assert G > 2.0 and r0 > 0.0
-    # above the unit tolerance 2 r0 / G, within the scaled one 2 r0: passes
-    _, res = solve_fluxes_batch(c, grad, D, residual_tol=2.0 * r0 / G)
-    assert res == r0
-    # above the scaled tolerance r0 / 2 as well: raises
+    # interior rows; a power of two scales residuals exactly and puts every
+    # point's largest |grad| above 1
+    c, grad = c[2 * n:], grad[2 * n:] * 2.0**10
+    # lift the point of the smallest residual ratio far above the rest: it
+    # sets the batch's largest |grad| but not the largest ratio
+    r = _point_residuals(c, grad, D)
+    grad[np.argmin(r / np.abs(grad).max(axis=1))] *= 2.0**12
+    scale = np.abs(grad).max(axis=1)
+    r = _point_residuals(c, grad, D)
+    _, R = solve_fluxes_batch(c, grad, D)
+    assert scale.min() > 1.0 and R == r.max() > 0.0
+    per_point, per_call = (r / scale).max(), R / scale.max()
+    # so the per-call scale, the batch's largest |grad|, is the looser one
+    assert per_call < per_point < R
+    # just above the largest point ratio: passes, with the batch residual
+    _, res = solve_fluxes_batch(c, grad, D, residual_tol=per_point * (1.0 + 1e-9))
+    assert res == R
+    # just below it: one point fails its own scale, though the batch's
+    # residual is within the tolerance times the batch's largest |grad|
+    tol = per_point * (1.0 - 1e-9)
+    assert R <= tol * scale.max()
     with pytest.raises(SingularComposition):
-        solve_fluxes_batch(c, grad, D, residual_tol=r0 / (2.0 * G))
+        solve_fluxes_batch(c, grad, D, residual_tol=tol)
+    # a point with a gradient below 1 keeps the unit scale
+    small = grad / 2.0**40
+    assert np.abs(small).max() < 1.0
+    _, r_small = solve_fluxes_batch(c, small, D)
+    assert r_small == R / 2.0**40
+    with pytest.raises(SingularComposition):
+        solve_fluxes_batch(c, small, D, residual_tol=r_small * (1.0 - 1e-9))

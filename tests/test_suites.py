@@ -33,14 +33,21 @@ def study_config(tmp_path, extra=""):
 
 
 def counting_run(monkeypatch):
+    """Record every scenario run, alone through sim.run or as a member of a
+    sim.run_lockstep call."""
     calls = []
-    real = sim.run
+    real_run, real_lockstep = sim.run, sim.run_lockstep
 
     def counted(scenario):
         calls.append(scenario)
-        return real(scenario)
+        return real_run(scenario)
+
+    def counted_lockstep(scenarios):
+        calls.extend(scenarios)
+        return real_lockstep(scenarios)
 
     monkeypatch.setattr(sim, "run", counted)
+    monkeypatch.setattr(sim, "run_lockstep", counted_lockstep)
     return calls
 
 
@@ -77,14 +84,15 @@ def test_twin_diagnostics_entropies_match_the_functionals(tmp_path, monkeypatch)
     # two functionals directly at every snapshot must give the same floats
     cfg = study_config(tmp_path, "twin-study.halvings = 2\n")
     trajs = []
-    real = sim.run
+    real = sim.run_lockstep
 
-    def recorded(scenario):
-        trajs.append(real(scenario))
-        return trajs[-1]
+    def recorded(scenarios):
+        trajs.extend(real(scenarios))
+        return trajs[-len(scenarios):]
 
-    monkeypatch.setattr(sim, "run", recorded)
+    monkeypatch.setattr(sim, "run_lockstep", recorded)
     suites.twin_study(cfg, np.random.default_rng(0))
+    assert len(trajs) == 4  # rung 0 (the base), two rungs, the twin
     base, twin = trajs[0], trajs[-1]
     with open(tmp_path / "twin_diagnostics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
