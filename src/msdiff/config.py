@@ -16,7 +16,7 @@ import numpy as np
 from .flux import DiffusionMatrix, admissible_delta_max
 from .grid import PeriodicGrid
 from .sim import Perturbation, Scenario, max_stable_dt
-from .suites import SUITE_PARAMS, _SUITES, check_ladder, study_runs
+from .suites import SUITE_PARAMS, _SUITES, study_runs
 
 KNOWN_SUITES = tuple(_SUITES)
 
@@ -224,17 +224,17 @@ def parse_config(text):
 
 
 def check_suites(cfg):
-    """Resolve the steps and build the perturbed initial state of every run
-    of the selected suites, so a study's own perturbation cannot fail late,
-    and resolve the finest rung of each ladder, so none fails after its
-    earlier rungs ran. Sets the warnings that follow from the final suite
-    selection."""
+    """Resolve the steps and build the initial state of every run in the
+    plan of each selected suite (``suites.study_runs``), so no run of a
+    study can fail late: not on the step cap, which the plan holds each
+    ladder's finest run to, and not on a study's own perturbation. Sets
+    the warnings that follow from the final suite selection."""
     for name in cfg.suites:
         try:
-            for _, sc in study_runs(name, cfg.scenario, cfg.params):
-                sc.resolve_steps()
-                sc.initial_state()
-            check_ladder(name, cfg.scenario, cfg.params)
+            for group in study_runs(name, cfg.scenario, cfg.params):
+                for sc in group:
+                    sc.resolve_steps()
+                    sc.initial_state()
         except ValueError as exc:
             raise ValidationError(f"scenario rejected: {name}: {exc}") from None
     cfg.warnings = []

@@ -223,13 +223,22 @@ def spectral_certify(cfg, rng):
 
 
 def study_runs(name, scenario, params):
-    """(base, perturbed) scenario pairs that suite ``name`` certifies.
+    """Every run that suite ``name`` makes, as groups of scenarios that step
+    together; [] for a suite that makes none.
 
-    identity-study: Euler levels, coarse first, each halving h and
-    quartering dt, with the level-0 step taken at cfl 0.25. twin-study:
-    the configured run, perturbed as configured or by a default wave.
+    identity-study: one [base, perturbed] Euler pair per level, coarse
+    first, each level halving h and quartering dt, with the level-0 step
+    taken at cfl 0.25. twin-study: one group, [rung 0 at dt0, rungs 1 to
+    halvings at dt0 / 2^k with one snapshot at the final time, the twin at
+    dt0], the twin perturbed as configured or by a default wave; rung 0
+    keeps the configured cadence and is the certificate's base.
+    convergence-study: one single-run group per level, recording only the
+    initial and final states. The finest run of a ladder is held to the
+    step cap here, so a ladder over the cap raises ValueError naming the
+    key that sets its depth before any of its runs starts.
     """
     if name == "identity-study":
+        key = "identity-study.levels"
         base = replace(
             scenario,
             grid=PeriodicGrid((params["identity-study.cells"],)),
@@ -241,39 +250,35 @@ def study_runs(name, scenario, params):
             perturbation=None,
         )
         base = replace(base, dt=base.resolve_steps()[0])
-        bases = [base.refine(2**lvl) for lvl in range(params["identity-study.levels"])]
+        ladder = [base.refine(2**lvl) for lvl in range(params[key])]
+        _hold_finest(key, params, ladder[-1])
         pert = sim.Perturbation(amplitude=0.02, mode=2)
-    elif name == "twin-study":
-        bases = [replace(scenario, perturbation=None)]
-        pert = scenario.perturbation or sim.Perturbation(amplitude=1e-4, mode=1)
-    else:
-        return []
-    return [(sc, replace(sc, perturbation=pert)) for sc in bases]
-
-
-def _twin_ladder(base, halvings):
-    """The twin ladder's rungs above rung 0: base at dt0 / 2^k, k = 1..halvings,
-    with one snapshot at the final time."""
-    _, steps0 = base.resolve_steps()
-    return [
-        replace(base, dt=base.t_final / s, cadence=s)
-        for s in (steps0 * 2**k for k in range(1, halvings + 1))
-    ]
-
-
-def check_ladder(name, scenario, params):
-    """Resolve the steps of the finest rung of a suite's refinement ladder:
-    the last twin-study rung or the last convergence-study level. A rung
-    over the step cap raises ValueError naming the key that sets the depth,
-    so no ladder meets the cap after its earlier rungs have run."""
+        return [[sc, replace(sc, perturbation=pert)] for sc in ladder]
     if name == "twin-study":
-        [(base, _)] = study_runs(name, scenario, params)
-        key, finest = "twin-study.halvings", _twin_ladder(base, params["twin-study.halvings"])[-1]
-    elif name == "convergence-study":
+        key = "twin-study.halvings"
+        dt0, steps0 = scenario.resolve_steps()
+        base = replace(scenario, dt=dt0, perturbation=None)
+        rungs = [
+            replace(base, dt=base.t_final / s, cadence=s)
+            for s in (steps0 * 2**k for k in range(1, params[key] + 1))
+        ]
+        _hold_finest(key, params, rungs[-1])
+        pert = scenario.perturbation or sim.Perturbation(amplitude=1e-4, mode=1)
+        return [[base, *rungs, replace(base, perturbation=pert)]]
+    if name == "convergence-study":
         key = "convergence-study.levels"
-        finest = _convergence_scenario(params["convergence-study.cells"] * 2 ** (params[key] - 1))
-    else:
-        return
+        ladder = [
+            _convergence_scenario(params["convergence-study.cells"] * 2**lvl)
+            for lvl in range(params[key])
+        ]
+        _hold_finest(key, params, ladder[-1])
+        return [[replace(sc, cadence=sc.resolve_steps()[1])] for sc in ladder]
+    return []
+
+
+def _hold_finest(key, params, finest):
+    """Resolve the steps of a ladder's finest run; a run over the step cap
+    raises ValueError naming the key that sets the ladder's depth."""
     try:
         finest.resolve_steps()
     except ValueError as exc:
@@ -359,21 +364,16 @@ def twin_study(cfg, rng):
     suite = "twin-study"
     scenario = cfg.scenario
     delta = scenario.delta
-    halvings = cfg.params["twin-study.halvings"]
 
     # a ladder of runs from the same data at dt0 / 2^k: run k+1 is the
     # half-step twin of run k, and the gap between their final states must
-    # shrink at least first order in dt under dt halving. Rung 0 keeps the
-    # configured cadence and is also the certificate's base run. The rungs
-    # and the perturbed twin step together, one face solve per stage.
-    [(base_sc, twin_sc)] = study_runs(suite, scenario, cfg.params)
-    dt0, _ = scenario.resolve_steps()
-    ladder = _twin_ladder(base_sc, halvings)
-    base, *rungs, twin = sim.run_lockstep(
-        [replace(base_sc, dt=dt0), *ladder, replace(twin_sc, dt=dt0)]
-    )
+    # shrink at least first order in dt under dt halving. Rung 0 is also
+    # the certificate's base run. The rungs and the perturbed twin step
+    # together, one face solve per stage.
+    [group] = study_runs(suite, scenario, cfg.params)
+    base, *rungs, twin = sim.run_lockstep(group)
     finals = [traj.state(-1) for traj in [base, *rungs]]
-    dts = [dt0] + [sc.dt for sc in ladder[:-1]]
+    dts = [sc.dt for sc in group[:-2]]
     f_gaps = [
         regularized_relative_entropy(a, b, delta) for a, b in zip(finals, finals[1:])
     ]
@@ -417,21 +417,18 @@ def _convergence_scenario(cells):
                         t_final=0.01, preset="binary_mode", amplitude=0.2, mode=1, cfl=0.25)
 
 
-def _convergence_level(cells):
-    sc = _convergence_scenario(cells)
-    _, steps = sc.resolve_steps()
-    traj = sim.run(replace(sc, cadence=steps))
+def _convergence_level(sc):
+    traj = sim.run(sc)
     exact = sim.exact_binary_mode(sc.grid, 1.0, sc.amplitude, sc.mode, sc.t_final)
     err = l2_norm(traj.states[-1] - exact.c, sc.grid) / l2_norm(exact.c, sc.grid)
-    return cells, sc.grid.spacing[0], err
+    return sc.grid.cells[0], sc.grid.spacing[0], err
 
 
 def convergence_study(cfg, rng):
     """Two-species single-mode decay against the closed-form solution."""
     suite = "convergence-study"
-    levels = cfg.params["convergence-study.levels"]
-    jobs = [cfg.params["convergence-study.cells"] * 2**lvl for lvl in range(levels)]
-    rows = _map_jobs(_convergence_level, jobs, cfg.workers)
+    levels = [sc for [sc] in study_runs(suite, cfg.scenario, cfg.params)]
+    rows = _map_jobs(_convergence_level, levels, cfg.workers)
     art = os.path.join(cfg.out_dir, "convergence_study.csv")
     errs, orders = _order_table(art, ["cells", "h", "rel_l2_error"], rows)
     checks = [

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msdiff import config, sim, suites
 from msdiff.cli import main
@@ -375,6 +375,11 @@ def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
             "scenario rejected: convergence-study: the finest run of "
             "convergence-study.levels = 7: the run needs 5.243e+03 steps, more than 1000",
         ),
+        (
+            "suites = identity-study\nidentity-study.levels = 4\n",
+            "scenario rejected: identity-study: the finest run of "
+            "identity-study.levels = 4: the run needs 1.088e+03 steps, more than 1000",
+        ),
     ],
 )
 def test_cli_ladder_rung_over_the_step_cap_exits_two_before_any_run(
@@ -384,6 +389,7 @@ def test_cli_ladder_rung_over_the_step_cap_exits_two_before_any_run(
     monkeypatch.setattr(sim, "MAX_STEPS", 1000)
     runs = []
     monkeypatch.setattr(sim, "run", lambda scenario: runs.append(scenario))
+    monkeypatch.setattr(sim, "run_lockstep", lambda scenarios: runs.extend(scenarios))
     text = MINIMAL + "cells = 4\n" + lines
     out = tmp_path / "out"
     assert main([write_cfg(tmp_path, text), "--out", str(out)]) == 2
@@ -587,12 +593,12 @@ def test_config_fuzz_raises_only_config_errors(edits):
 # CLI fuzz: tiny two-study runs with the keys that shape the initial data
 # drawn from fixed token pools. Whatever the draw, main() returns 0, 1 or 2
 # and no exception escapes.
-CLI_FUZZ_BASE = (
-    "n = 3\nD.1.2 = 1.0\nD.1.3 = 2.0\nD.2.3 = 3.0\ncells = 8\nt_final = 0.0005\n"
-    "suites = identity-study twin-study\nidentity-study.cells = 8\n"
-    "identity-study.levels = 2\nidentity-study.t_final = 0.0005\n"
-    "twin-study.halvings = 2\n"
-)
+CLI_FUZZ_BASE = {
+    "n": "3", "D.1.2": "1.0", "D.1.3": "2.0", "D.2.3": "3.0", "cells": "8",
+    "t_final": "0.0005", "suites": "identity-study twin-study",
+    "identity-study.cells": "8", "identity-study.levels": "2",
+    "identity-study.t_final": "0.0005", "twin-study.halvings": "2",
+}
 CLI_FUZZ_TOKENS = {
     "weights": ["0.2 0.3 0.5", "0.01 0.5 0.49", "0.00001 0.5 0.49999", "1 1 1",
                 "0 1 1", "0.5 0.5", "abc"],
@@ -602,6 +608,11 @@ CLI_FUZZ_TOKENS = {
     "perturb.mode": ["1", "2", "0", "-3"],
     "perturb.species": ["1 2", "2 3", "1 1", "3 4", "1"],
     "cfl": ["0.25", "0.5", "1", "1e-300", "0", "2"],
+    # ladder depths and the grid: tiny valid draws, values under the lowest
+    # admissible one, a non-integer, and runs over the step cap
+    "twin-study.halvings": ["2", "3", "0", "1", "x", "40"],
+    "identity-study.levels": ["2", "3", "0", "1", "x", "40"],
+    "cells": ["8", "4", "0", "1", "x", "1000000"],
 }
 
 
@@ -612,8 +623,12 @@ CLI_FUZZ_TOKENS = {
         optional={k: st.sampled_from(v) for k, v in CLI_FUZZ_TOKENS.items()},
     )
 )
+# each over-cap value alone, so the step cap decides the draw
+@example({"twin-study.halvings": "40"})
+@example({"identity-study.levels": "40"})
+@example({"cells": "1000000"})
 def test_cli_fuzz_exit_codes(edits):
-    text = CLI_FUZZ_BASE + "".join(f"{k} = {v}\n" for k, v in edits.items())
+    text = "".join(f"{k} = {v}\n" for k, v in {**CLI_FUZZ_BASE, **edits}.items())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w") as fh:

@@ -5,7 +5,7 @@ import importlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,6 +49,32 @@ def counting_run(monkeypatch):
     monkeypatch.setattr(sim, "run", counted)
     monkeypatch.setattr(sim, "run_lockstep", counted_lockstep)
     return calls
+
+
+def run_fields(sc):
+    """A scenario's fields, with D as its diffusivities: DiffusionMatrix
+    compares by identity, and each convergence level builds its own."""
+    return {f.name: getattr(sc, f.name) for f in fields(sc)} | {"D": sc.D.d.tolist()}
+
+
+def test_studies_run_exactly_their_plan(tmp_path, monkeypatch):
+    cfg = study_config(
+        tmp_path,
+        "suites = identity-study twin-study convergence-study\n"
+        "twin-study.halvings = 2\n"
+        "convergence-study.cells = 8\nconvergence-study.levels = 2\n",
+    )
+    calls = counting_run(monkeypatch)
+    assert suites.execute(cfg, log=lambda line: None) in (0, 1)
+    plan = [
+        sc
+        for name in cfg.suites
+        for group in suites.study_runs(name, cfg.scenario, cfg.params)
+        for sc in group
+    ]
+    # identity pairs 2 x 2, twin ladder 3 rungs + twin, convergence 2 levels
+    assert len(plan) == 10
+    assert [run_fields(sc) for sc in calls] == [run_fields(sc) for sc in plan]
 
 
 @pytest.mark.parametrize("halvings", [2, 3])
@@ -138,8 +164,10 @@ def test_identity_study_certifies_nothing(tmp_path, monkeypatch):
 
 def test_identity_levels_take_their_step_from_resolve_steps(tmp_path):
     cfg = study_config(tmp_path, "cfl = 0.1\ndt = 0.0001\n")
-    pairs = suites.study_runs("identity-study", cfg.scenario, cfg.params)
-    (base0, twin0), (base1, _) = pairs
+    groups = suites.study_runs("identity-study", cfg.scenario, cfg.params)
+    # one [base, perturbed] group per level, coarse first
+    [base0, twin0], [base1, twin1] = groups
+    assert twin1 == replace(base1, perturbation=twin0.perturbation)
     # the config's cfl and dt are not used: level 0 resolves at cfl 0.25
     auto = replace(base0, dt=None)
     assert auto.cfl == 0.25 and base0.dt == auto.resolve_steps()[0]
@@ -149,10 +177,14 @@ def test_identity_levels_take_their_step_from_resolve_steps(tmp_path):
 
 def test_twin_study_perturbs_with_the_configured_perturbation(tmp_path):
     default = study_config(tmp_path)
-    [(base, twin)] = suites.study_runs("twin-study", default.scenario, default.params)
+    # one group: rung 0, the halvings rungs, then the perturbed twin
+    [[base, *rungs, twin]] = suites.study_runs("twin-study", default.scenario, default.params)
+    assert len(rungs) == default.params["twin-study.halvings"]
+    assert all(sc.perturbation is None for sc in rungs)
     assert base.perturbation is None and twin.perturbation.amplitude == 1e-4
+    assert twin == replace(base, perturbation=twin.perturbation)
     cfg = study_config(tmp_path, "perturb.amplitude = 0.001\n")
-    [(_, twin)] = suites.study_runs("twin-study", cfg.scenario, cfg.params)
+    [[*_, twin]] = suites.study_runs("twin-study", cfg.scenario, cfg.params)
     assert twin.perturbation == cfg.scenario.perturbation
     assert suites.study_runs("flux-certify", cfg.scenario, cfg.params) == []
 
@@ -241,8 +273,8 @@ def test_order_table_survives_zero_residuals(tmp_path):
 
 
 def test_zero_errors_fail_the_order_check_with_strict_json(tmp_path, monkeypatch):
-    def exact(cells):
-        return cells, 1.0 / cells, 0.0
+    def exact(sc):
+        return sc.grid.cells[0], sc.grid.spacing[0], 0.0
 
     monkeypatch.setattr(suites, "_convergence_level", exact)
     cfg = study_config(tmp_path, "suites = convergence-study\n")
