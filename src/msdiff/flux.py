@@ -133,15 +133,6 @@ def _row_times(c, K):
     return c @ K if K.ndim == 2 else np.einsum("mi,mij->mj", c, K)
 
 
-def _friction_system(c, K):
-    """Batched force-flux matrices M = diag(c K) - diag(c) K: (m, n)
-    compositions and a shared (n, n) or per-point (m, n, n) K -> (m, n, n)."""
-    M = -c[:, :, None] * K
-    idx = np.arange(c.shape[1])
-    M[:, idx, idx] = _row_times(c, K)
-    return M
-
-
 def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     """Vectorized force-flux solve for many points, one gradient component.
 
@@ -363,17 +354,18 @@ class StabilityConstants:
 def admissible_delta_max(D):
     """Largest shift for which the dissipation margin mu/4 - c4*delta stays positive."""
     # delta_max depends on D alone; any shift in (0, 1) and flux bound will do
-    return stability_constants(D, 0.5, 0.0, enforce_admissible=False).delta_max
+    return stability_constants(D, 0.5, 0.0).delta_max
 
 
-def stability_constants(D, delta, flux_bound, enforce_admissible=True):
+def stability_constants(D, delta, flux_bound):
     """Explicit constants for the twin stability estimate at shift delta.
 
     flux_bound is the measured sup-norm of the species fluxes c_i u_i along
-    the trajectories. With ``enforce_admissible`` the shift must lie in
-    (0, min(1, mu/(4 c4))) so the certified dissipation margin is positive;
-    pass False to obtain the constants outside that window (the certificates
-    then carry the eroded margin explicitly).
+    the trajectories. A shift outside (0, 1) raises DeltaOutOfRange. Any
+    shift inside it gets its constants; ``admissible`` says whether it also
+    lies below delta_max = min(1, mu/(4 c4)), where the certified
+    dissipation margin mu/4 - c4 delta is positive (outside, the
+    certificates carry the eroded margin explicitly).
     """
     n, mu, M = D.n, D.mu, D.big_m
     F = float(flux_bound)
@@ -385,11 +377,6 @@ def stability_constants(D, delta, flux_bound, enforce_admissible=True):
     c4 = n * M + c2
     c5 = 2.0 * n * mu * F**2 + c1 + c3
     delta_max = min(1.0, mu / (4.0 * c4))
-    admissible = 0.0 < delta < delta_max
-    if enforce_admissible and not admissible:
-        raise DeltaOutOfRange(
-            f"delta={delta} outside admissible interval (0, {delta_max:.6g})"
-        )
     if not 0.0 < delta < 1.0:
         raise DeltaOutOfRange(f"delta must lie in (0, 1), got {delta}")
     return StabilityConstants(
@@ -405,5 +392,5 @@ def stability_constants(D, delta, flux_bound, enforce_admissible=True):
         c4=c4,
         c5=c5,
         delta_max=delta_max,
-        admissible=admissible,
+        admissible=delta < delta_max,
     )

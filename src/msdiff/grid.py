@@ -129,7 +129,7 @@ class ConcentrationState:
     """Molar concentrations of n species on a grid at one instant.
 
     ``c`` has shape (n, *grid.cells); concentrations sum to one in every
-    cell and each lies in [0, 1], up to the validation tolerance.
+    cell and each lies in [0, 1], to within 1e-12 (``validate``).
     """
 
     grid: PeriodicGrid
@@ -148,15 +148,15 @@ class ConcentrationState:
     def n(self):
         return self.c.shape[0]
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         if self.n < 2:
             raise ValueError("need at least two species")
         simplex = np.abs(self.c.sum(axis=0) - 1.0)
-        if simplex.max() > tol:
+        if simplex.max() > 1e-12:
             raise ValueError(
                 f"concentrations do not sum to 1 (max defect {simplex.max():.3e})"
             )
-        if self.c.min() < -tol or self.c.max() > 1.0 + tol:
+        if self.c.min() < -1e-12 or self.c.max() > 1.0 + 1e-12:
             raise ValueError(
                 f"concentrations outside [0, 1]: min {self.c.min():.3e}, "
                 f"max {self.c.max():.3e}"

@@ -126,20 +126,19 @@ def _cell_average(faces, out):
     return out
 
 
-def apply_positivity(c, cell_volume, budget=1e-8, trigger=-1e-12):
+def apply_positivity(c, cell_volume):
     """Clip negative undershoots and renormalize the affected cells.
 
-    Undershoots above ``trigger`` are rounding noise and left alone.
-    Returns (array, clipped mass); raises PositivityFailure beyond budget.
+    Undershoots down to -1e-12 are rounding noise and left alone. Returns
+    (array, clipped mass); raises PositivityFailure beyond 1e-8 clipped mass.
     """
-    worst = float(c.min())
-    if worst >= trigger:
+    if c.min() >= -1e-12:
         return c, 0.0
     clipped = np.maximum(c, 0.0)
     lost = float((clipped - c).sum() * cell_volume)
-    if lost > budget:
+    if lost > 1e-8:
         raise PositivityFailure(
-            f"positivity clipping would move {lost:.3e} mass, budget {budget:.1e}"
+            f"positivity clipping would move {lost:.3e} mass, budget 1.0e-08"
         )
     mask = (c < 0.0).any(axis=0)
     clipped[:, mask] /= clipped[:, mask].sum(axis=0, keepdims=True)
@@ -208,21 +207,19 @@ def step(state, D, dt, scheme="euler"):
 
 @dataclass
 class Perturbation:
-    """Mass-neutral initial perturbation moving mass between two species."""
+    """Mass-neutral initial perturbation: the wave amplitude sin(2 pi mode x / L)
+    along axis 0, added to the first of two species and taken from the second."""
 
     amplitude: float
     mode: int = 1
     species: tuple = (0, 1)
-    axis: int = 0
 
     def apply(self, state):
         grid = state.grid
-        x = grid.axes()[self.axis]
-        shape = [1] * grid.dim
-        shape[self.axis] = len(x)
+        x = grid.axes()[0]
         wave = self.amplitude * np.sin(
-            2.0 * math.pi * self.mode * x / grid.lengths[self.axis]
-        ).reshape(shape)
+            2.0 * math.pi * self.mode * x / grid.lengths[0]
+        ).reshape((-1,) + (1,) * (grid.dim - 1))
         c = state.c.copy()
         i, j = self.species
         c[i] = c[i] + wave
@@ -588,18 +585,18 @@ def twin_experiment(scenario, perturbation=None, dt_divisor=1):
     return TwinResult(base=base, twin=twin, certificate=cert)
 
 
-def exact_binary_mode(grid, d12, amplitude, mode, t, base=0.5, axis=0):
-    """Closed-form two-species solution with a single cosine mode.
+def exact_binary_mode(grid, d12, amplitude, mode, t):
+    """Closed-form two-species solution: one cosine mode along axis 0 about 0.5.
 
     The two-species force balance reduces exactly to a linear diffusion
     equation for the first component, so the profile decays by
     exp(-D (2 pi mode / L)^2 t) with no shape change at any amplitude.
     """
     X = grid.meshgrid()
-    L = grid.lengths[axis]
+    L = grid.lengths[0]
     lam = d12 * (2.0 * math.pi * mode / L) ** 2
-    wave = amplitude * np.cos(2.0 * math.pi * mode * X[axis] / L) * math.exp(-lam * t)
-    return ConcentrationState(grid, np.stack([base + wave, 1.0 - base - wave]), t)
+    wave = amplitude * np.cos(2.0 * math.pi * mode * X[0] / L) * math.exp(-lam * t)
+    return ConcentrationState(grid, np.stack([0.5 + wave, 0.5 - wave]), t)
 
 
 @dataclass
@@ -615,25 +612,21 @@ class GridTestFunction:
     grad: callable
 
 
-def bump_test_function(grid, t_lo, t_hi, mode=1, phases=None, floor=0.5):
+def bump_test_function(grid, t_lo, t_hi):
     """Periodic-in-space, bump-in-time test function with analytic derivatives.
 
-    Space factor: product over axes of (1 + floor * sin(2 pi mode x / L + phase)).
+    Space factor: product over axes k of (1 + 0.5 sin(2 pi x_k / L_k + 0.3 + 0.4 k)).
     Time factor: the standard C-infinity bump rescaled to (t_lo, t_hi); it
     vanishes with all derivatives at both ends. t_lo may be negative, which
     leaves the function active at time zero.
     """
     X = grid.meshgrid()
-    if phases is None:
-        phases = [0.3 + 0.4 * k for k in range(grid.dim)]
     factors = []
     dfactors = []
     for k in range(grid.dim):
-        arg = 2.0 * math.pi * mode * X[k] / grid.lengths[k] + phases[k]
-        factors.append(1.0 + floor * np.sin(arg))
-        dfactors.append(
-            floor * np.cos(arg) * 2.0 * math.pi * mode / grid.lengths[k]
-        )
+        arg = 2.0 * math.pi * X[k] / grid.lengths[k] + (0.3 + 0.4 * k)
+        factors.append(1.0 + 0.5 * np.sin(arg))
+        dfactors.append(0.5 * np.cos(arg) * 2.0 * math.pi / grid.lengths[k])
     space = np.prod(factors, axis=0)
     grad_space = np.stack(
         [

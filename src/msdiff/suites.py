@@ -28,7 +28,6 @@ from .flux import (
     DiffusionMatrix,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
-    _friction_system,
     _shift_correction,
     _symmetric_friction,
 )
@@ -176,6 +175,8 @@ def spectral_certify(cfg, rng):
         proj_range = np.eye(n) - proj_kernel
         # friction scales linearly when the shifted mass is rescaled
         _, scaled = _symmetric_friction(d / lam[:, None], K)
+        # the friction M = diag(s) A diag(s)^-1 of the unshifted c, s = sqrt(c)
+        s0, A0 = _symmetric_friction(c, K)
         defects = {
             # the friction part kills s on the right, the full matrix on the left
             "kernel_action": np.einsum("kij,kj->ki", A, s),
@@ -183,7 +184,7 @@ def spectral_certify(cfg, rng):
             "projector_idempotence": proj_range @ proj_range - proj_range,
             "projector_split": proj_range + proj_kernel - np.eye(n),
             "scaling_identity": A - lam[:, None, None] * scaled,
-            "column_sums": _friction_system(c, K).sum(axis=1),
+            "column_sums": (s0[:, :, None] * A0 / s0[:, None, :]).sum(axis=1),
         }
         for key, val in defects.items():
             worst[key] = max(worst.get(key, 0.0), float(np.abs(val).max()))
@@ -235,11 +236,12 @@ def study_runs(name, scenario, params):
     convergence-study: one single-run group per level, recording only the
     initial and final states. The finest run of a ladder is held to the
     step cap here, so a ladder over the cap raises ValueError naming the
-    key that sets its depth before any of its runs starts.
+    key that sets its depth before any of its runs starts; so does an
+    identity-study level 0 over the cap, naming its cells and t_final.
     """
     if name == "identity-study":
         key = "identity-study.levels"
-        base = replace(
+        level0 = replace(
             scenario,
             grid=PeriodicGrid((params["identity-study.cells"],)),
             t_final=params["identity-study.t_final"],
@@ -249,9 +251,9 @@ def study_runs(name, scenario, params):
             scheme="euler",
             perturbation=None,
         )
-        base = replace(base, dt=base.resolve_steps()[0])
-        ladder = [base.refine(2**lvl) for lvl in range(params[key])]
-        _hold_finest(key, params, ladder[-1])
+        dt0 = _hold("level-0", ["identity-study.cells", "identity-study.t_final"], params, level0)
+        ladder = [replace(level0, dt=dt0).refine(2**lvl) for lvl in range(params[key])]
+        _hold("finest", [key], params, ladder[-1])
         pert = sim.Perturbation(amplitude=0.02, mode=2)
         return [[sc, replace(sc, perturbation=pert)] for sc in ladder]
     if name == "twin-study":
@@ -262,7 +264,7 @@ def study_runs(name, scenario, params):
             replace(base, dt=base.t_final / s, cadence=s)
             for s in (steps0 * 2**k for k in range(1, params[key] + 1))
         ]
-        _hold_finest(key, params, rungs[-1])
+        _hold("finest", [key], params, rungs[-1])
         pert = scenario.perturbation or sim.Perturbation(amplitude=1e-4, mode=1)
         return [[base, *rungs, replace(base, perturbation=pert)]]
     if name == "convergence-study":
@@ -271,18 +273,20 @@ def study_runs(name, scenario, params):
             _convergence_scenario(params["convergence-study.cells"] * 2**lvl)
             for lvl in range(params[key])
         ]
-        _hold_finest(key, params, ladder[-1])
+        _hold("finest", [key], params, ladder[-1])
         return [[replace(sc, cadence=sc.resolve_steps()[1])] for sc in ladder]
     return []
 
 
-def _hold_finest(key, params, finest):
-    """Resolve the steps of a ladder's finest run; a run over the step cap
-    raises ValueError naming the key that sets the ladder's depth."""
+def _hold(which, keys, params, sc):
+    """Resolve the steps of one run and return its dt; a run over the step
+    cap raises ValueError naming it and the keys that set it, with their
+    values."""
     try:
-        finest.resolve_steps()
+        return sc.resolve_steps()[0]
     except ValueError as exc:
-        raise ValueError(f"the finest run of {key} = {params[key]}: {exc}") from None
+        named = ", ".join(f"{k} = {params[k]}" for k in keys)
+        raise ValueError(f"the {which} run of {named}: {exc}") from None
 
 
 def _identity_level(args):

@@ -335,7 +335,8 @@ def test_cli_refuses_an_over_long_run_before_building_its_state(tmp_path, capsys
         ("convergence-study.cells = 0", "convergence-study.cells must be at least 2"),
         (
             "identity-study.t_final = 1e9",
-            "scenario rejected: identity-study: the run needs 8.192e+12 steps",
+            "scenario rejected: identity-study: the level-0 run of identity-study.cells = 32, "
+            "identity-study.t_final = 1000000000.0: the run needs 8.192e+12 steps",
         ),
         # valid weights that the study's own perturbation pushes off the simplex
         (
@@ -380,12 +381,22 @@ def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
             "scenario rejected: identity-study: the finest run of "
             "identity-study.levels = 4: the run needs 1.088e+03 steps, more than 1000",
         ),
+        (
+            "suites = identity-study\nidentity-study.t_final = 0.2\n",
+            "scenario rejected: identity-study: the level-0 run of identity-study.cells = 32, "
+            "identity-study.t_final = 0.2: the run needs 1.638e+03 steps, more than 1000",
+        ),
+        (
+            "suites = identity-study\nidentity-study.cells = 256\n",
+            "scenario rejected: identity-study: the level-0 run of identity-study.cells = 256, "
+            "identity-study.t_final = 0.002: the run needs 1.049e+03 steps, more than 1000",
+        ),
     ],
 )
 def test_cli_ladder_rung_over_the_step_cap_exits_two_before_any_run(
     tmp_path, capsys, monkeypatch, lines, fragment
 ):
-    # with the cap at 1000 steps, the base run fits but the finest rung does not
+    # with the cap at 1000 steps, the base run fits but a study's run does not
     monkeypatch.setattr(sim, "MAX_STEPS", 1000)
     runs = []
     monkeypatch.setattr(sim, "run", lambda scenario: runs.append(scenario))

@@ -138,7 +138,7 @@ def test_dissipation_hand_case_and_invariances():
     q4 = dissipation(w, w, 2.0 * u, 2.0 * ub, D, grid=grid)
     assert abs(q4 - 4.0 * q) < 1e-12
     with pytest.raises(Exception):
-        dissipation(w, w, u, ub, D)  # raw arrays need a grid
+        dissipation(w, w, u, ub, D)  # the grid is required
 
 
 def test_quadratic_log_gap_and_counterexamples():
@@ -452,7 +452,7 @@ def loop_identity_series(traj_a, traj_b, D):
         a, b = traj_a.state(k), traj_b.state(k)
         u = _velocities(traj_a.fluxes[k], a.c)
         ub = _velocities(traj_b.fluxes[k], b.c)
-        q_vals.append(dissipation(a, b, u, ub, D))
+        q_vals.append(dissipation(a.c, b.c, u, ub, D, a.grid))
         rhs_vals.append(_entropy_rhs(a.c, b.c, u, ub, D, a.grid))
         h_vals.append(_symmetrized_entropy(a.c, b.c, a.grid))
     return np.array(h_vals), np.array(q_vals), np.array(rhs_vals)

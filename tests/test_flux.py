@@ -17,7 +17,6 @@ from msdiff.flux import (
     solve_fluxes_batch,
     solve_fluxes_lstsq,
     stability_constants,
-    _friction_system,
     _shift_correction,
     _symmetric_friction,
 )
@@ -41,9 +40,16 @@ def _solve_at_point(c, grad, D):
     return solve_fluxes_batch(np.broadcast_to(c, (grad.shape[1], len(c))), grad.T, D)[0].T
 
 
+def _friction(c, K):
+    """Force-flux matrices M = diag(c K) - diag(c) K of (m, n) positive
+    compositions, as diag(s) A diag(s)^-1 of the symmetric friction A."""
+    s, A = _symmetric_friction(c, K)
+    return s[:, :, None] * A / s[:, None, :]
+
+
 def _balance_residual(c, grad, j, D):
     """Max-norm residual |M j + grad| of the force-flux balance at a point."""
-    M = _friction_system(c[None, :], D.inv)[0]
+    M = _friction(c[None, :], D.inv)[0]
     return float(np.abs(M @ j + grad).max())
 
 
@@ -118,7 +124,7 @@ def test_diffusion_matrix_from_pairs():
 def test_friction_system_closed_form():
     # two species, D12 = 1, c = (0.5, 0.5): M = [[0.5, -0.5], [-0.5, 0.5]]
     D = DiffusionMatrix.uniform(2, 1.0)
-    M = _friction_system(np.array([[0.5, 0.5]]), D.inv)[0]
+    M = _friction(np.array([[0.5, 0.5]]), D.inv)[0]
     assert np.abs(M - np.array([[0.5, -0.5], [-0.5, 0.5]])).max() < 1e-15
 
 
@@ -126,7 +132,10 @@ def test_friction_system_column_sums_vanish():
     rng = np.random.default_rng(0)
     for n in (2, 3, 5):
         D, c, _ = random_problem(rng, n)
-        M = _friction_system(c[None, :], D.inv)[0]
+        M = _friction(c[None, :], D.inv)[0]
+        # the similarity of the symmetric friction is the friction matrix
+        ref = np.diag(c @ D.inv) - c[:, None] * D.inv
+        assert np.abs(M - ref).max() < 1e-14
         assert np.abs(M.sum(axis=0)).max() < 1e-14
         assert np.abs(M @ c).max() < 1e-14  # composition spans the kernel
 
@@ -161,7 +170,7 @@ def test_solve_matches_lstsq_and_pinv_oracles():
             assert np.abs(j - j_ls).max() < 1e-9
             # independent reference: the zero-sum row stacked under the
             # friction system, [M; 1'] x = [-g; 0], solved by least squares
-            M = _friction_system(c[None, :], D.inv)[0]
+            M = _friction(c[None, :], D.inv)[0]
             A = np.vstack([M, np.ones((1, n))])
             rhs = np.vstack([-grad, np.zeros((1, grad.shape[1]))])
             j_bordered = np.linalg.lstsq(A, rhs, rcond=None)[0]
@@ -364,7 +373,7 @@ def test_range_oracle_matches_pseudo_inverse(n):
     c, grad = c[2 * n:], grad[2 * n:]  # interior rows only
     x = solve_fluxes_lstsq(c, grad, D)
     # reference: the SVD pseudo-inverse of M, shifted onto the zero-sum slice
-    M = _friction_system(c, D.inv)
+    M = _friction(c, D.inv)
     ref = np.einsum("mij,mj->mi", np.linalg.pinv(M), -grad)
     ref -= ref.sum(axis=1, keepdims=True) * c
     assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -477,13 +486,13 @@ def test_stability_constants_structure():
     assert abs(k2.c3 / k.c3 - 4.0) < 1e-12
     assert k2.c2 == k.c2 and k2.c4 == k.c4
     assert abs(k.c5 - (2 * 3 * k.mu * 4.0 + k.c1 + k.c3)) < 1e-12
-    with pytest.raises(DeltaOutOfRange):
-        stability_constants(D, 2.0 * cap, flux_bound=1.0)
-    # outside the window the constants are still defined on request
-    loose = stability_constants(D, 2.0 * cap, 1.0, enforce_admissible=False)
-    assert not loose.admissible
-    with pytest.raises(DeltaOutOfRange):
-        stability_constants(D, 1.5, 1.0, enforce_admissible=False)
+    # outside the window the constants are still defined; admissible says so
+    loose = stability_constants(D, 2.0 * cap, flux_bound=1.0)
+    assert not loose.admissible and loose.delta_max == cap
+    assert loose.c4 == k.c4 and loose.velocity_bound == 1.0 / (2.0 * cap)
+    for delta in (1.5, 1.0, 0.0, -0.1):
+        with pytest.raises(DeltaOutOfRange):
+            stability_constants(D, delta, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
