@@ -1,9 +1,9 @@
 """Entropy decay along a three-species mixing run.
 
-Runs a sine-mixed initial state on a periodic interval and prints the
-entropy at each recorded snapshot together with the largest per-step
-increment, which should be negative throughout: the scheme dissipates
-entropy at every step.
+Runs a sine-mixed initial state on a periodic interval, recording a
+snapshot every 16 steps, and prints the entropy at each snapshot together
+with the largest increment between snapshots, which should be negative:
+the scheme dissipates entropy at every step.
 """
 
 import numpy as np
@@ -21,16 +21,14 @@ def main():
 
     print(f"{'time':>10} {'entropy':>16}")
     series = np.asarray(traj.entropy_series)
-    steps = np.arange(series.size) * traj.dt
-    for k in range(0, series.size, max(1, series.size // 10)):
-        print(f"{steps[k]:10.5f} {series[k]:16.12f}")
-    print(f"{steps[-1]:10.5f} {series[-1]:16.12f}")
+    for t, h in zip(traj.times, series):
+        print(f"{t:10.5f} {h:16.12f}")
 
     inc = np.diff(series)
-    print(f"\nlargest per-step increment: {inc.max():.3e} (negative means decay)")
-    print(f"total entropy drop        : {series[0] - series[-1]:.6e}")
-    print(f"mass drift                : {traj.species_mass_drift():.3e}")
-    print(f"simplex defect            : {traj.simplex_defect():.3e}")
+    print(f"\nlargest increment between snapshots: {inc.max():.3e} (negative means decay)")
+    print(f"total entropy drop                 : {series[0] - series[-1]:.6e}")
+    print(f"mass drift                         : {traj.species_mass_drift():.3e}")
+    print(f"simplex defect                     : {traj.simplex_defect():.3e}")
 
 
 if __name__ == "__main__":

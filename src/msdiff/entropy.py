@@ -144,18 +144,19 @@ def _contract(K, f):
 _BLOCK_VALUES = 2**15
 
 
-def _blockwise(fn, traj_a, traj_b):
-    """Evaluate fn(c, cb, J, Jb) over the snapshots of a trajectory pair.
+def _blockwise(fn, *trajs):
+    """Evaluate fn over the snapshots of one or more trajectories.
 
-    fn gets species-first views of a block of S snapshots, states (n, S, *cells)
-    and fluxes (n, dim, S, *cells), and returns a dict of (S,) arrays; each is
-    joined over blocks.
+    fn gets species-first views of a block of S snapshots of each, first
+    the states (n, S, *cells), then the fluxes (n, dim, S, *cells), and
+    returns a dict of (S,) arrays; each is joined over blocks.
     """
-    per = max(1, _BLOCK_VALUES // (traj_a.n * traj_a.fluxes[0].size))
+    first = trajs[0]
+    per = max(1, _BLOCK_VALUES // (first.n * first.fluxes[0].size))
     parts = []
-    for lo in range(0, len(traj_a.states), per):
-        states = [np.moveaxis(t.states[lo:lo + per], 0, 1) for t in (traj_a, traj_b)]
-        fluxes = [np.moveaxis(t.fluxes[lo:lo + per], 0, 2) for t in (traj_a, traj_b)]
+    for lo in range(0, len(first.states), per):
+        states = [np.moveaxis(t.states[lo:lo + per], 0, 1) for t in trajs]
+        fluxes = [np.moveaxis(t.fluxes[lo:lo + per], 0, 2) for t in trajs]
         parts.append(fn(*states, *fluxes))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 

@@ -346,6 +346,9 @@ class Trajectory:
     force-flux kernel residual of its face solves (for a ``run_lockstep``
     member, of the solves it shared). Entry 0, the initial state, is zero
     in all three.
+
+    ``entropy_series`` is per snapshot instead: entry k is the mixing
+    entropy of snapshot k, aligned with ``times``, computed on each read.
     """
 
     grid: PeriodicGrid
@@ -353,7 +356,6 @@ class Trajectory:
     fluxes: np.ndarray
     times: list = field(default_factory=list)
     step_times: list = field(default_factory=list)
-    entropy_series: list = field(default_factory=list)
     flux_inf_series: list = field(default_factory=list)
     clipped_series: list = field(default_factory=list)
     residual_series: list = field(default_factory=list)
@@ -366,6 +368,15 @@ class Trajectory:
 
     def state(self, k):
         return ConcentrationState(self.grid, self.states[k], float(self.times[k]))
+
+    @property
+    def entropy_series(self):
+        """The mixing entropy of each snapshot, evaluated over blocks of
+        ``states``; bit for bit ``entropy(self.state(k))`` for every k."""
+        from .entropy import _blockwise, _mixing_entropy
+
+        cols = _blockwise(lambda c, J: {"entropy": _mixing_entropy(c, self.grid)}, self)
+        return cols["entropy"].tolist()
 
     @property
     def flux_inf(self):
@@ -384,35 +395,6 @@ class Trajectory:
         return max(
             float(np.abs(c.sum(axis=0) - 1.0).max()) for c in self.states
         )
-
-
-class _EntropyTally:
-    """The mixing entropy of one run's states, in the order they are added,
-    evaluated over blocks of states copied into one buffer. The buffer
-    holds up to ``entropy._BLOCK_VALUES / members`` values (at least one
-    state), so the tallies of ``members`` runs stepped together hold as
-    much as one run's. Each state's value is the same as a per-state
-    evaluation, bit for bit, so the blocking does not change the series."""
-
-    def __init__(self, c, grid, members=1):
-        from .entropy import _BLOCK_VALUES
-
-        self.grid, self.series, self.count = grid, [], 0
-        per = max(1, _BLOCK_VALUES // (members * c.size))
-        self.block = np.empty((c.shape[0], per) + c.shape[1:])
-        self.add(c)
-
-    def add(self, c):
-        if self.count == self.block.shape[1]:
-            self.flush()
-        self.block[:, self.count] = c
-        self.count += 1
-
-    def flush(self):
-        from .entropy import _mixing_entropy
-
-        self.series += _mixing_entropy(self.block[:, :self.count], self.grid).tolist()
-        self.count = 0
 
 
 def _trajectory(scenario, dt, steps, n):
@@ -438,30 +420,26 @@ def run(scenario):
 
     The S = 1 + ceil(steps / cadence) snapshots (the initial state, every
     cadence-th step and the last), each a state and its cell-centered fluxes
-    from a face solve of it, fill arrays allocated up front. The mixing
-    entropy of every step is evaluated over blocks of states, in the order
-    of a per-state evaluation, so it is bit-for-bit the same. Deterministic.
+    from a face solve of it, fill arrays allocated up front. The flux,
+    clipping and residual series get one entry per step; the entropy
+    series is read from the snapshots. Deterministic.
     Each step goes through ``step``; ``run_lockstep`` is the stacked loop.
     """
     dt, steps = scenario.resolve_steps()
     state = scenario.initial_state()
     D, grid, cadence = scenario.D, scenario.grid, scenario.cadence
     traj = _trajectory(scenario, dt, steps, state.n)
-    tally = _EntropyTally(state.c, grid)
     _record(traj, state.time, state.c, _face_divergence(state.c, D, grid)[1])
 
     for k in range(1, steps + 1):
         state, info = step(state, D, dt, scheme=scenario.scheme)
         state.time = k * dt
         traj.step_times.append(state.time)
-        tally.add(state.c)
         traj.flux_inf_series.append(info.flux_max)
         traj.clipped_series.append(info.clipped_mass)
         traj.residual_series.append(info.residual)
         if k % cadence == 0 or k == steps:
             _record(traj, state.time, state.c, _face_divergence(state.c, D, grid)[1])
-    tally.flush()
-    traj.entropy_series = tally.series
     return traj
 
 
@@ -505,19 +483,19 @@ def run_lockstep(scenarios):
     Members that record at the same tick share one snapshot solve. Anything
     else raises ValueError (see ``_lockstep_plan``).
 
-    Each member's states, fluxes, times, step times, entropy, flux and
-    clipping series are byte-equal to ``run`` of it alone. The kernel is
-    pointwise at n <= 3; at n >= 4 its K c product can round differently
-    with the batch size (seen for single points, not for stacked grids
-    in the tests). Its residual series holds the largest kernel residual
-    of each tick's shared solves, so every entry is at least its own.
+    Each member's states, fluxes, times, step times, flux and clipping
+    series, and so its entropy series, are byte-equal to ``run`` of it
+    alone. The kernel is pointwise at n <= 3; at n >= 4 its K c product
+    can round differently with the batch size (seen for single points,
+    not for stacked grids in the tests). Its residual series holds the
+    largest kernel residual of each tick's shared solves, so every entry
+    is at least its own.
     """
     order, plans, ratios, ticks = _lockstep_plan(scenarios)
     members = [scenarios[i] for i in order]
     D, grid, scheme = members[0].D, members[0].grid, members[0].scheme
     X = np.stack([sc.initial_state().c for sc in members], axis=1)
     trajs = [_trajectory(sc, dt, steps, X.shape[0]) for sc, (dt, steps) in zip(members, plans)]
-    tallies = [_EntropyTally(X[:, i], grid, len(members)) for i in range(len(members))]
     dts = np.array([dt for dt, _ in plans]).reshape((-1,) + (1,) * grid.dim)
 
     def record(due):
@@ -536,7 +514,6 @@ def run_lockstep(scenarios):
         for i in range(b):
             traj, (dt, steps), k = trajs[i], plans[i], j // ratios[i]
             traj.step_times.append(k * dt)
-            tallies[i].add(X[:, i])
             traj.flux_inf_series.append(float(fmax[i]))
             traj.clipped_series.append(float(clipped[i]))
             traj.residual_series.append(residual)
@@ -544,9 +521,6 @@ def run_lockstep(scenarios):
                 due.append(i)
         if due:
             record(due)
-    for traj, tally in zip(trajs, tallies):
-        tally.flush()
-        traj.entropy_series = tally.series
     out = [None] * len(trajs)
     for i, traj in zip(order, trajs):
         out[i] = traj

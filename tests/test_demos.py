@@ -1,6 +1,8 @@
-"""The walkthrough scripts in demos/ run to completion."""
+"""The walkthrough scripts in demos/ run to completion, and the entropy
+demo prints a decay."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -30,3 +32,6 @@ def test_demo_runs(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if script == "entropy_decay.py":
+        inc = re.search(r"largest increment between snapshots: (\S+)", proc.stdout)
+        assert inc and float(inc.group(1)) < 0.0, proc.stdout

@@ -72,8 +72,8 @@ def test_members_match_their_own_runs(monkeypatch, scheme, stages, cells):
 
 
 def test_entropy_blocks_do_not_change_the_series(monkeypatch):
-    # a run of 24 cells and 3 species blocks 6 states, each of 4 lockstep
-    # members 1 state, and every block boundary falls elsewhere
+    # 500 values give a trajectory of 24 cells and 3 species blocks of 2
+    # snapshots, so three of the four members end in a partial block
     monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES", 500)
     members = ladder(PeriodicGrid((24,)), "heun")
     for traj, member in zip(run_lockstep(members), members):

@@ -27,10 +27,12 @@ from msdiff.sim import (
     exact_binary_mode,
     max_stable_dt,
     run,
+    run_lockstep,
     step,
     twin_experiment,
     weak_form_residual,
 )
+from test_lockstep import ladder
 
 D2 = DiffusionMatrix.uniform(2, 1.5)
 D3 = DiffusionMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
@@ -87,14 +89,37 @@ def test_entropy_series_never_increases():
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("cells", [(16,), (6, 5)])
 def test_entropy_series_equals_the_entropy_of_each_state(monkeypatch, cells, block):
-    if block is not None:  # blocks of two states
+    if block is not None:  # 7 n dim cells values: blocks of two snapshots of n^2 dim cells
         monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
-                            block * math.prod(cells))
+                            block * 3 * len(cells) * math.prod(cells))
     sc = Scenario(n=3, D=D3, grid=PeriodicGrid(cells), t_final=0.002, amplitude=0.4,
                   scheme="heun", cadence=1)
-    traj = run(sc)
-    assert len(traj.entropy_series) == len(traj.states) > 3
-    assert traj.entropy_series == [entropy(traj.state(k)) for k in range(len(traj.states))]
+    dense = run(sc)
+    assert len(dense.entropy_series) == len(dense.states) > 3
+    steps = len(dense.step_times) - 1
+    # sparse cadences, and lockstep members with mixed cadences
+    trajs = [dense] + [run(replace(sc, cadence=c)) for c in (3, steps)]
+    for traj in trajs + run_lockstep(ladder(sc.grid, sc.scheme)):
+        assert len(traj.entropy_series) == len(traj.times) == len(traj.states)
+        assert traj.entropy_series == [entropy(traj.state(k)) for k in range(len(traj.states))]
+
+
+def test_runs_evaluate_no_entropy_until_it_is_read(monkeypatch):
+    entropy_module = importlib.import_module("msdiff.entropy")
+    calls = []
+    real = entropy_module._mixing_entropy
+
+    def counted(c, grid):
+        calls.append(c.shape)
+        return real(c, grid)
+
+    monkeypatch.setattr(entropy_module, "_mixing_entropy", counted)
+    members = ladder(PeriodicGrid((16,)), "euler")
+    trajs = [run(members[0])] + run_lockstep(members)
+    assert calls == []
+    for traj in trajs:
+        assert len(traj.entropy_series) == len(traj.times)
+    assert calls
 
 
 def test_runs_are_deterministic():
