@@ -16,7 +16,7 @@ import numpy as np
 from .flux import DiffusionMatrix, admissible_delta_max
 from .grid import PeriodicGrid
 from .sim import Perturbation, Scenario, max_stable_dt
-from .suites import SUITE_PARAMS, _SUITES, study_runs
+from .suites import SUITE_PARAMS, _SUITES, RunOverCap, study_runs
 
 KNOWN_SUITES = tuple(_SUITES)
 
@@ -40,6 +40,8 @@ class RunConfig:
     params: dict = field(
         default_factory=lambda: {k: v[1] for k, v in SUITE_PARAMS.items()}
     )
+    # the suite keys the config text sets: key -> (line number, raw text)
+    param_sources: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
 
@@ -143,6 +145,7 @@ def parse_config(text):
     entries = _split_lines(text)
     values = {}
     params = {k: v[1] for k, v in SUITE_PARAMS.items()}
+    param_sources = {}
     for key, (raw, lineno) in entries.items():
         if key in _SCALARS:
             values[key] = _convert(key, raw, _SCALARS[key][0], lineno)
@@ -150,6 +153,7 @@ def parse_config(text):
             values[key] = _convert(key, raw, _LISTS[key], lineno, many=True)
         elif key in SUITE_PARAMS:
             params[key] = _suite_param(key, raw, lineno)
+            param_sources[key] = (lineno, raw)
         elif not _is_diffusivity_key(key):
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
     for key, (_, default, _, _) in _SCALARS.items():
@@ -218,6 +222,7 @@ def parse_config(text):
         seed=values["seed"],
         workers=values["workers"],
         params=params,
+        param_sources=param_sources,
     )
     check_suites(cfg)
     return cfg
@@ -227,14 +232,22 @@ def check_suites(cfg):
     """Resolve the steps and build the initial state of every run in the
     plan of each selected suite (``suites.study_runs``), so no run of a
     study can fail late: not on the step cap, which the plan holds each
-    ladder's finest run to, and not on a study's own perturbation. Sets
-    the warnings that follow from the final suite selection."""
+    ladder's finest run to, and not on a study's own perturbation. A run
+    over the cap is refused quoting each suite key that sets it as
+    "line N: key = text", or as "key = value (default)" when the config
+    leaves it out. Sets the warnings that follow from the final suite
+    selection."""
     for name in cfg.suites:
         try:
             for group in study_runs(name, cfg.scenario, cfg.params):
                 for sc in group:
                     sc.resolve_steps()
                     sc.initial_state()
+        except RunOverCap as exc:
+            named = ", ".join(_quote_param(cfg, key) for key in exc.keys)
+            raise ValidationError(
+                f"scenario rejected: {name}: the {exc.which} run of {named}: {exc.reason}"
+            ) from None
         except ValueError as exc:
             raise ValidationError(f"scenario rejected: {name}: {exc}") from None
     cfg.warnings = []
@@ -246,6 +259,13 @@ def check_suites(cfg):
                 f"(mu/(4 c4) = {cap:.6g}); the twin certificate will carry the "
                 f"eroded margin explicitly"
             )
+
+
+def _quote_param(cfg, key):
+    if key in cfg.param_sources:
+        lineno, text = cfg.param_sources[key]
+        return f"line {lineno}: {key} = {text}"
+    return f"{key} = {cfg.params[key]} (default)"
 
 
 def _suite_param(key, text, lineno):

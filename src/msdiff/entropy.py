@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 from .flux import DeltaOutOfRange, stability_constants
 from .grid import GridMismatch, integrate
@@ -84,8 +83,36 @@ def square_renorm():
     )
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _xlogy(x, y):
+    """x ln y, and 0 where x = 0 unless y is NaN; NaN where y < 0. The
+    conventions of scipy.special.xlogy."""
+    with np.errstate(all="ignore"):
+        return np.where((x == 0.0) & (y == y), 0.0, x * np.log(y))
+
+
+def _rel_entr(x, y):
+    """x ln(x/y) where x, y > 0; 0 where x = 0 <= y; +inf elsewhere, and
+    NaN where x or y is. The conventions of scipy.special.rel_entr, and
+    its branches: log1p of (x - y)/y, exact for x/y in (1/2, 2), so near
+    equal fields keep their small values, and ln x - ln y where x/y
+    under- or overflows."""
+    with np.errstate(all="ignore"):
+        ratio = x / y
+        log = np.where(
+            (0.5 < ratio) & (ratio < 2.0),
+            np.log1p((x - y) / y),
+            np.where((_TINY < ratio) & (ratio < math.inf), np.log(ratio), np.log(x) - np.log(y)),
+        )
+        val = x * log
+    finite = ((x > 0.0) & (y > 0.0)) | (x != x) | (y != y)
+    return np.where(finite, val, np.where((x == 0.0) & (y >= 0.0), 0.0, math.inf))
+
+
 def _mixing_entropy(c, grid):
-    return integrate((xlogy(c, c) - c).sum(axis=0), grid)
+    return integrate((_xlogy(c, c) - c).sum(axis=0), grid)
 
 
 def entropy(state):
@@ -96,7 +123,7 @@ def entropy(state):
 def _relative_entropy(c, cb, grid):
     """H(c|cb) = integral of sum_i [c_i ln(c_i/cb_i) - (c_i - cb_i)]; +inf
     where c has mass and cb vanishes, and 0 ln 0 = 0 where c vanishes."""
-    return integrate((rel_entr(c, cb) - (c - cb)).sum(axis=0), grid)
+    return integrate((_rel_entr(c, cb) - (c - cb)).sum(axis=0), grid)
 
 
 def _symmetrized_entropy(c, cb, grid):

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -235,7 +234,7 @@ def study_runs(name, scenario, params):
     keeps the configured cadence and is the certificate's base.
     convergence-study: one single-run group per level, recording only the
     initial and final states. The finest run of a ladder is held to the
-    step cap here, so a ladder over the cap raises ValueError naming the
+    step cap here, so a ladder over the cap raises RunOverCap naming the
     key that sets its depth before any of its runs starts; so does an
     identity-study level 0 over the cap, naming its cells and t_final.
     """
@@ -251,9 +250,9 @@ def study_runs(name, scenario, params):
             scheme="euler",
             perturbation=None,
         )
-        dt0 = _hold("level-0", ["identity-study.cells", "identity-study.t_final"], params, level0)
+        dt0 = _hold("level-0", ["identity-study.cells", "identity-study.t_final"], level0)
         ladder = [replace(level0, dt=dt0).refine(2**lvl) for lvl in range(params[key])]
-        _hold("finest", [key], params, ladder[-1])
+        _hold("finest", [key], ladder[-1])
         pert = sim.Perturbation(amplitude=0.02, mode=2)
         return [[sc, replace(sc, perturbation=pert)] for sc in ladder]
     if name == "twin-study":
@@ -264,7 +263,7 @@ def study_runs(name, scenario, params):
             replace(base, dt=base.t_final / s, cadence=s)
             for s in (steps0 * 2**k for k in range(1, params[key] + 1))
         ]
-        _hold("finest", [key], params, rungs[-1])
+        _hold("finest", [key], rungs[-1])
         pert = scenario.perturbation or sim.Perturbation(amplitude=1e-4, mode=1)
         return [[base, *rungs, replace(base, perturbation=pert)]]
     if name == "convergence-study":
@@ -273,20 +272,27 @@ def study_runs(name, scenario, params):
             _convergence_scenario(params["convergence-study.cells"] * 2**lvl)
             for lvl in range(params[key])
         ]
-        _hold("finest", [key], params, ladder[-1])
+        _hold("finest", [key], ladder[-1])
         return [[replace(sc, cadence=sc.resolve_steps()[1])] for sc in ladder]
     return []
 
 
-def _hold(which, keys, params, sc):
+class RunOverCap(ValueError):
+    """A planned run over the step cap: ``which`` run, the suite ``keys``
+    that set it, and the cap's ``reason``."""
+
+    def __init__(self, which, keys, reason):
+        super().__init__(f"the {which} run of {', '.join(keys)}: {reason}")
+        self.which, self.keys, self.reason = which, keys, reason
+
+
+def _hold(which, keys, sc):
     """Resolve the steps of one run and return its dt; a run over the step
-    cap raises ValueError naming it and the keys that set it, with their
-    values."""
+    cap raises RunOverCap naming it and the keys that set it."""
     try:
         return sc.resolve_steps()[0]
     except ValueError as exc:
-        named = ", ".join(f"{k} = {params[k]}" for k in keys)
-        raise ValueError(f"the {which} run of {named}: {exc}") from None
+        raise RunOverCap(which, keys, str(exc)) from None
 
 
 def _identity_level(args):
@@ -469,6 +475,10 @@ def _order(coarse, fine):
 def _map_jobs(fn, jobs, workers):
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
+    # imported here: the process machinery costs every import of msdiff
+    # about 18 ms, and only a run with workers > 1 needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs))
 

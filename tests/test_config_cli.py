@@ -335,8 +335,9 @@ def test_cli_refuses_an_over_long_run_before_building_its_state(tmp_path, capsys
         ("convergence-study.cells = 0", "convergence-study.cells must be at least 2"),
         (
             "identity-study.t_final = 1e9",
-            "scenario rejected: identity-study: the level-0 run of identity-study.cells = 32, "
-            "identity-study.t_final = 1000000000.0: the run needs 8.192e+12 steps",
+            # the refusal quotes the key's line and its text, not the parsed value
+            "scenario rejected: identity-study: the level-0 run of identity-study.cells = 32 "
+            "(default), line 4: identity-study.t_final = 1e9: the run needs 8.192e+12 steps",
         ),
         # valid weights that the study's own perturbation pushes off the simplex
         (
@@ -367,29 +368,37 @@ def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
     [
         (
             "suites = twin-study\ntwin-study.halvings = 14\n",
-            "scenario rejected: twin-study: the finest run of twin-study.halvings = 14: "
+            "scenario rejected: twin-study: the finest run of line 5: twin-study.halvings = 14: "
             "the run needs 3.277e+04 steps, more than 1000",
         ),
         (
             "suites = convergence-study\nconvergence-study.cells = 4\n"
             "convergence-study.levels = 7\n",
             "scenario rejected: convergence-study: the finest run of "
-            "convergence-study.levels = 7: the run needs 5.243e+03 steps, more than 1000",
+            "line 6: convergence-study.levels = 7: the run needs 5.243e+03 steps, more than 1000",
         ),
         (
             "suites = identity-study\nidentity-study.levels = 4\n",
             "scenario rejected: identity-study: the finest run of "
-            "identity-study.levels = 4: the run needs 1.088e+03 steps, more than 1000",
+            "line 5: identity-study.levels = 4: the run needs 1.088e+03 steps, more than 1000",
         ),
         (
             "suites = identity-study\nidentity-study.t_final = 0.2\n",
-            "scenario rejected: identity-study: the level-0 run of identity-study.cells = 32, "
-            "identity-study.t_final = 0.2: the run needs 1.638e+03 steps, more than 1000",
+            "scenario rejected: identity-study: the level-0 run of identity-study.cells = 32 "
+            "(default), line 5: identity-study.t_final = 0.2: the run needs 1.638e+03 steps, "
+            "more than 1000",
         ),
         (
             "suites = identity-study\nidentity-study.cells = 256\n",
-            "scenario rejected: identity-study: the level-0 run of identity-study.cells = 256, "
-            "identity-study.t_final = 0.002: the run needs 1.049e+03 steps, more than 1000",
+            "scenario rejected: identity-study: the level-0 run of line 5: "
+            "identity-study.cells = 256, identity-study.t_final = 0.002 (default): the run "
+            "needs 1.049e+03 steps, more than 1000",
+        ),
+        (
+            "suites = identity-study\nidentity-study.cells = 64\nidentity-study.t_final = 0.05\n",
+            "scenario rejected: identity-study: the level-0 run of line 5: "
+            "identity-study.cells = 64, line 6: identity-study.t_final = 0.05: the run "
+            "needs 1.638e+03 steps, more than 1000",
         ),
     ],
 )

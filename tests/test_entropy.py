@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from msdiff.entropy import (
     DeltaNonpositive,
     MeshMismatch,
     _entropy_rhs,
+    _rel_entr,
     _relative_entropy,
     _renormalized_entropy,
     _symmetrized_entropy,
     _velocities,
+    _xlogy,
     dissipation,
     entropy,
     error_terms,
@@ -68,6 +71,46 @@ def test_relative_entropy_infinite_on_lost_support():
     a = constant_state(GRID, [0.5, 0.5])
     b = constant_state(GRID, [1.0, 0.0])
     assert _relative_entropy(a.c, b.c, GRID) == math.inf
+
+
+def test_entropy_primitives_edge_conventions():
+    # apply_positivity leaves undershoots down to -1e-12 in place, so the
+    # negative-entry conventions are reachable; none of them may warn
+    x = np.array([0.0, 0.0, 0.5, 0.5, -1e-13, 0.0, 0.5])
+    y = np.array([0.0, 0.5, 0.0, 0.5, -1e-13, -1e-13, -1e-13])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xlogy, rel = _xlogy(x, y), _rel_entr(x, y)
+    # 0 ln 0 = 0, and 0 ln y = 0 for any y but NaN
+    assert xlogy[0] == 0.0 and xlogy[1] == 0.0 and xlogy[5] == 0.0
+    assert xlogy[2] == -math.inf and xlogy[3] == 0.5 * math.log(0.5)
+    assert np.isnan(xlogy[4]) and np.isnan(xlogy[6])
+    assert rel[0] == 0.0 and rel[1] == 0.0 and rel[3] == 0.0
+    # mass where the reference vanishes or goes negative is infinitely far
+    assert rel[2] == math.inf and rel[4] == math.inf and rel[6] == math.inf
+    assert rel[5] == math.inf
+    assert np.isnan(_xlogy(np.array([0.0]), np.array([math.nan])))[0]
+    assert np.isnan(_rel_entr(np.array([math.nan, -1.0]), np.array([-1.0, math.nan]))).all()
+
+
+def test_entropy_primitives_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(22)
+    c = rng.random((3, 4096))
+    c[:, ::97] = 0.0
+    near = c * (1.0 + 1e-3 * rng.standard_normal(c.shape))
+    far = rng.random(c.shape)
+    # ratios that under- and overflow take the ln x - ln y branch
+    extreme = np.array([1e-300, 1e300, 5e-324, 1.0])
+    fields = [(c, c), (c, near), (c, far), (extreme, extreme[::-1])]
+    for x, y in fields:
+        # both sides take the same branches (log1p for x/y in (1/2, 2)), so
+        # they differ only by the rounding of numpy's log and log1p against
+        # the C library's: a few ulp of the result, even where near-equal
+        # fields make it tiny
+        pairs = ((_xlogy(x, y), special.xlogy(x, y)), (_rel_entr(x, y), special.rel_entr(x, y)))
+        for ours, ref in pairs:
+            assert np.all(np.abs(ours - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
 def test_symmetrized_entropy_matches_sum_of_relatives():
