@@ -171,20 +171,26 @@ def _contract(K, f):
 _BLOCK_VALUES = 2**15
 
 
-def _blockwise(fn, *trajs):
-    """Evaluate fn over the snapshots of one or more trajectories.
+def _block_snapshots(states, grid):
+    """Snapshots per block of a stack of states (S, n, *cells): the block's
+    largest temporary, n times its fluxes of n dim cells values a snapshot,
+    holds at most _BLOCK_VALUES values."""
+    return max(1, _BLOCK_VALUES // (states.shape[1] * states[0].size * grid.dim))
 
-    fn gets species-first views of a block of S snapshots of each, first
-    the states (n, S, *cells), then the fluxes (n, dim, S, *cells), and
-    returns a dict of (S,) arrays; each is joined over blocks.
+
+def _blockwise(fn, grid, *arrays):
+    """Evaluate fn over blocks of snapshots of arrays with a leading snapshot
+    axis, the first of them a stack of states (S, n, *cells).
+
+    fn gets a species-first view of each array's block, its snapshot axis
+    moved just before the cells (states (n, S, *cells), fluxes
+    (n, dim, S, *cells)), and returns a dict of (S,) arrays; each is joined
+    over blocks.
     """
-    first = trajs[0]
-    per = max(1, _BLOCK_VALUES // (first.n * first.fluxes[0].size))
+    per = _block_snapshots(arrays[0], grid)
     parts = []
-    for lo in range(0, len(first.states), per):
-        states = [np.moveaxis(t.states[lo:lo + per], 0, 1) for t in trajs]
-        fluxes = [np.moveaxis(t.fluxes[lo:lo + per], 0, 2) for t in trajs]
-        parts.append(fn(*states, *fluxes))
+    for lo in range(0, len(arrays[0]), per):
+        parts.append(fn(*(np.moveaxis(a[lo:lo + per], 0, a.ndim - 1 - grid.dim) for a in arrays)))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
@@ -288,7 +294,8 @@ def _pair_columns(traj_a, traj_b, D, delta=None):
             j1=j1, j2=j2, j3=j3, j4=j4,
         )
 
-    return ta, _blockwise(columns, traj_a, traj_b)
+    return ta, _blockwise(columns, grid, traj_a.states, traj_b.states,
+                          traj_a.fluxes, traj_b.fluxes)
 
 
 @dataclass

@@ -17,6 +17,10 @@ face solve for all of them. Every member comes out byte-equal to its own
 ``run``, except that a residual entry is the largest residual of the
 shared solve, so at least the member's own.
 
+A run records states only: its steps make all its face solves. A
+Trajectory solves the fluxes of its snapshots when they are first read,
+one face solve per block of snapshots, and keeps them.
+
 Scratch rule: a face divergence on a grid that this thread has already
 seen allocates only what it returns, the divergence and the face fluxes.
 Its other temporaries, and the kernel's, are reused buffers held per
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,8 +85,9 @@ def _face_divergence(c, D, grid):
     The shifted compositions and gradients, the face compositions and their
     column sum, the shifted faces and |J| live in this thread's scratch for
     c.shape (see ``_scratch``). The divergence and the faces are fresh:
-    Heun holds the first divergence across its second call, and ``run``
-    records the faces.
+    Heun holds the first divergence across its second call, and
+    ``Trajectory.fluxes`` averages the faces of a block of snapshots into
+    the array it keeps.
     """
     n, dim = c.shape[0], grid.dim
     right, face, total = scratch("face_divergence", c.shape, _divergence_scratch)
@@ -118,9 +124,10 @@ def _divergence_scratch(*shape):
 
 
 def _cell_average(faces, out):
-    """Cell-centered flux vectors by averaging face fluxes, into out (n, dim, *cells)."""
+    """Cell-centered flux vectors by averaging face fluxes (n, *members,
+    *cells), into out (n, dim, *members, *cells) of any strides."""
     for k, F in enumerate(faces):
-        slot = _shift(F, 1, 1 + k, out=out[:, k])
+        slot = _shift(F, 1, F.ndim - len(faces) + k, out=out[:, k])
         slot += F
     out *= 0.5
     return out
@@ -337,15 +344,18 @@ def _build_preset(sc):
 class Trajectory:
     """Recorded snapshots of one run, plus per-step scalar series.
 
-    Snapshot k sits in slot k of two stacked arrays: ``states`` is
-    (S, n, *cells) and ``fluxes``, the cell-averaged fluxes of each state,
-    (S, n, dim, *cells). Index, iterate or call ``state(k)`` to read one.
+    Snapshot k sits in slot k of ``states``, (S, n, *cells); index,
+    iterate or call ``state(k)`` to read one. ``fluxes``, the cell-averaged
+    fluxes of each state, (S, n, dim, *cells), is solved with the run's
+    ``D`` on first read and kept.
 
     Entry k of flux_inf_series, clipped_series and residual_series belongs
     to step k: its largest |face flux|, its clipped mass, and the largest
     force-flux kernel residual of its face solves (for a ``run_lockstep``
     member, of the solves it shared). Entry 0, the initial state, is zero
-    in all three.
+    in all three. Every snapshot but the last was held to the kernel's
+    residual test as its next step's first stage; the last is held to it
+    when ``fluxes`` is first read.
 
     ``entropy_series`` is per snapshot instead: entry k is the mixing
     entropy of snapshot k, aligned with ``times``, computed on each read.
@@ -353,7 +363,7 @@ class Trajectory:
 
     grid: PeriodicGrid
     states: np.ndarray
-    fluxes: np.ndarray
+    D: DiffusionMatrix
     times: list = field(default_factory=list)
     step_times: list = field(default_factory=list)
     flux_inf_series: list = field(default_factory=list)
@@ -369,13 +379,32 @@ class Trajectory:
     def state(self, k):
         return ConcentrationState(self.grid, self.states[k], float(self.times[k]))
 
+    @cached_property
+    def fluxes(self):
+        """The cell-averaged fluxes of every snapshot, read-only: blocks of
+        snapshots of the entropy pass's size each make one face solve, as
+        member axes (n, S_block, *cells), so no temporary grows with S. At
+        n <= 3 entry k is bit for bit the average of a face solve of state k
+        alone. Raises SingularComposition if a face fails the kernel's
+        residual test."""
+        from .entropy import _block_snapshots
+
+        grid = self.grid
+        out = np.empty(self.states.shape[:2] + (grid.dim,) + grid.cells)
+        per = _block_snapshots(self.states, grid)
+        for lo in range(0, len(out), per):
+            faces = _face_divergence(np.moveaxis(self.states[lo:lo + per], 0, 1), self.D, grid)[1]
+            _cell_average(faces, np.moveaxis(out[lo:lo + per], 0, 2))
+        out.flags.writeable = False
+        return out
+
     @property
     def entropy_series(self):
         """The mixing entropy of each snapshot, evaluated over blocks of
         ``states``; bit for bit ``entropy(self.state(k))`` for every k."""
         from .entropy import _blockwise, _mixing_entropy
 
-        cols = _blockwise(lambda c, J: {"entropy": _mixing_entropy(c, self.grid)}, self)
+        cols = _blockwise(lambda c: {"entropy": _mixing_entropy(c, self.grid)}, self.grid, self.states)
         return cols["entropy"].tolist()
 
     @property
@@ -402,44 +431,43 @@ def _trajectory(scenario, dt, steps, n):
     room for the S = 1 + ceil(steps / cadence) snapshots."""
     grid = scenario.grid
     lead = (1 + -(-steps // scenario.cadence), n)
-    return Trajectory(grid, np.empty(lead + grid.cells), np.empty(lead + (grid.dim,) + grid.cells),
-                      step_times=[0.0], flux_inf_series=[0.0], clipped_series=[0.0],
-                      residual_series=[0.0], dt=dt, scheme=scenario.scheme)
+    return Trajectory(grid, np.empty(lead + grid.cells), scenario.D, step_times=[0.0],
+                      flux_inf_series=[0.0], clipped_series=[0.0], residual_series=[0.0],
+                      dt=dt, scheme=scenario.scheme)
 
 
-def _record(traj, t, c, faces):
-    """Append snapshot (t, c) to traj, with the cell average of its faces."""
-    slot = len(traj.times)
+def _record(traj, t, c):
+    """Append snapshot (t, c) to traj."""
+    traj.states[len(traj.times)] = c
     traj.times.append(t)
-    traj.states[slot] = c
-    _cell_average(faces, traj.fluxes[slot])
 
 
 def run(scenario):
     """Integrate a scenario, recording snapshots every ``cadence`` steps.
 
     The S = 1 + ceil(steps / cadence) snapshots (the initial state, every
-    cadence-th step and the last), each a state and its cell-centered fluxes
-    from a face solve of it, fill arrays allocated up front. The flux,
-    clipping and residual series get one entry per step; the entropy
-    series is read from the snapshots. Deterministic.
-    Each step goes through ``step``; ``run_lockstep`` is the stacked loop.
+    cadence-th step and the last) fill a stack of states allocated up
+    front; the run solves no face of a snapshot, and its fluxes are solved
+    when ``Trajectory.fluxes`` is first read, which is when the last state
+    meets the kernel's residual test. The flux, clipping and residual
+    series get one entry per step; the entropy series is read from the
+    snapshots. Deterministic. Each step goes through ``step``;
+    ``run_lockstep`` is the stacked loop.
     """
     dt, steps = scenario.resolve_steps()
     state = scenario.initial_state()
-    D, grid, cadence = scenario.D, scenario.grid, scenario.cadence
     traj = _trajectory(scenario, dt, steps, state.n)
-    _record(traj, state.time, state.c, _face_divergence(state.c, D, grid)[1])
+    _record(traj, state.time, state.c)
 
     for k in range(1, steps + 1):
-        state, info = step(state, D, dt, scheme=scenario.scheme)
+        state, info = step(state, scenario.D, dt, scheme=scenario.scheme)
         state.time = k * dt
         traj.step_times.append(state.time)
         traj.flux_inf_series.append(info.flux_max)
         traj.clipped_series.append(info.clipped_mass)
         traj.residual_series.append(info.residual)
-        if k % cadence == 0 or k == steps:
-            _record(traj, state.time, state.c, _face_divergence(state.c, D, grid)[1])
+        if k % scenario.cadence == 0 or k == steps:
+            _record(traj, state.time, state.c)
     return traj
 
 
@@ -480,14 +508,15 @@ def run_lockstep(scenarios):
     another (a twin ladder of halved steps, or runs of one dt), the members
     due at a tick are a prefix of the stack, and each Heun or Euler stage
     makes one face solve for the whole prefix, with dt a broadcast column.
-    Members that record at the same tick share one snapshot solve. Anything
-    else raises ValueError (see ``_lockstep_plan``).
+    A member due to record copies its state into its own Trajectory and
+    solves nothing for it, as in ``run``. Anything else raises ValueError
+    (see ``_lockstep_plan``).
 
-    Each member's states, fluxes, times, step times, flux and clipping
-    series, and so its entropy series, are byte-equal to ``run`` of it
-    alone. The kernel is pointwise at n <= 3; at n >= 4 its K c product
-    can round differently with the batch size (seen for single points,
-    not for stacked grids in the tests). Its residual series holds the
+    Each member's states, times, step times, flux and clipping series, and
+    so its entropy series and the fluxes read from its states, are
+    byte-equal to ``run`` of it alone. The kernel is pointwise at n <= 3;
+    at n >= 4 its K c product can round differently with the batch size
+    (seen for single points, not for stacked grids in the tests). Its residual series holds the
     largest kernel residual of each tick's shared solves, so every entry
     is at least its own.
     """
@@ -497,20 +526,14 @@ def run_lockstep(scenarios):
     X = np.stack([sc.initial_state().c for sc in members], axis=1)
     trajs = [_trajectory(sc, dt, steps, X.shape[0]) for sc, (dt, steps) in zip(members, plans)]
     dts = np.array([dt for dt, _ in plans]).reshape((-1,) + (1,) * grid.dim)
+    for i, traj in enumerate(trajs):
+        _record(traj, 0.0, X[:, i])
 
-    def record(due):
-        # one face solve for every member due, each at its latest step time
-        faces = _face_divergence(X[:, due], D, grid)[1]
-        for t, i in enumerate(due):
-            _record(trajs[i], trajs[i].step_times[-1], X[:, i], [F[:, t] for F in faces])
-
-    record(list(range(len(members))))
     for j in range(1, ticks + 1):
         b = 1
         while b < len(ratios) and j % ratios[b] == 0:
             b += 1
         X[:, :b], fmax, clipped, residual = _advance(X[:, :b], D, grid, dts[:b], scheme)
-        due = []
         for i in range(b):
             traj, (dt, steps), k = trajs[i], plans[i], j // ratios[i]
             traj.step_times.append(k * dt)
@@ -518,9 +541,7 @@ def run_lockstep(scenarios):
             traj.clipped_series.append(float(clipped[i]))
             traj.residual_series.append(residual)
             if k % members[i].cadence == 0 or k == steps:
-                due.append(i)
-        if due:
-            record(due)
+                _record(traj, k * dt, X[:, i])
     out = [None] * len(trajs)
     for i, traj in zip(order, trajs):
         out[i] = traj

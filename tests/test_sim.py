@@ -13,7 +13,7 @@ import pytest
 
 from msdiff import sim
 from msdiff.entropy import entropy, identity_renorm
-from msdiff.flux import DiffusionMatrix, solve_fluxes_batch
+from msdiff.flux import DiffusionMatrix, SingularComposition, solve_fluxes_batch
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate, l2_norm
 from msdiff.mollify import fit_loglog
 from msdiff.sim import (
@@ -131,17 +131,90 @@ def test_runs_are_deterministic():
     assert a.entropy_series == b.entropy_series
 
 
+def _fresh_snapshot_fluxes(traj, D):
+    """Each snapshot's cell-averaged fluxes from a face solve of it alone."""
+    return [sim._cell_average(sim._face_divergence(c, D, traj.grid)[1],
+                              np.empty((traj.n, traj.grid.dim) + traj.grid.cells))
+            for c in traj.states]
+
+
+def _blocks_of(monkeypatch, per, n, grid):
+    """Make Trajectory.fluxes read per snapshots a block."""
+    monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
+                        per * n * n * grid.dim * math.prod(grid.cells))
+
+
 @pytest.mark.parametrize("scheme", ["euler", "heun"])
 @pytest.mark.parametrize("cadence", [1, 3, "steps"])
-def test_snapshot_fluxes_equal_a_fresh_solve(scheme, cadence):
-    sc = Scenario(n=3, D=D3, grid=PeriodicGrid((12, 10)), t_final=0.002,
-                  amplitude=0.4, scheme=scheme)
-    steps = sc.resolve_steps()[1]
-    traj = run(replace(sc, cadence=steps if cadence == "steps" else cadence))
-    assert len(traj.fluxes) == len(traj.states) >= 2
-    for c, J in zip(traj.states, traj.fluxes):
-        fresh = sim._cell_average(sim._face_divergence(c, D3, traj.grid)[1], np.empty_like(J))
-        assert J.tobytes() == fresh.tobytes()
+def test_snapshot_fluxes_equal_a_fresh_solve(monkeypatch, scheme, cadence):
+    for n, D, cells in [(3, D3, (12, 10)), (2, D2, (12, 10)), (3, D3, (24,)), (2, D2, (24,))]:
+        sc = Scenario(n=n, D=D, grid=PeriodicGrid(cells), t_final=0.002,
+                      amplitude=0.4, scheme=scheme)
+        steps = sc.resolve_steps()[1]
+        sc = replace(sc, cadence=steps if cadence == "steps" else cadence)
+        for several in (False, True):
+            traj = run(sc)
+            S = len(traj.states)
+            with monkeypatch.context() as patch:
+                if several:  # blocks that leave the last one partial; of 1 for S = 2
+                    per = next(p for p in (3, 4, 5) if S % p) if S > 2 else 1
+                    _blocks_of(patch, per, n, sc.grid)
+                J = traj.fluxes
+            assert J.shape == (S, n, len(cells)) + cells
+            for got, fresh in zip(J, _fresh_snapshot_fluxes(traj, D)):
+                assert got.tobytes() == fresh.tobytes()
+
+
+def test_snapshot_fluxes_at_four_species_agree_with_a_fresh_solve(monkeypatch):
+    # at n >= 4 the kernel's K c product may round with the batch size, so
+    # a stacked read is held to 1e-14 relative, not bit equality; the gap
+    # observed here, and for n = 4..6 on 1-D and 2-D grids, was 0
+    n, grid = 4, PeriodicGrid((12, 10))
+    rng = np.random.default_rng(11)
+    d = np.triu(rng.uniform(0.5, 4.0, size=(n, n)), 1)
+    D = DiffusionMatrix(d + d.T)
+    _blocks_of(monkeypatch, 3, n, grid)
+    traj = run(Scenario(n=n, D=D, grid=grid, t_final=0.002, amplitude=0.4, scheme="heun"))
+    assert len(traj.states) % 3
+    for J, fresh in zip(traj.fluxes, _fresh_snapshot_fluxes(traj, D)):
+        assert np.abs(J - fresh).max() <= 1e-14 * np.abs(fresh).max()
+
+
+def test_flux_reads_are_kept_and_read_only():
+    traj = run(Scenario(n=3, D=D3, grid=PeriodicGrid((16,)), t_final=0.001, cadence=3))
+    J = traj.fluxes
+    assert traj.fluxes is J and not J.flags.writeable
+    with pytest.raises(ValueError):
+        J[0] = 0.0
+
+
+def test_only_a_flux_read_solves_faces_after_a_run(monkeypatch):
+    members = ladder(PeriodicGrid((12, 10)), "heun")
+    trajs = [run(members[0])] + run_lockstep(members)
+
+    def refuse(c, D, grid):
+        raise AssertionError("face solve after the run")
+
+    monkeypatch.setattr(sim, "_face_divergence", refuse)
+    for traj in trajs:
+        assert len(traj.states) == len(traj.times) == len(traj.entropy_series)
+        assert len(traj.flux_inf_series) == len(traj.step_times)
+        assert [traj.state(k).time for k in range(len(traj.times))] == traj.times
+        with pytest.raises(AssertionError, match="face solve after the run"):
+            traj.fluxes
+
+
+def test_a_degenerate_last_snapshot_fails_on_the_flux_read():
+    # a run gates every snapshot but the last as its next step's first
+    # stage; the last one is gated when the fluxes are first read
+    grid = PeriodicGrid((8,))
+    good = np.full((3, 8), 1.0 / 3.0)
+    bad = good.copy()
+    bad[:, 3:5] = 0.0  # two empty cells: their face composition is 0 / 0
+    traj = sim.Trajectory(grid, np.stack([good, good, bad]), D3, times=[0.0, 1.0, 2.0])
+    assert len(traj.entropy_series) == 3
+    with np.errstate(invalid="ignore"), pytest.raises(SingularComposition):
+        traj.fluxes
 
 
 def _face_divergence_reference(c, D, grid):
@@ -281,7 +354,9 @@ def test_threads_running_on_one_grid_match_serial_runs():
 
     def work(k):
         start.wait(timeout=60)
-        threaded[k] = run(scenarios[k])
+        traj = run(scenarios[k])
+        traj.fluxes  # solved in this thread, on its scratch
+        threaded[k] = traj
 
     workers = [threading.Thread(target=work, args=(k,)) for k in range(len(scenarios))]
     interval = sys.getswitchinterval()
@@ -304,12 +379,16 @@ def test_threads_running_on_one_grid_match_serial_runs():
 @pytest.mark.parametrize("cells", [(24,), (2,), (1, 5), (12, 10), (6, 5, 4)])
 def test_cell_average_matches_its_roll_reference(cells):
     rng = np.random.default_rng(len(cells) + sum(cells))
-    faces = [rng.normal(size=(3, *cells)) for _ in cells]
-    # the np.roll form of _cell_average, kept as its byte-level reference
-    ref = np.stack(
-        [0.5 * (F + np.roll(F, 1, axis=1 + k)) for k, F in enumerate(faces)], axis=1
-    )
-    assert sim._cell_average(faces, np.empty_like(ref)).tobytes() == ref.tobytes()
+    for members in [(), (4,)]:
+        faces = [rng.normal(size=(3, *members, *cells)) for _ in cells]
+        # the np.roll form of _cell_average, kept as its byte-level reference
+        ref = np.stack([0.5 * (F + np.roll(F, 1, axis=1 + len(members) + k))
+                        for k, F in enumerate(faces)], axis=1)
+        assert sim._cell_average(faces, np.empty_like(ref)).tobytes() == ref.tobytes()
+        if members:  # into a strided view, as a block of Trajectory.fluxes
+            out = np.empty((4, 3, len(cells), *cells))
+            sim._cell_average(faces, np.moveaxis(out, 0, 2))
+            assert np.moveaxis(out, 0, 2).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("cells", [(16,), (8, 6)])
@@ -341,7 +420,7 @@ def test_annotations_resolve(cls):
 
 @pytest.mark.parametrize("scheme,stages", [("euler", 1), ("heun", 2)])
 @pytest.mark.parametrize("cadence", [1, 3])
-def test_run_steps_through_step_and_solves_each_snapshot(monkeypatch, scheme, stages, cadence):
+def test_run_steps_through_step_and_solves_snapshots_on_read(monkeypatch, scheme, stages, cadence):
     calls = {"faces": 0, "step": 0}
 
     def counting(key, fn):
@@ -358,7 +437,13 @@ def test_run_steps_through_step_and_solves_each_snapshot(monkeypatch, scheme, st
     traj = run(sc)
     assert calls["step"] == steps
     assert len(traj.states) == 1 + math.ceil(steps / cadence)
-    assert calls["faces"] == steps * stages + len(traj.states)
+    # the steps' stages are the run's only face solves
+    assert calls["faces"] == steps * stages
+    # the first flux read solves blocks of two snapshots; later reads none
+    _blocks_of(monkeypatch, 2, 3, sc.grid)
+    traj.fluxes
+    traj.fluxes
+    assert calls["faces"] == steps * stages + math.ceil(len(traj.states) / 2)
 
 
 def test_residual_series_carries_each_steps_kernel_residual():
