@@ -8,8 +8,9 @@ sum J = 0: a closed form for two species, a 2x2 Cramer solve for three,
 both from c K and c without assembling the matrix. From four species on,
 the rank-one update M + mu c 1' makes every column strictly diagonally
 dominant, so Gaussian elimination without pivoting solves it on
-species-first stacks, one block update over all points per pivot. Every
-point is gated by its own residual, evaluated from the same structure.
+species-first stacks, one row update over all points at a time through
+one (n, m) buffer, with no block per pivot. Every point is gated by its
+own residual, evaluated from the same structure.
 
 Layout: the batched kernel's public contract is (m, n) points by species,
 with any strides. It computes on (n, m) species rows, so a transposed view
@@ -29,9 +30,10 @@ least |c + delta| mu. One batched builder, over (m, n) stacks of shifted
 compositions, serves the operator algebra (with the shift correction that
 keeps every entry bounded away from the singular set) and the spectral
 certificate; there is no per-point operator. The dense flux oracle
-solve_fluxes_lstsq solves on the range of A, built in its own
-species-first layout: a different system from the kernel's, sharing only
-the elimination routine, with the kernel's (m, n) contract.
+solve_fluxes_lstsq solves on the range of A, built as one species-first
+(n, n, m) stack: a different system from the kernel's, sharing only the
+elimination routine and the shape check, with the kernel's (m, n)
+contract.
 """
 
 from __future__ import annotations
@@ -170,11 +172,7 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     alone need not be bit-equal to the same point inside a larger batch.
     No such difference has been observed at n <= 3.
     """
-    if c.ndim != 2 or c.shape[1] != D.n or grad_c.shape != c.shape:
-        raise ValueError(
-            f"compositions {c.shape} and gradients {grad_c.shape} must both be "
-            f"(m, {D.n}) for {D.n} species"
-        )
+    _check_shapes(c, grad_c, D)
     K = D.inv
     m, n = c.shape
     c = np.ascontiguousarray(c.T)  # (n, m) species rows from here on
@@ -275,34 +273,58 @@ def _solve_reduced_3(c, cK, K, b, rows):
 
 def _eliminate(B, b):
     """Solve B x = b at every point by Gaussian elimination without pivoting,
-    for (n, n, m) species-first matrices B and (n, m) rows b, one block
-    update over all m points per pivot. Both are overwritten; x comes back
-    in b. Safe for column diagonally dominant or positive definite B; a zero
-    pivot gives inf or NaN, which the callers' checks reject."""
-    n = len(b)
+    for (n, n, m) species-first matrices B and (n, m) rows b, one row at a
+    time over all m points: each pivot k puts row i's multiplier
+    B[i, k] / B[k, k] into one (m,) buffer, and row i's update of B and b
+    goes through one (n, m) buffer, which back-substitution reuses. So a
+    call allocates (n + 1) m values and no block per pivot; every element
+    gets the operations of a per-pivot block update, in the same order, so
+    the bits are those of that form. Both arguments are
+    overwritten; x comes back in b. Safe for column diagonally dominant or
+    positive definite B; a zero pivot gives inf or NaN, which the callers'
+    checks reject."""
+    n, m = b.shape
+    work = np.empty((n + 1, m))
+    lower, prod = work[0], work[1:]
     for k in range(n - 1):
-        lower = B[k + 1:, k] / B[k, k]
-        B[k + 1:, k + 1:] -= lower[:, None] * B[k, k + 1:]
-        b[k + 1:] -= lower * b[k]
+        tail = prod[: n - k - 1]
+        for i in range(k + 1, n):
+            np.divide(B[i, k], B[k, k], out=lower)
+            B[i, k + 1:] -= np.multiply(lower, B[k, k + 1:], out=tail)
+            b[i] -= np.multiply(lower, b[k], out=prod[0])
     for k in range(n - 1, -1, -1):
         b[k] /= B[k, k]
-        b[:k] -= B[:k, k] * b[k]
+        b[:k] -= np.multiply(B[:k, k], b[k], out=prod[:k])
     return b
 
 
+def _check_shapes(c, grad_c, D):
+    """Raise ValueError unless c and grad_c are both (m, n) for the n
+    species of D."""
+    if c.ndim != 2 or c.shape[1] != D.n or grad_c.shape != c.shape:
+        raise ValueError(
+            f"compositions {c.shape} and gradients {grad_c.shape} must both be "
+            f"(m, {D.n}) for {D.n} species"
+        )
+
+
 def solve_fluxes_lstsq(c, grad_c, D):
-    """Dense oracle for solve_fluxes_batch, same (m, n) contract: a solve on
-    the range of the symmetric friction A = diag(s)^-1 M diag(s), s = sqrt(c),
-    independent of the kernel's elimination; used to cross-check it.
+    """Dense oracle for solve_fluxes_batch, same (m, n) contract and shape
+    check: a solve on the range of the symmetric friction
+    A = diag(s)^-1 M diag(s), s = sqrt(c), independent of the kernel's
+    elimination; used to cross-check it.
 
     A is positive semidefinite with kernel s, and b / s is orthogonal to s
-    for a zero-sum b, so the positive definite (A + s s' / |s|^2) y = b / s,
-    built as (n, n, m) species-first stacks and solved by _eliminate, is
-    exact: its solution has A y = b / s and y orthogonal to s. Then x = s y
-    solves M x = b, and a multiple of the kernel c shifts it onto the
-    zero-sum slice. The division by s needs every composition entry strictly
-    positive; a row with a zero or negative entry raises SingularComposition.
+    for a zero-sum b, so the positive definite (A + s s' / |s|^2) y = b / s
+    is exact: its solution has A y = b / s and y orthogonal to s. Then
+    x = s y solves M x = b, and a multiple of the kernel c shifts it onto
+    the zero-sum slice. The matrix is one (n, n, m) species-first stack:
+    s_i s_j, each species block row then scaled in place by
+    1 / |s|^2 - K_ij, plus (c K)_j on the diagonal; _eliminate solves it.
+    The division by s needs every composition entry strictly positive; a
+    row with a zero or negative entry raises SingularComposition.
     """
+    _check_shapes(c, grad_c, D)
     bad = np.flatnonzero(~np.all(c > 0.0, axis=1))
     if bad.size:
         raise SingularComposition(
@@ -314,11 +336,16 @@ def solve_fluxes_lstsq(c, grad_c, D):
     c = np.ascontiguousarray(c.T)  # (n, m) species rows
     s = np.sqrt(c)
     mass = c.sum(axis=0)
-    # A + s s' / |s|^2: s_i s_j (1 / |s|^2 - K_ij), plus (c K)_j on the diagonal
-    A = (1.0 / mass - K[:, :, None]) * (s[:, None, :] * s[None, :, :])
-    A.reshape(n * n, -1)[:: n + 1] += K @ c
-    b = grad_c.T.mean(axis=0) - grad_c.T
-    x = s * _eliminate(A, b / s)
+    A = s[:, None, :] * s[None, :, :]
+    rows = np.empty_like(c)
+    inv_mass = 1.0 / mass
+    for Ai, Ki in zip(A, K):
+        Ai *= np.subtract(inv_mass, Ki[:, None], out=rows)
+    A.reshape(n * n, -1)[:: n + 1] += np.matmul(K, c, out=rows)
+    b = np.subtract(grad_c.T.mean(axis=0), grad_c.T, out=rows)
+    b /= s
+    x = _eliminate(A, b)
+    x *= s
     x -= x.sum(axis=0) / mass * c
     return x.T
 

@@ -83,11 +83,11 @@ def mollify_spacetime(f, phi, eps, grid, t_max, t_cells):
         if not np.any(valid):
             continue
         t_out = t[valid]
-        t_in = t_out - b * ht
         t_mid = t_out - 0.5 * b * ht
+        fcols = fx[:, tj[valid]]
         for a, wxa in zip(ax, wx):
             idx = (np.arange(nx) - a) % nx
-            f_vals = fx[idx][:, tj[valid]]
+            f_vals = fcols[idx]
             phi_vals = phi(x[:, None] - 0.5 * a * hx, t_mid[None, :])
             total += wtb * wxa * float((f_vals * phi_vals).sum())
     return total * hx * ht

@@ -61,8 +61,15 @@ def _write_json(path, obj):
 
 
 def _random_simplex(rng, m, n):
-    g = -np.log(rng.uniform(size=(m, n)))
-    return g / g.sum(axis=1, keepdims=True)
+    """m points uniform on the simplex of n species, -log u / sum(-log u),
+    as an (m, n) view of C-ordered (n, m) species rows. The draws are made
+    point by point, and normalised along the rows' species axis; for
+    n <= 7 (every caller uses n <= 6) numpy sums that axis in the same
+    sequential order as a point's own n values, so the result is
+    bit-equal to the point-major formula."""
+    rows = np.negative(np.log(rng.uniform(size=(m, n))).T, out=np.empty((n, m)))
+    rows /= rows.sum(axis=0)
+    return rows.T
 
 
 def _diffusivity_draws(rng, n, k):
@@ -89,8 +96,12 @@ def _operator_draws(rng, n, k):
 
 
 def _zero_sum_gradients(rng, m, n):
-    g = rng.normal(size=(m, n))
-    return g - g.mean(axis=1, keepdims=True)
+    """m normal gradients of n species projected onto sum 0, g - mean(g),
+    as an (m, n) view of C-ordered (n, m) species rows; bit-equal to the
+    point-major formula for n <= 7, as in _random_simplex."""
+    rows = np.ascontiguousarray(rng.normal(size=(m, n)).T)
+    rows -= rows.mean(axis=0)
+    return rows.T
 
 
 def _shares(total, parts):
@@ -113,8 +124,8 @@ def flux_certify(cfg, rng):
             total += m
             D = _random_diffusivities(rng, n)
             # (m, n) views of (n, m) rows: the kernel and the oracle copy neither
-            c = np.ascontiguousarray(_random_simplex(rng, m, n).T).T
-            g = np.ascontiguousarray(_zero_sum_gradients(rng, m, n).T).T
+            c = _random_simplex(rng, m, n)
+            g = _zero_sum_gradients(rng, m, n)
             j, res = solve_fluxes_batch(c, g, D)
             max_res = max(max_res, res)
             max_zero = max(max_zero, float(np.abs(j.sum(axis=1)).max()))

@@ -1,6 +1,7 @@
 """Batched force-flux inversion against closed forms and dense oracles."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -202,12 +203,19 @@ def test_solve_vector_and_scalar_shapes():
         ([[0.2, 0.3, 0.5]], [0.1, -0.1, 0.0]),  # a vector, not a stack
         ([[0.2, 0.3, 0.5]], [[0.1, -0.1]]),  # two gradients for three species
         ([[0.2, 0.3, 0.5]], [[0.1], [-0.1], [0.0]]),  # species on the wrong axis
+        ([0.2, 0.3, 0.5], [0.1, -0.1, 0.0]),  # one point, not a stack
     ],
 )
 def test_solve_rejects_a_species_count_that_differs_from_D(c, grad):
     D = DiffusionMatrix.uniform(3, 1.0)
-    with pytest.raises(ValueError, match="species"):
-        solve_fluxes_batch(np.array(c), np.array(grad), D)
+    # the kernel and the oracle share one check, so they refuse alike
+    messages = set()
+    for solve in (solve_fluxes_batch, solve_fluxes_lstsq):
+        with pytest.raises(ValueError, match="species") as refused:
+            solve(np.array(c), np.array(grad), D)
+        assert type(refused.value) is ValueError
+        messages.add(str(refused.value))
+    assert len(messages) == 1
 
 
 def test_batch_solve_agrees_with_pointwise():
@@ -260,19 +268,88 @@ def test_eliminate_matches_lapack(n, m, kind):
     assert np.all(np.abs(x.T - ref).max(axis=1) <= 1e-12 * scale)
 
 
-def _recorded_bordered_matrix(c, grad, D):
-    """The (n, n, m) matrix B that the n >= 4 kernel hands to _eliminate."""
+def _recorded_system(solve, c, grad, D):
+    """Copies of the (n, n, m) matrix and (n, m) rows that solve (the n >= 4
+    kernel or the oracle) hands to _eliminate, in its one call."""
     seen = []
     eliminate = flux._eliminate
 
     def recording(B, b):
-        seen.append(B.copy())
+        seen.append((B.copy(), b.copy()))
         return eliminate(B, b)
 
     with mock.patch.object(flux, "_eliminate", recording):
-        solve_fluxes_batch(c, grad, D)
+        solve(c, grad, D)
     assert len(seen) == 1
     return seen[0]
+
+
+def _block_eliminate(B, b):
+    """_eliminate's arithmetic in its per-pivot block-update form: every
+    multiplier of pivot k as one (n - k - 1, m) block and one
+    (n - k - 1, n - k - 1, m) product per pivot."""
+    n = len(b)
+    for k in range(n - 1):
+        lower = B[k + 1:, k] / B[k, k]
+        B[k + 1:, k + 1:] -= lower[:, None] * B[k, k + 1:]
+        b[k + 1:] -= lower * b[k]
+    for k in range(n - 1, -1, -1):
+        b[k] /= B[k, k]
+        b[:k] -= B[:k, k] * b[k]
+    return b
+
+
+def _interior_problem(rng, n, m):
+    """Random D with m interior compositions and centered gradients, as
+    (m, n) views of (n, m) rows."""
+    D, _, _ = random_problem(rng, n)
+    g = -np.log(rng.uniform(size=(n, m)))
+    grad = rng.normal(size=(n, m))
+    return D, (g / g.sum(axis=0)).T, (grad - grad.mean(axis=0)).T
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("m", [1, 7, 20_000])
+@pytest.mark.parametrize("solve", [solve_fluxes_batch, solve_fluxes_lstsq], ids=["kernel", "oracle"])
+def test_eliminate_is_bit_equal_to_the_block_update_form(n, m, solve):
+    # the kernel's M + mu c 1' and the oracle's positive definite matrix
+    D, c, grad = _interior_problem(np.random.default_rng(100 * n + m), n, m)
+    B, b = _recorded_system(solve, c, grad, D)
+    B_ref, b_ref = B.copy(), b.copy()
+    x = flux._eliminate(B, b)
+    ref = _block_eliminate(B_ref, b_ref)
+    assert np.isfinite(x).all()
+    assert x.tobytes() == ref.tobytes() and B.tobytes() == B_ref.tobytes()
+
+
+def _traced_peak(fn, *args):
+    """tracemalloc peak of fn(*args) above what was held before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_eliminate_allocates_one_multiplier_row_and_one_product_block(n):
+    m = 20_000
+    D, c, grad = _interior_problem(np.random.default_rng(n), n, m)
+    B, b = _recorded_system(solve_fluxes_lstsq, c, grad, D)
+    flux._eliminate(B.copy(), b.copy())
+    B, b = B.copy(), b.copy()
+    # the (m,) multipliers and the (n, m) product block, nothing per pivot
+    assert _traced_peak(flux._eliminate, B, b) <= (n + 1) * m * 8 + 2**16
+
+
+def test_range_oracle_builds_one_matrix_stack():
+    n, m = 6, 20_000
+    D, c, grad = _interior_problem(np.random.default_rng(6), n, m)
+    solve_fluxes_lstsq(c, grad, D)
+    # the (n, n, m) stack, three (n, m) row blocks and _eliminate's (n + 1) rows
+    assert _traced_peak(solve_fluxes_lstsq, c, grad, D) <= 1.6 * n * n * m * 8
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,7 +369,7 @@ def test_bordered_matrix_keeps_its_column_margin(n, seed, where):
     c /= c.sum(axis=1, keepdims=True)
     grad = rng.normal(size=(m, n))
     grad -= grad.mean(axis=1, keepdims=True)
-    B = _recorded_bordered_matrix(c, grad, D)
+    B, _ = _recorded_system(solve_fluxes_batch, c, grad, D)
     diag = np.einsum("jjm->jm", B)
     off = np.abs(B).sum(axis=0) - np.abs(diag)
     # B = M + mu c 1': every column's margin is mu times the composition sum

@@ -195,16 +195,42 @@ def test_flux_certify_keeps_its_draws_for_multiples_of_twenty(tmp_path, samples)
     got = suites.flux_certify(cfg, np.random.default_rng([5, 0])).details
     # reference: samples / 20 points in each of 4 chunks per species count
     rng = np.random.default_rng([5, 0])
-    worst = 0.0
+    worst = zero = gap = 0.0
     for n in range(2, 7):
         for _ in range(4):
             m = samples // 20
             D = suites._random_diffusivities(rng, n)
             c = suites._random_simplex(rng, m, n)
             g = suites._zero_sum_gradients(rng, m, n)
-            worst = max(worst, suites.solve_fluxes_batch(c, g, D)[1])
+            j, res = suites.solve_fluxes_batch(c, g, D)
+            worst = max(worst, res)
+            zero = max(zero, float(np.abs(j.sum(axis=1)).max()))
+            gap = max(gap, float(np.abs(j - suites.solve_fluxes_lstsq(c, g, D)).max()))
     assert got["max_residual"] == worst
+    assert got["max_zero_sum"] == zero and got["max_oracle_gap"] == gap
     assert got["samples"] == samples and got["species"] == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("draw", [suites._random_simplex, suites._zero_sum_gradients])
+@pytest.mark.parametrize("m", [1, 7, 500])
+def test_draws_are_point_views_of_species_rows(draw, m):
+    x = draw(np.random.default_rng(m), m, 5)
+    # a transposed view: x.T is the C-ordered (5, m) rows the kernel reads
+    assert x.shape == (m, 5) and not x.flags.owndata and x.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("m", [1, 7, 5000])
+def test_draws_equal_the_point_major_formulas(n, m):
+    # the same generator calls, normalised or projected per point
+    rng, ref_rng = np.random.default_rng([n, m]), np.random.default_rng([n, m])
+    c = suites._random_simplex(rng, m, n)
+    g = suites._zero_sum_gradients(rng, m, n)
+    u = -np.log(ref_rng.uniform(size=(m, n)))
+    normal = ref_rng.normal(size=(m, n))
+    assert c.tobytes() == (u / u.sum(axis=1, keepdims=True)).tobytes()
+    assert g.tobytes() == (normal - normal.mean(axis=1, keepdims=True)).tobytes()
+    assert rng.uniform() == ref_rng.uniform()
 
 
 def _dense_friction(d, K):
