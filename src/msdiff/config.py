@@ -269,12 +269,15 @@ def _quote_param(cfg, key):
 
 
 def _suite_param(key, text, lineno):
-    """One suite parameter, typed and checked against its lowest value."""
-    conv, _, low = SUITE_PARAMS[key]
+    """One suite parameter, typed and checked against its lowest value and
+    its highest, if it has one."""
+    conv, _, low, high = SUITE_PARAMS[key]
     value = _convert(key, text, conv, lineno)
     if value < low if conv is int else value <= low:
         bound = f"at least {low}" if conv is int else f"greater than {low:g}"
         raise ValidationError(f"line {lineno}: {key} must be {bound}, got {value}")
+    if high is not None and value > high:
+        raise ValidationError(f"line {lineno}: {key} = {text}: must be at most {high}")
     return value
 
 

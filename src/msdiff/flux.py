@@ -8,9 +8,10 @@ sum J = 0: a closed form for two species, a 2x2 Cramer solve for three,
 both from c K and c without assembling the matrix. From four species on,
 the rank-one update M + mu c 1' makes every column strictly diagonally
 dominant, so Gaussian elimination without pivoting solves it on
-species-first stacks, one row update over all points at a time through
-one (n, m) buffer, with no block per pivot. Every point is gated by its
-own residual, evaluated from the same structure.
+species-first (n, n, block) stacks, one row update over all points of a
+block at a time through one (n, block) buffer, with no block per pivot.
+Every point is gated by its own residual, evaluated from the same
+structure.
 
 Layout: the batched kernel's public contract is (m, n) points by species,
 with any strides. It computes on (n, m) species rows, so a transposed view
@@ -19,9 +20,13 @@ path with no copy, and other layouts cost one copy. The fluxes come back
 as an (m, n) view of fresh (n, m) rows. Scratch rule: every other
 temporary of the kernel (the right-hand side and its column sum, c K, the
 Cramer entries and det, K x) is written into one block that this thread
-reuses while (n, m) stays the same, so a time step on a grid already seen
-allocates only its fluxes. Only the n >= 4 (n, n, m) stack is per call,
-and once spent it holds K x.
+reuses while its key stays the same, so a time step on a grid already
+seen allocates only its fluxes. Up to three species the key is (n, m).
+From four on, a batch is solved in near-equal blocks of points, at most
+_STACK_VALUES values per (n, n, block) stack (4,096 points at n = 6): the
+key is (n, largest block), and one stack for the largest block is built
+per call and, once spent, holds K x. So no temporary grows with m, and
+only the fluxes do.
 
 The symmetric form A = diag(s)^-1 M diag(s), s = sqrt(c + delta), is the
 Maxwell-Stefan matrix whose spectrum carries the uniqueness argument: it
@@ -30,10 +35,10 @@ least |c + delta| mu. One batched builder, over (m, n) stacks of shifted
 compositions, serves the operator algebra (with the shift correction that
 keeps every entry bounded away from the singular set) and the spectral
 certificate; there is no per-point operator. The dense flux oracle
-solve_fluxes_lstsq solves on the range of A, built as one species-first
-(n, n, m) stack: a different system from the kernel's, sharing only the
-elimination routine and the shape check, with the kernel's (m, n)
-contract.
+solve_fluxes_lstsq solves on the range of A, built as species-first
+(n, n, block) stacks in the kernel's blocks: a different system from the
+kernel's, sharing only the blocks, the elimination routine and the shape
+check, with the kernel's (m, n) contract.
 """
 
 from __future__ import annotations
@@ -164,18 +169,27 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     SingularComposition. The per-point gradient consistency is not
     rechecked here; callers feed gradients that are zero-sum by construction.
 
-    Every temporary but the n >= 4 stack B (which holds K x once spent)
-    lives in one scratch block of this thread, kept for the latest (n, m)
-    (see ``_scratch``), so a call at a size already seen allocates only its
-    fluxes. At n >= 4 a point's result can depend on the size of its batch:
-    K @ c rounds differently with m, by a few ulp, so one point solved
-    alone need not be bit-equal to the same point inside a larger batch.
-    No such difference has been observed at n <= 3.
+    Up to three species every temporary lives in one scratch block of this
+    thread, kept for the latest (n, m) (see ``_scratch``), so a call at a
+    size already seen allocates only its fluxes. From four on the points
+    are solved in near-equal blocks (see _blocks), each through the whole
+    body: right-hand side, c K, the stack, _eliminate (straight into the
+    fluxes' block columns), the shift and the residual. The scratch is
+    kept for (n, largest block), smaller blocks use its leading columns,
+    and one (n, n, largest block) stack and _eliminate's rows are
+    allocated per call, so nothing but the fluxes grows with m. A point's
+    result does not depend on the blocks, as long as none holds a single
+    point: at n >= 4, K @ c rounds differently for one point alone, by a
+    few ulp, so a point solved in a batch of one need not be bit-equal to
+    the same point inside a larger batch. Blocks of 2 to 20,000 points
+    have shown no such difference, and n <= 3 none at all.
     """
     _check_shapes(c, grad_c, D)
     K = D.inv
     m, n = c.shape
     c = np.ascontiguousarray(c.T)  # (n, m) species rows from here on
+    if n >= 4:
+        return _solve_dominant(c, grad_c, D, residual_tol)
     b, cK, Kx, rows = scratch("flux", (n, m), _kernel_scratch)
     # degenerate points give NaN or inf here; the residual test rejects them
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,45 +201,103 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
             t *= K[0, 1]
             np.divide(b[0], t, out=x[0])
             np.negative(x[0], out=x[1])
-        elif n == 3:
-            x = _solve_reduced_3(c, cK, K, b, rows)
         else:
+            x = _solve_reduced_3(c, cK, K, b, rows)
+        r = _residual_rows(K, c, x, b, cK, Kx)
+    return x.T, _gated(r, grad_c, residual_tol)
+
+
+# The values of one (n, n, block) stack of the n >= 4 kernel and of the
+# oracle: 4,096 points at n = 6. Blocks of 1,024 points were 1.5-2x
+# slower there; blocks of 8,192 were no faster at 20,000 points.
+_STACK_VALUES = 36 * 4096
+
+
+def _blocks(m, n):
+    """The point slices that the n >= 4 kernel and the oracle solve one at
+    a time: as few near-equal blocks as keep each (n, n, block) stack
+    within _STACK_VALUES values (at least one point per block, and one
+    block, maybe empty, for m <= the cap). Sizes differ by at most one,
+    the larger first, so every block of a split batch holds at least half
+    the cap and the first block is the largest."""
+    cap = max(1, _STACK_VALUES // (n * n))
+    count = max(1, -(-m // cap))
+    size, larger = divmod(m, count)
+    edges = [i * size + min(i, larger) for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _solve_dominant(c, grad_c, D, tol):
+    """solve_fluxes_batch from four species on, for (n, m) rows c and
+    (m, n) gradients: B x = b with B = M + mu c 1', one block of points at
+    a time. Returns (fluxes (m, n), max residual)."""
+    K = D.inv
+    n, m = c.shape
+    blocks = _blocks(m, n)
+    size = blocks[0].stop  # the largest block
+    b_rows, cK_rows, _, rows = scratch("flux", (n, size), _kernel_scratch)
+    stack = np.empty(n * n * size)
+    mu_K = D.mu - K
+    x = np.empty((n, m))
+    residual = 0.0
+    for sl in blocks:
+        k = sl.stop - sl.start
+        cb, xb, gb = c[:, sl], x[:, sl], grad_c[sl]
+        # smaller blocks take the leading columns of the scratch
+        b, cK, total, mass = b_rows[:, :k], cK_rows[:, :k], rows[0][:k], rows[1][:k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _zero_sum_rhs(gb.T, b, total)
+            np.matmul(K, cb, out=cK)
             # B = M + mu c 1': B_ij = c_i (mu - K_ij), B_jj = (c K)_j + mu c_j
-            B = (D.mu - K)[:, :, None] * c[:, None, :]
+            B = stack[: n * n * k].reshape(n, n, k)
+            np.multiply(mu_K[:, :, None], cb[:, None, :], out=B)
             B.reshape(n * n, -1)[:: n + 1] += cK
-            x = _eliminate(B, b.copy())
-            Kx = B[0]  # B is spent; its first (n, m) block row is free
+            np.copyto(xb, b)
+            _eliminate(B, xb)
+            Kx = B[0]  # B is spent; its first (n, k) block row is free
             # sum x is zero up to rounding amplified by 1 / mu; shift along M's kernel
-            shift = x.sum(axis=0, out=rows[0])
-            shift /= c.sum(axis=0, out=rows[1])
-            x -= np.multiply(shift, c, out=Kx)
-        # residual (c K) x - c (K x) - b, built in the buffer of c K
-        cKx = np.matmul(K, x, out=Kx)
-        cKx *= c
-        cK *= x
-        cK -= cKx
-        cK -= b
-        r = np.abs(cK, out=cK)
-        residual = float(r.max())
-    if not (residual <= residual_tol or _points_within(r, grad_c, residual_tol)):
-        raise SingularComposition(
-            f"force-flux residual {residual:.3e} exceeds tolerance"
-        )
+            shift = xb.sum(axis=0, out=total)
+            shift /= cb.sum(axis=0, out=mass)
+            xb -= np.multiply(shift, cb, out=Kx)
+            r = _residual_rows(K, cb, xb, b, cK, Kx)
+        residual = max(residual, _gated(r, gb, tol))
     return x.T, residual
 
 
-def _points_within(r, grad_c, tol):
-    """Whether every point's largest |r_i| ((n, m) rows) is at most tol *
-    max(1, max_i |grad_c_i|) of that point ((m, n) gradients); NaN is not."""
+def _residual_rows(K, c, x, b, cK, Kx):
+    """|M x - b| as (n, m) rows, evaluated as (c K) x - c (K x) - b (K is
+    symmetric) in the buffer of c K, with K x in the buffer Kx."""
+    cKx = np.matmul(K, x, out=Kx)
+    cKx *= c
+    cK *= x
+    cK -= cKx
+    cK -= b
+    return np.abs(cK, out=cK)
+
+
+def _gated(r, grad_c, tol):
+    """The largest of the residual rows r ((n, m), for the (m, n) gradients
+    grad_c), after the per-point test: above tol, every point's largest
+    |r_i| must be at most tol * max(1, max_i |grad_c_i|) of that point, and
+    NaN never is; a point beyond it raises SingularComposition."""
+    residual = float(r.max())
+    if residual <= tol:
+        return residual
     scale = np.maximum(np.abs(grad_c).max(axis=1), 1.0)
-    return bool(np.all(r.max(axis=0) <= tol * scale))
+    if not np.all(r.max(axis=0) <= tol * scale):
+        raise SingularComposition(
+            f"force-flux residual {residual:.3e} exceeds tolerance"
+        )
+    return residual
 
 
 def _kernel_scratch(n, m):
     """The kernel's buffers for n species at m points, carved from one
     array: (n, m) blocks for b, c K and, up to three species, K x (from
     four on, K x goes into the spent stack B instead, which keeps the held
-    block small), and (m,) rows for the rest."""
+    block small), and (m,) rows for the rest. From four species on, m is
+    the largest block of a batch, and a smaller block takes the leading
+    columns."""
     blocks = 2 if n >= 4 else 3
     block = np.empty((blocks * n + (6 if n == 3 else 2), m))
     Kx = None if n >= 4 else block[2 * n:3 * n]
@@ -318,35 +390,53 @@ def solve_fluxes_lstsq(c, grad_c, D):
     for a zero-sum b, so the positive definite (A + s s' / |s|^2) y = b / s
     is exact: its solution has A y = b / s and y orthogonal to s. Then
     x = s y solves M x = b, and a multiple of the kernel c shifts it onto
-    the zero-sum slice. The matrix is one (n, n, m) species-first stack:
-    s_i s_j, each species block row then scaled in place by
-    1 / |s|^2 - K_ij, plus (c K)_j on the diagonal; _eliminate solves it.
-    The division by s needs every composition entry strictly positive; a
-    row with a zero or negative entry raises SingularComposition.
+    the zero-sum slice. The division by s needs every composition entry
+    strictly positive; the whole batch is checked first, and a row with a
+    zero, negative or NaN entry raises SingularComposition naming its index.
+
+    The points are solved in the kernel's near-equal blocks (see _blocks).
+    Each block's matrix is one (n, n, block) species-first stack: s_i s_j,
+    each species block row then scaled in place by 1 / |s|^2 - K_ij, plus
+    (c K)_j on the diagonal; _eliminate solves it straight into the
+    fluxes' block columns. The stack and the (n, block) rows for s, the
+    products and |s|^2 are built once per call for the largest block, so
+    only the fluxes grow with m.
     """
     _check_shapes(c, grad_c, D)
-    bad = np.flatnonzero(~np.all(c > 0.0, axis=1))
-    if bad.size:
+    K = D.inv
+    c = np.ascontiguousarray(c.T)  # (n, m) species rows
+    if not c.min(initial=np.inf) > 0.0:
+        bad = np.flatnonzero(~np.all(c > 0.0, axis=0))[0]
         raise SingularComposition(
             f"dense oracle needs strictly positive compositions; "
-            f"row {bad[0]} is {c[bad[0]].tolist()}"
+            f"row {bad} is {c[:, bad].tolist()}"
         )
-    K = D.inv
-    n = c.shape[1]
-    c = np.ascontiguousarray(c.T)  # (n, m) species rows
-    s = np.sqrt(c)
-    mass = c.sum(axis=0)
-    A = s[:, None, :] * s[None, :, :]
-    rows = np.empty_like(c)
-    inv_mass = 1.0 / mass
-    for Ai, Ki in zip(A, K):
-        Ai *= np.subtract(inv_mass, Ki[:, None], out=rows)
-    A.reshape(n * n, -1)[:: n + 1] += np.matmul(K, c, out=rows)
-    b = np.subtract(grad_c.T.mean(axis=0), grad_c.T, out=rows)
-    b /= s
-    x = _eliminate(A, b)
-    x *= s
-    x -= x.sum(axis=0) / mass * c
+    n, m = c.shape
+    blocks = _blocks(m, n)
+    size = blocks[0].stop  # the largest block
+    stack = np.empty(n * n * size)
+    work = np.empty((2 * n + 2, size))
+    x = np.empty((n, m))
+    for sl in blocks:
+        k = sl.stop - sl.start
+        cb, xb, gb = c[:, sl], x[:, sl], grad_c[sl].T
+        # smaller blocks take the leading columns
+        s = np.sqrt(cb, out=work[:n, :k])
+        rows, mass, t = work[n:2 * n, :k], work[2 * n, :k], work[2 * n + 1, :k]
+        cb.sum(axis=0, out=mass)
+        inv_mass = np.divide(1.0, mass, out=t)
+        A = stack[: n * n * k].reshape(n, n, k)
+        np.multiply(s[:, None, :], s[None, :, :], out=A)
+        for Ai, Ki in zip(A, K):
+            Ai *= np.subtract(inv_mass, Ki[:, None], out=rows)
+        A.reshape(n * n, -1)[:: n + 1] += np.matmul(K, cb, out=rows)
+        b = np.subtract(gb.mean(axis=0, out=t), gb, out=xb)
+        b /= s
+        _eliminate(A, xb)
+        xb *= s
+        shift = xb.sum(axis=0, out=t)
+        shift /= mass
+        xb -= np.multiply(shift, cb, out=rows)
     return x.T
 
 

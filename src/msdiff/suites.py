@@ -503,20 +503,32 @@ _SUITES = {
     "convergence-study": convergence_study,
 }
 
+# The memory that the largest admissible sample count of a suite stays
+# under. Each count's bound is _SAMPLE_MEMORY over the suite's traced bytes
+# per sample: the slope of its tracemalloc peak between 10^5 and
+# 1.6 * 10^6 flux-certify samples (13.6 B), 3 * 10^4 and 1.2 * 10^5
+# spectral-certify gap samples (189 B) and 10^4 and 4 * 10^4 operator
+# samples (906 B), rounded up to 16, 200 and 1,000 B.
+_SAMPLE_MEMORY = 2**30
+
 # The settable suite parameters: "<suite>.<key>" -> (type, default, lowest
-# admissible value). An integer may equal its lowest value, a number must
-# exceed it. The config layer converts and checks every given key against
-# this table before any suite runs, so suites read typed values only.
+# admissible value, highest or None). An integer may equal its lowest
+# value, a number must exceed it. A sample count may be at most the count
+# whose traced memory stays under 1 GiB (see _SAMPLE_MEMORY), so a larger
+# one is refused as a configuration error instead of failing in an
+# allocation. The config layer converts and checks every given key
+# against this table before any suite runs, so suites read typed values
+# only.
 SUITE_PARAMS = {
-    "flux-certify.samples": (int, 10000, 1),
-    "spectral-certify.samples": (int, 10000, 1),
-    "spectral-certify.operator_samples": (int, 1000, 1),
-    "identity-study.levels": (int, 3, 2),
-    "identity-study.cells": (int, 32, 2),
-    "identity-study.t_final": (float, 0.002, 0.0),
-    "twin-study.halvings": (int, 3, 2),
-    "convergence-study.levels": (int, 3, 2),
-    "convergence-study.cells": (int, 64, 2),
+    "flux-certify.samples": (int, 10000, 1, _SAMPLE_MEMORY // 16),
+    "spectral-certify.samples": (int, 10000, 1, _SAMPLE_MEMORY // 200),
+    "spectral-certify.operator_samples": (int, 1000, 1, _SAMPLE_MEMORY // 1000),
+    "identity-study.levels": (int, 3, 2, None),
+    "identity-study.cells": (int, 32, 2, None),
+    "identity-study.t_final": (float, 0.002, 0.0, None),
+    "twin-study.halvings": (int, 3, 2, None),
+    "convergence-study.levels": (int, 3, 2, None),
+    "convergence-study.cells": (int, 64, 2, None),
 }
 
 

@@ -333,6 +333,20 @@ def test_cli_refuses_an_over_long_run_before_building_its_state(tmp_path, capsys
         ("identity-study.cells = 1", "identity-study.cells must be at least 2"),
         ("identity-study.t_final = 0", "identity-study.t_final must be greater than 0"),
         ("convergence-study.cells = 0", "convergence-study.cells must be at least 2"),
+        # sample counts past their memory bound are refused while parsing,
+        # quoting the line, before any allocation
+        (
+            "flux-certify.samples = 99999999999999",
+            "flux-certify.samples = 99999999999999: must be at most 67108864",
+        ),
+        (
+            "spectral-certify.samples = 99999999999999",
+            "spectral-certify.samples = 99999999999999: must be at most 5368709",
+        ),
+        (
+            "spectral-certify.operator_samples = 99999999999999",
+            "spectral-certify.operator_samples = 99999999999999: must be at most 1073741",
+        ),
         (
             "identity-study.t_final = 1e9",
             # the refusal quotes the key's line and its text, not the parsed value
@@ -360,7 +374,30 @@ def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
     if not fragment.startswith("scenario rejected"):
         fragment = f"line 4: {fragment}"
     assert f"error: {fragment}" in err, err
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+# traced bytes per sample, as measured for suites._SAMPLE_MEMORY
+SAMPLE_BYTES = {
+    "flux-certify.samples": 13.6,
+    "spectral-certify.samples": 189,
+    "spectral-certify.operator_samples": 906,
+}
+
+
+@pytest.mark.parametrize("key", SAMPLE_BYTES)
+def test_sample_counts_are_bounded_by_their_memory(key):
+    _, default, low, high = suites.SUITE_PARAMS[key]
+    # the largest count stays under 1 GiB at the measured bytes per sample
+    assert low <= default < high and SAMPLE_BYTES[key] * high < suites._SAMPLE_MEMORY == 2**30
+    # parsed only: no count near the bound is ever run
+    assert parse_config(MINIMAL + f"{key} = {high}\n").params[key] == high
+    with pytest.raises(ValidationError, match=f"^line 3: {key} = {high + 1}: must be at most {high}$"):
+        parse_config(MINIMAL + f"{key} = {high + 1}\n")
+    # a count that got past parsing was killed while allocating
+    with pytest.raises(ValidationError, match=f"^line 4: {key} = 4000000000: must be at most {high}$"):
+        parse_config(MINIMAL + f"# huge\n{key} = 4000000000\n")
 
 
 @pytest.mark.parametrize(
@@ -719,10 +756,11 @@ def test_readme_scenario_key_table_matches_the_parser():
 
 
 def test_readme_suite_parameter_table_matches_the_suites():
-    rows = readme_table("| key | type | default | lowest value |")
+    rows = readme_table("| key | type | default | lowest value | highest value |")
     assert set(rows) == set(suites.SUITE_PARAMS)
-    for key, (conv, default, low) in suites.SUITE_PARAMS.items():
-        kind, doc_default, doc_low = rows[key]
+    for key, (conv, default, low, high) in suites.SUITE_PARAMS.items():
+        kind, doc_default, doc_low, doc_high = rows[key]
         assert TYPE_NAMES[kind] is conv, key
         assert (conv(doc_default), conv(doc_low.split()[0])) == (default, low), key
         assert doc_low.endswith("(exclusive)") == (conv is float), key
+        assert (None if doc_high == "none" else int(doc_high)) == high, key

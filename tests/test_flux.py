@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msdiff import flux
+from msdiff._scratch import _held as held_scratch
 from msdiff.flux import (
     DeltaOutOfRange,
     DiffusionMatrix,
@@ -268,9 +269,10 @@ def test_eliminate_matches_lapack(n, m, kind):
     assert np.all(np.abs(x.T - ref).max(axis=1) <= 1e-12 * scale)
 
 
-def _recorded_system(solve, c, grad, D):
-    """Copies of the (n, n, m) matrix and (n, m) rows that solve (the n >= 4
-    kernel or the oracle) hands to _eliminate, in its one call."""
+def _recorded_systems(solve, c, grad, D):
+    """Copies of the (n, n, k) matrix and (n, k) rows that solve (the n >= 4
+    kernel or the oracle) hands to _eliminate, one pair per block of k
+    points, in order; the blocks cover the batch."""
     seen = []
     eliminate = flux._eliminate
 
@@ -280,8 +282,10 @@ def _recorded_system(solve, c, grad, D):
 
     with mock.patch.object(flux, "_eliminate", recording):
         solve(c, grad, D)
-    assert len(seen) == 1
-    return seen[0]
+    assert [b.shape[1] for _, b in seen] == [
+        sl.stop - sl.start for sl in flux._blocks(len(c), c.shape[1])
+    ]
+    return seen
 
 
 def _block_eliminate(B, b):
@@ -314,42 +318,156 @@ def _interior_problem(rng, n, m):
 def test_eliminate_is_bit_equal_to_the_block_update_form(n, m, solve):
     # the kernel's M + mu c 1' and the oracle's positive definite matrix
     D, c, grad = _interior_problem(np.random.default_rng(100 * n + m), n, m)
-    B, b = _recorded_system(solve, c, grad, D)
-    B_ref, b_ref = B.copy(), b.copy()
-    x = flux._eliminate(B, b)
-    ref = _block_eliminate(B_ref, b_ref)
-    assert np.isfinite(x).all()
-    assert x.tobytes() == ref.tobytes() and B.tobytes() == B_ref.tobytes()
+    systems = _recorded_systems(solve, c, grad, D)
+    assert len(systems) == len(flux._blocks(m, n))
+    for B, b in systems:
+        B_ref, b_ref = B.copy(), b.copy()
+        x = flux._eliminate(B, b)
+        ref = _block_eliminate(B_ref, b_ref)
+        assert np.isfinite(x).all()
+        assert x.tobytes() == ref.tobytes() and B.tobytes() == B_ref.tobytes()
 
 
-def _traced_peak(fn, *args):
-    """tracemalloc peak of fn(*args) above what was held before the call."""
+def _held_and_peak(fn, *args):
+    """Bytes that fn(*args) leaves held (its result dropped) and its
+    tracemalloc peak, both above what was held before the call."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
+        return held - base, peak - base
     finally:
         tracemalloc.stop()
 
 
+def _traced_peak(fn, *args):
+    """tracemalloc peak of fn(*args) above what was held before the call."""
+    return _held_and_peak(fn, *args)[1]
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_eliminate_allocates_one_multiplier_row_and_one_product_block(n):
+def test_eliminate_allocates_one_multiplier_row_and_one_product_block(monkeypatch, n):
     m = 20_000
     D, c, grad = _interior_problem(np.random.default_rng(n), n, m)
-    B, b = _recorded_system(solve_fluxes_lstsq, c, grad, D)
+    _one_block(monkeypatch)
+    [(B, b)] = _recorded_systems(solve_fluxes_lstsq, c, grad, D)
     flux._eliminate(B.copy(), b.copy())
     B, b = B.copy(), b.copy()
     # the (m,) multipliers and the (n, m) product block, nothing per pivot
     assert _traced_peak(flux._eliminate, B, b) <= (n + 1) * m * 8 + 2**16
 
 
+def _one_block(monkeypatch):
+    monkeypatch.setattr(flux, "_STACK_VALUES", 2**62)
+
+
+def _block_bound(n, extra_rows):
+    """Bytes of one (n, n, cap) stack, _eliminate's n + 1 rows and
+    extra_rows more (cap,) rows, at the largest block, plus 128 KiB for
+    numpy's ufunc buffers and small objects."""
+    cap = flux._STACK_VALUES // (n * n)
+    return (n * n + n + 1 + extra_rows) * cap * 8 + 2**17
+
+
 def test_range_oracle_builds_one_matrix_stack():
     n, m = 6, 20_000
     D, c, grad = _interior_problem(np.random.default_rng(6), n, m)
     solve_fluxes_lstsq(c, grad, D)
-    # the (n, n, m) stack, three (n, m) row blocks and _eliminate's (n + 1) rows
-    assert _traced_peak(solve_fluxes_lstsq, c, grad, D) <= 1.6 * n * n * m * 8
+    # the (m, n) fluxes, then per block of points: the (n, n, block) stack,
+    # the (n, block) rows for s and the products, two (block,) rows and
+    # _eliminate's n + 1 rows; the whole (n, n, m) stack is 5.8 MB here
+    peak = _traced_peak(solve_fluxes_lstsq, c, grad, D)
+    assert peak <= n * m * 8 + _block_bound(n, 2 * n + 2)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("extra", ["1", "cap-1", "cap", "cap+1", "3cap+1", "20000"])
+@pytest.mark.parametrize("layout", ["rows", "points"])
+def test_blocked_solves_are_bit_equal_to_one_block(monkeypatch, n, extra, layout):
+    budget = 4096  # caps of 256 points at n = 4 down to 64 at n = 8
+    cap = budget // (n * n)
+    m = {"1": 1, "cap-1": cap - 1, "cap": cap, "cap+1": cap + 1,
+         "3cap+1": 3 * cap + 1, "20000": 20_000}[extra]
+    D, c, grad = _interior_problem(np.random.default_rng(200 * n + m), n, m)
+    if layout == "points":  # C-ordered (m, n) arrays take the copying path
+        c, grad = np.ascontiguousarray(c), np.ascontiguousarray(grad)
+    _one_block(monkeypatch)
+    assert len(flux._blocks(m, n)) == 1
+    x_ref, res_ref = solve_fluxes_batch(c, grad, D)
+    o_ref = solve_fluxes_lstsq(c, grad, D)
+    monkeypatch.setattr(flux, "_STACK_VALUES", budget)
+    sizes = [sl.stop - sl.start for sl in flux._blocks(m, n)]
+    assert sum(sizes) == m and max(sizes) - min(sizes) <= 1
+    assert len(sizes) == -(-m // cap) and (len(sizes) == 1 or 2 * min(sizes) >= cap)
+    x, res = solve_fluxes_batch(c, grad, D)
+    o = solve_fluxes_lstsq(c, grad, D)
+    assert x.tobytes() == x_ref.tobytes() and res == res_ref
+    assert o.tobytes() == o_ref.tobytes()
+    assert x.T.flags.c_contiguous and o.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("bad", ["zero-row", "nan-row", "inf-gradient"])
+def test_a_degenerate_point_in_a_later_block_raises_as_in_one_block(monkeypatch, n, bad):
+    m = 1000
+    D, c, grad = _interior_problem(np.random.default_rng(300 + n), n, m)
+    c, grad = c.copy(), grad.copy()
+    row = 900  # past the first block of each split below
+    if bad == "zero-row":
+        c[row] = 0.0
+    elif bad == "nan-row":
+        c[row] = np.nan
+    else:
+        grad[row, 0] = np.inf
+    _one_block(monkeypatch)
+    with pytest.raises(SingularComposition) as whole:
+        solve_fluxes_batch(c, grad, D)
+    monkeypatch.setattr(flux, "_STACK_VALUES", 2048)
+    assert len(flux._blocks(m, n)) >= 4 and flux._blocks(m, n)[0].stop <= row
+    with pytest.raises(SingularComposition) as blocked:
+        solve_fluxes_batch(c, grad, D)
+    assert str(blocked.value) == str(whole.value)
+    assert str(whole.value).startswith("force-flux residual ")
+
+
+@pytest.mark.parametrize("row", [0, 130, 999])
+def test_range_oracle_names_the_row_of_the_whole_batch(monkeypatch, row):
+    n, m = 5, 1000
+    D, c, grad = _interior_problem(np.random.default_rng(400 + row), n, m)
+    c = c.copy()
+    c[row, 2] = 0.0
+    monkeypatch.setattr(flux, "_STACK_VALUES", 2048)
+    assert len(flux._blocks(m, n)) > 10
+    eliminate = mock.Mock(side_effect=flux._eliminate)
+    monkeypatch.setattr(flux, "_eliminate", eliminate)
+    with pytest.raises(SingularComposition, match=f"row {row} is "):
+        solve_fluxes_lstsq(c, grad, D)
+    # positivity is checked for the whole batch before any block is solved
+    assert eliminate.call_count == 0
+
+
+@pytest.mark.parametrize(
+    # (cap,) rows of scratch held from call to call, and built per call
+    "solve,held_rows,call_rows",
+    [(solve_fluxes_batch, 2 * 6 + 2, 0), (solve_fluxes_lstsq, 0, 2 * 6 + 2)],
+    ids=["kernel", "oracle"],
+)
+def test_n6_solves_hold_nothing_that_grows_with_the_batch(solve, held_rows, call_rows):
+    n = 6
+    cap = flux._STACK_VALUES // (n * n)
+    beyond = {}
+    for m in (20_000, 200_000):
+        # (m, n) views of (n, m) rows: the solvers copy no input
+        D, c, grad = _interior_problem(np.random.default_rng(m), n, m)
+        held_scratch.__dict__.pop("flux", None)
+        held, _ = _held_and_peak(solve, c, grad, D)
+        assert held <= held_rows * cap * 8 + 2**12
+        _, peak = _held_and_peak(solve, c, grad, D)  # warm
+        beyond[m] = peak - n * m * 8  # less the (m, n) fluxes
+        assert beyond[m] <= _block_bound(n, call_rows)
+    # blocks of 4,000 and of 4,082 points: the same peak up to that difference
+    assert abs(beyond[200_000] - beyond[20_000]) <= 0.05 * beyond[20_000]
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,7 +487,7 @@ def test_bordered_matrix_keeps_its_column_margin(n, seed, where):
     c /= c.sum(axis=1, keepdims=True)
     grad = rng.normal(size=(m, n))
     grad -= grad.mean(axis=1, keepdims=True)
-    B, _ = _recorded_system(solve_fluxes_batch, c, grad, D)
+    [(B, _)] = _recorded_systems(solve_fluxes_batch, c, grad, D)
     diag = np.einsum("jjm->jm", B)
     off = np.abs(B).sum(axis=0) - np.abs(diag)
     # B = M + mu c 1': every column's margin is mu times the composition sum
