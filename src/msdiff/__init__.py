@@ -56,7 +56,6 @@ from .sim import (
     PositivityFailure,
     Scenario,
     Trajectory,
-    TwinResult,
     apply_positivity,
     bump_test_function,
     exact_binary_mode,
@@ -64,7 +63,6 @@ from .sim import (
     run,
     run_lockstep,
     step,
-    twin_experiment,
     weak_form_residual,
 )
 from .config import ParseError, RunConfig, ValidationError, load_config, parse_config

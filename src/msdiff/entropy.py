@@ -195,9 +195,11 @@ def _blockwise(fn, grid, *arrays):
 
 
 def _cumulative_trapezoid(values, times):
-    """Trapezoid integrals of a sampled series from the first time to each."""
-    steps = np.diff(times) * 0.5 * (values[1:] + values[:-1])
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    """Trapezoid integrals of a sampled series from the first time to each:
+    values is (S,) or (S, k), one row per time."""
+    dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    steps = dt * 0.5 * (values[1:] + values[:-1])
+    return np.concatenate([np.zeros((1,) + values.shape[1:]), np.cumsum(steps, axis=0)])
 
 
 def dissipation(w, wb, u, ubar, D, grid):

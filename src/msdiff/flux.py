@@ -13,20 +13,12 @@ block at a time through one (n, block) buffer, with no block per pivot.
 Every point is gated by its own residual, evaluated from the same
 structure.
 
-Layout: the batched kernel's public contract is (m, n) points by species,
-with any strides. It computes on (n, m) species rows, so a transposed view
-of C-ordered (n, m) rows (what the face divergence passes) is the fast
-path with no copy, and other layouts cost one copy. The fluxes come back
-as an (m, n) view of fresh (n, m) rows. Scratch rule: every other
-temporary of the kernel (the right-hand side and its column sum, c K, the
-Cramer entries and det, K x) is written into one block that this thread
-reuses while its key stays the same, so a time step on a grid already
-seen allocates only its fluxes. Up to three species the key is (n, m).
-From four on, a batch is solved in near-equal blocks of points, at most
-_STACK_VALUES values per (n, n, block) stack (4,096 points at n = 6): the
-key is (n, largest block), and one stack for the largest block is built
-per call and, once spent, holds K x. So no temporary grows with m, and
-only the fluxes do.
+Layout and scratch (see solve_fluxes_batch): the kernel takes (m, n)
+points by species and computes on (n, m) species rows, so a transposed
+view of such rows (what the face divergence passes) costs no copy. Its
+other temporaries live in one block that this thread reuses, so a time
+step on a grid already seen allocates only its fluxes; from four species
+on, a batch is solved in blocks of points, so no temporary grows with m.
 
 The symmetric form A = diag(s)^-1 M diag(s), s = sqrt(c + delta), is the
 Maxwell-Stefan matrix whose spectrum carries the uniqueness argument: it
@@ -37,8 +29,9 @@ keeps every entry bounded away from the singular set) and the spectral
 certificate; there is no per-point operator. The dense flux oracle
 solve_fluxes_lstsq solves on the range of A, built as species-first
 (n, n, block) stacks in the kernel's blocks: a different system from the
-kernel's, sharing only the blocks, the elimination routine and the shape
-check, with the kernel's (m, n) contract.
+kernel's, sharing only the entry check, the blocks, the zero-sum
+right-hand side and the elimination routine, with the kernel's (m, n)
+contract.
 """
 
 from __future__ import annotations
@@ -178,19 +171,17 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     kept for (n, largest block), smaller blocks use its leading columns,
     and one (n, n, largest block) stack and _eliminate's rows are
     allocated per call, so nothing but the fluxes grows with m. A point's
-    result does not depend on the blocks, as long as none holds a single
-    point: at n >= 4, K @ c rounds differently for one point alone, by a
-    few ulp, so a point solved in a batch of one need not be bit-equal to
-    the same point inside a larger batch. Blocks of 2 to 20,000 points
-    have shown no such difference, and n <= 3 none at all.
+    result depends neither on the blocks nor on the batch: a lone point is
+    solved as a pair (see _species_rows).
     """
-    _check_shapes(c, grad_c, D)
+    m = len(c)
+    c, grad_c = _species_rows(c, grad_c, D)
     K = D.inv
-    m, n = c.shape
-    c = np.ascontiguousarray(c.T)  # (n, m) species rows from here on
+    n = len(c)
     if n >= 4:
-        return _solve_dominant(c, grad_c, D, residual_tol)
-    b, cK, Kx, rows = scratch("flux", (n, m), _kernel_scratch)
+        x, residual = _solve_dominant(c, grad_c, D, residual_tol)
+        return _points(x, m), residual
+    b, cK, Kx, rows = scratch("flux", c.shape, _kernel_scratch)
     # degenerate points give NaN or inf here; the residual test rejects them
     with np.errstate(divide="ignore", invalid="ignore"):
         _zero_sum_rhs(grad_c.T, b, rows[0])
@@ -204,7 +195,7 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
         else:
             x = _solve_reduced_3(c, cK, K, b, rows)
         r = _residual_rows(K, c, x, b, cK, Kx)
-    return x.T, _gated(r, grad_c, residual_tol)
+    return _points(x, m), _gated(r, grad_c, residual_tol)
 
 
 # The values of one (n, n, block) stack of the n >= 4 kernel and of the
@@ -216,10 +207,10 @@ _STACK_VALUES = 36 * 4096
 def _blocks(m, n):
     """The point slices that the n >= 4 kernel and the oracle solve one at
     a time: as few near-equal blocks as keep each (n, n, block) stack
-    within _STACK_VALUES values (at least one point per block, and one
-    block, maybe empty, for m <= the cap). Sizes differ by at most one,
-    the larger first, so every block of a split batch holds at least half
-    the cap and the first block is the largest."""
+    within _STACK_VALUES values (one block, maybe empty, for m <= the
+    cap). Sizes differ by at most one, the larger first, so every block of
+    a split batch holds at least half the cap and the first block is the
+    largest."""
     cap = max(1, _STACK_VALUES // (n * n))
     count = max(1, -(-m // cap))
     size, larger = divmod(m, count)
@@ -230,7 +221,7 @@ def _blocks(m, n):
 def _solve_dominant(c, grad_c, D, tol):
     """solve_fluxes_batch from four species on, for (n, m) rows c and
     (m, n) gradients: B x = b with B = M + mu c 1', one block of points at
-    a time. Returns (fluxes (m, n), max residual)."""
+    a time. Returns (fluxes as (n, m) rows, max residual)."""
     K = D.inv
     n, m = c.shape
     blocks = _blocks(m, n)
@@ -261,7 +252,7 @@ def _solve_dominant(c, grad_c, D, tol):
             xb -= np.multiply(shift, cb, out=Kx)
             r = _residual_rows(K, cb, xb, b, cK, Kx)
         residual = max(residual, _gated(r, gb, tol))
-    return x.T, residual
+    return x, residual
 
 
 def _residual_rows(K, c, x, b, cK, Kx):
@@ -370,19 +361,32 @@ def _eliminate(B, b):
     return b
 
 
-def _check_shapes(c, grad_c, D):
-    """Raise ValueError unless c and grad_c are both (m, n) for the n
-    species of D."""
+def _species_rows(c, grad_c, D):
+    """The entry of both solvers: raise ValueError unless c and grad_c are
+    both (m, n) for the n species of D, and return (c as C-ordered (n, m)
+    species rows, grad_c). A lone point comes back as two copies of
+    itself, and the caller solves the pair (see _points): for one column,
+    matmul takes a matrix-vector path that rounds differently from a
+    batch, and a point gets the same bits alone as in any batch."""
     if c.ndim != 2 or c.shape[1] != D.n or grad_c.shape != c.shape:
         raise ValueError(
             f"compositions {c.shape} and gradients {grad_c.shape} must both be "
             f"(m, {D.n}) for {D.n} species"
         )
+    if len(c) == 1:
+        c, grad_c = np.repeat(c, 2, axis=0), np.repeat(grad_c, 2, axis=0)
+    return np.ascontiguousarray(c.T), grad_c
+
+
+def _points(x, m):
+    """The solved (n, m) rows x as the (m, n) view of fresh rows that both
+    solvers return; for a lone point (m = 1), a copy of its pair's first."""
+    return (x[:, :1].copy() if m == 1 else x).T
 
 
 def solve_fluxes_lstsq(c, grad_c, D):
-    """Dense oracle for solve_fluxes_batch, same (m, n) contract and shape
-    check: a solve on the range of the symmetric friction
+    """Dense oracle for solve_fluxes_batch, with the same (m, n) contract
+    and entry (_species_rows): a solve on the range of the symmetric friction
     A = diag(s)^-1 M diag(s), s = sqrt(c), independent of the kernel's
     elimination; used to cross-check it.
 
@@ -402,21 +406,21 @@ def solve_fluxes_lstsq(c, grad_c, D):
     products and |s|^2 are built once per call for the largest block, so
     only the fluxes grow with m.
     """
-    _check_shapes(c, grad_c, D)
+    m = len(c)
+    c, grad_c = _species_rows(c, grad_c, D)
     K = D.inv
-    c = np.ascontiguousarray(c.T)  # (n, m) species rows
     if not c.min(initial=np.inf) > 0.0:
         bad = np.flatnonzero(~np.all(c > 0.0, axis=0))[0]
         raise SingularComposition(
             f"dense oracle needs strictly positive compositions; "
             f"row {bad} is {c[:, bad].tolist()}"
         )
-    n, m = c.shape
-    blocks = _blocks(m, n)
+    n = len(c)
+    blocks = _blocks(c.shape[1], n)
     size = blocks[0].stop  # the largest block
     stack = np.empty(n * n * size)
     work = np.empty((2 * n + 2, size))
-    x = np.empty((n, m))
+    x = np.empty_like(c)
     for sl in blocks:
         k = sl.stop - sl.start
         cb, xb, gb = c[:, sl], x[:, sl], grad_c[sl].T
@@ -430,14 +434,14 @@ def solve_fluxes_lstsq(c, grad_c, D):
         for Ai, Ki in zip(A, K):
             Ai *= np.subtract(inv_mass, Ki[:, None], out=rows)
         A.reshape(n * n, -1)[:: n + 1] += np.matmul(K, cb, out=rows)
-        b = np.subtract(gb.mean(axis=0, out=t), gb, out=xb)
+        b = _zero_sum_rhs(gb, xb, t)
         b /= s
         _eliminate(A, xb)
         xb *= s
         shift = xb.sum(axis=0, out=t)
         shift /= mass
         xb -= np.multiply(shift, cb, out=rows)
-    return x.T
+    return _points(x, m)
 
 
 @dataclass

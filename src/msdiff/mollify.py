@@ -45,11 +45,21 @@ def _offsets_and_weights(eps, h, count):
     return a, w / w.sum()
 
 
-def _check_eps(eps, hx, ht):
+def _setup(eps, grid, t_max, t_cells):
+    """The set-up that both mollifications share: the grid must be 1-D and
+    eps at least two spacings in space and in time. Returns (cell centres
+    x, hx, ht, space offsets, their weights)."""
+    if grid.dim != 1:
+        raise ValueError("space-time mollification is implemented for 1-D grids")
+    (nx,) = grid.cells
+    hx = grid.spacing[0]
+    ht = t_max / t_cells
     if eps < 2.0 * hx or eps < 2.0 * ht:
         raise EpsilonTooSmallForGrid(
             f"eps={eps} must be at least two grid spacings (hx={hx}, ht={ht})"
         )
+    (x,) = grid.axes()
+    return (x, hx, ht) + _offsets_and_weights(eps, hx, nx)
 
 
 def mollify_spacetime(f, phi, eps, grid, t_max, t_cells):
@@ -63,16 +73,9 @@ def mollify_spacetime(f, phi, eps, grid, t_max, t_cells):
     pairing of f with phi at first order in eps when the integrand does
     not vanish at the time boundary.
     """
-    if grid.dim != 1:
-        raise ValueError("space-time mollification is implemented for 1-D grids")
-    (nx,) = grid.cells
-    hx = grid.spacing[0]
-    ht = t_max / t_cells
-    _check_eps(eps, hx, ht)
-
-    (x,) = grid.axes()
+    x, hx, ht, ax, wx = _setup(eps, grid, t_max, t_cells)
+    nx = len(x)
     t = (np.arange(t_cells) + 0.5) * ht
-    ax, wx = _offsets_and_weights(eps, hx, nx)
     at, wt = _offsets_and_weights(eps, ht, t_cells)
 
     fx = f(x[:, None], t[None, :])
@@ -109,15 +112,7 @@ def initial_trace_mollification(f, phi, eps, grid, t_max, t_cells):
     symmetric kernel mass survives, the value converges to one half of the
     spatial pairing of f(., 0) with phi(., 0) as eps shrinks.
     """
-    if grid.dim != 1:
-        raise ValueError("space-time mollification is implemented for 1-D grids")
-    (nx,) = grid.cells
-    hx = grid.spacing[0]
-    ht = t_max / t_cells
-    _check_eps(eps, hx, ht)
-
-    (x,) = grid.axes()
-    ax, wx = _offsets_and_weights(eps, hx, nx)
+    x, hx, ht, ax, wx = _setup(eps, grid, t_max, t_cells)
     # cell-centered times (j + 1/2) h are symmetric about zero with their
     # mirror images, so the surviving weight fraction is exactly one half
     j_reach = int(math.ceil(eps / ht))

@@ -15,7 +15,10 @@ final time together: their states are stacked as (n, B, *cells), the
 members due at a tick are a prefix of the stack, and each stage makes one
 face solve for all of them. Every member comes out byte-equal to its own
 ``run``, except that a residual entry is the largest residual of the
-shared solve, so at least the member's own.
+shared solve, so at least the member's own. A twin pair, a run and its
+perturbed or refined twin, is a ``run_lockstep`` group of two, certified
+by ``entropy.gronwall_certificate``; the ``twin-study`` suite plans its
+ladder and twin through ``suites.study_runs``.
 
 A run records states only: its steps make all its face solves. A
 Trajectory solves the fluxes of its snapshots when they are first read,
@@ -514,9 +517,7 @@ def run_lockstep(scenarios):
 
     Each member's states, times, step times, flux and clipping series, and
     so its entropy series and the fluxes read from its states, are
-    byte-equal to ``run`` of it alone. The kernel is pointwise at n <= 3;
-    at n >= 4 its K c product can round differently with the batch size
-    (seen for single points, not for stacked grids in the tests). Its residual series holds the
+    byte-equal to ``run`` of it alone. Its residual series holds the
     largest kernel residual of each tick's shared solves, so every entry
     is at least its own.
     """
@@ -546,38 +547,6 @@ def run_lockstep(scenarios):
     for i, traj in zip(order, trajs):
         out[i] = traj
     return out
-
-
-@dataclass
-class TwinResult:
-    base: Trajectory
-    twin: Trajectory
-    certificate: object
-
-
-def twin_experiment(scenario, perturbation=None, dt_divisor=1):
-    """Run a scenario and a perturbed or refined twin, then certify.
-
-    ``perturbation`` displaces the twin's initial data; ``dt_divisor``
-    refines the twin's time step by an integer factor while keeping the
-    snapshot times aligned. Both may be combined. The two runs step
-    together through ``run_lockstep``.
-    """
-    from .entropy import gronwall_certificate
-
-    if dt_divisor < 1 or int(dt_divisor) != dt_divisor:
-        raise ValueError("dt_divisor must be a positive integer")
-    dt, _ = scenario.resolve_steps()
-    base_sc = replace(scenario, dt=dt)
-    twin_sc = replace(
-        base_sc,
-        dt=dt / dt_divisor,
-        cadence=scenario.cadence * int(dt_divisor),
-        perturbation=perturbation,
-    )
-    base, twin = run_lockstep([base_sc, twin_sc])
-    cert = gronwall_certificate(base, twin, scenario.D, scenario.delta)
-    return TwinResult(base=base, twin=twin, certificate=cert)
 
 
 def exact_binary_mode(grid, d12, amplitude, mode, t):
@@ -659,11 +628,14 @@ def weak_form_residual(traj, beta, phi):
     Evaluates, per species,
         int beta(c0) phi(0) + int dt [ int beta(c) phi_t
             + beta'(c) (c u) . grad phi + beta''(c) ((c u) . grad c) phi ]
-    with trapezoid quadrature over the recorded snapshots. The test
-    function must vanish at the final recorded time. Returns one residual
-    per species; all tend to zero under mesh refinement for solutions of
-    the divergence-form system.
+    with the entropy layer's trapezoid rule (``_cumulative_trapezoid``)
+    over the recorded snapshots. The test function must vanish at the
+    final recorded time. Returns one residual per species; all tend to
+    zero under mesh refinement for solutions of the divergence-form
+    system.
     """
+    from .entropy import _cumulative_trapezoid
+
     grid = traj.grid
     times = np.asarray(traj.times, dtype=float)
     if float(np.max(np.abs(phi.value(times[-1])))) > 1e-14:
@@ -676,7 +648,6 @@ def weak_form_residual(traj, beta, phi):
         term_adv = integrate((beta.df(c)[:, None] * J * pg[None]).sum(axis=1), grid)
         term_curv = integrate(beta.d2f(c) * (J * gc).sum(axis=1) * pv, grid)
         rows.append(term_t + term_adv + term_curv)
-    rows = np.asarray(rows)
-    bulk = np.trapezoid(rows, times, axis=0)
+    bulk = _cumulative_trapezoid(np.asarray(rows), times)[-1]
     initial = integrate(beta.f(traj.states[0]) * phi.value(times[0]), grid)
     return np.abs(initial + bulk)

@@ -42,10 +42,10 @@ from msdiff.sim import (
     bump_test_function,
     exact_binary_mode,
     run,
-    twin_experiment,
+    run_lockstep,
     weak_form_residual,
 )
-from msdiff.suites import _gap_sides
+from msdiff.suites import _gap_sides, study_runs
 
 D3 = DiffusionMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
 
@@ -218,11 +218,12 @@ def test_criterion_07_identity_residual_refinement():
     t0 = time.time()
     base = Scenario(n=3, D=D3, grid=PeriodicGrid((16,)), t_final=0.001,
                     delta=0.05, cadence=1, amplitude=0.2, dt=0.001 / 8)
+    pert = Perturbation(amplitude=0.02, mode=2)
     residuals = []
     for k in range(3):
         sc = base.refine(2**k)
-        res = twin_experiment(sc, perturbation=Perturbation(amplitude=0.02, mode=2))
-        residuals.append(identity_residual(res.base, res.twin, sc.D).residual)
+        pair = run_lockstep([sc, replace(sc, perturbation=pert)])
+        residuals.append(identity_residual(*pair, sc.D).residual)
     orders = [math.log2(residuals[k] / residuals[k + 1]) for k in range(2)]
     elapsed = time.time() - t0
     ok = min(orders) >= 1.0
@@ -278,26 +279,19 @@ def test_criterion_10_twin_stability():
     t0 = time.time()
     sc = Scenario(n=3, D=D3, grid=PeriodicGrid((24,)), t_final=0.002,
                   delta=0.05, amplitude=0.2)
-    # identical data, refined twin steps: the regularized gap closes with dt
-    gaps, dts = [], []
-    for k in range(3):
-        steps = 8 * 2**k
-        paired = twin_experiment(
-            replace(sc, dt=sc.t_final / steps, cadence=steps), dt_divisor=2
-        )
-        gaps.append(
-            regularized_relative_entropy(
-                paired.base.state(-1), paired.twin.state(-1), sc.delta
-            )
-        )
-        dts.append(sc.t_final / steps)
+    # identical data, halved steps: the twin-study ladder at 8, 16, 32 and
+    # 64 steps, whose regularized gap between neighbours closes with dt
+    [group] = study_runs("twin-study", replace(sc, dt=sc.t_final / 8),
+                         {"twin-study.halvings": 3})
+    ladder = run_lockstep(group[:-1])  # the rungs, without the plan's twin
+    finals = [traj.state(-1) for traj in ladder]
+    gaps = [regularized_relative_entropy(a, b, sc.delta) for a, b in zip(finals, finals[1:])]
+    dts = [rung.dt for rung in group[:-2]]
     slope, _ = fit_loglog(dts, gaps)
     # perturbed twin at the same shift stays inside the certified envelope
-    pert = twin_experiment(
-        replace(sc, dt=sc.t_final / 16, cadence=2),
-        perturbation=Perturbation(amplitude=1e-3, mode=1),
-    )
-    cert = pert.certificate
+    base = replace(sc, dt=sc.t_final / 16, cadence=2)
+    twin = replace(base, perturbation=Perturbation(amplitude=1e-3, mode=1))
+    cert = gronwall_certificate(*run_lockstep([base, twin]), sc.D, sc.delta)
     elapsed = time.time() - t0
     ok = slope >= 0.9 and cert.holds_master and cert.holds_envelope
     _report(10, "twin stability", ok,

@@ -1,6 +1,7 @@
 """The walkthrough scripts in demos/ run to completion, and the entropy
 demo prints a decay."""
 
+import glob
 import os
 import re
 import subprocess
@@ -9,29 +10,20 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
-@pytest.mark.parametrize(
-    "script",
-    [
-        "flux_inversion.py",
-        "entropy_decay.py",
-        "twin_stability.py",
-        "mollifier_rates.py",
-        "weak_form_check.py",
-        "binary_convergence.py",
-    ],
-)
-def test_demo_runs(script):
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", script)],
+        [sys.executable, path],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    if script == "entropy_decay.py":
+    if os.path.basename(path) == "entropy_decay.py":
         inc = re.search(r"largest increment between snapshots: (\S+)", proc.stdout)
         assert inc and float(inc.group(1)) < 0.0, proc.stdout

@@ -3,6 +3,7 @@
 import importlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from msdiff.entropy import (
 )
 from msdiff.flux import DiffusionMatrix
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate
-from msdiff.sim import Perturbation, Scenario, max_stable_dt, run, twin_experiment
+from msdiff.sim import Perturbation, Scenario, max_stable_dt, run, run_lockstep
 
 
 def constant_state(grid, fractions, time=0.0):
@@ -367,12 +368,13 @@ def test_pair_sums_stay_accurate_on_nearly_equal_twins(n, cells, amplitude):
     delta = 0.05
     sc = Scenario(n=n, D=D, grid=grid, t_final=8 * 0.25 * max_stable_dt(grid, D),
                   amplitude=0.3, delta=delta, cadence=2)
-    res = twin_experiment(sc, perturbation=Perturbation(amplitude=amplitude, mode=1))
+    base, twin = run_lockstep(
+        [sc, replace(sc, perturbation=Perturbation(amplitude=amplitude, mode=1))])
     K = D.inv.astype(np.longdouble)
     got, ref = [], []
-    for k in range(len(res.base.times)):
-        c, cb = res.base.states[k], res.twin.states[k]
-        J, Jb = res.base.fluxes[k], res.twin.fluxes[k]
+    for k in range(len(base.times)):
+        c, cb = base.states[k], twin.states[k]
+        J, Jb = base.fluxes[k], twin.fluxes[k]
         u, ub = _velocities(J, c), _velocities(Jb, cb)
         d, dbar = c + delta, cb + delta
         v, vbar = _velocities(J, d), _velocities(Jb, dbar)
@@ -418,26 +420,26 @@ def small_scenario(**kw):
 
 def test_identity_residual_small_for_twin_pair():
     sc = small_scenario()
-    res = twin_experiment(sc, perturbation=Perturbation(amplitude=1e-3, mode=1))
-    out = identity_residual(res.base, res.twin, sc.D)
+    base, twin = run_lockstep(
+        [sc, replace(sc, perturbation=Perturbation(amplitude=1e-3, mode=1))])
+    out = identity_residual(base, twin, sc.D)
     # the balance nearly cancels; the defect is scheme error, well below the terms
     assert out.residual < 0.1 * max(abs(out.q_integral), abs(out.dh_sym))
-    series = identity_series(res.base, res.twin, sc.D)
+    series = identity_series(base, twin, sc.D)
     assert abs(series.residuals()[-1] - out.residual) < 1e-18
-    windowed = identity_residual(
-        res.base, res.twin, sc.D, window=(res.base.times[1], res.base.times[-1])
-    )
-    assert windowed.window[0] == res.base.times[1]
+    windowed = identity_residual(base, twin, sc.D, window=(base.times[1], base.times[-1]))
+    assert windowed.window[0] == base.times[1]
 
 
 def test_identity_residual_refines():
     # joint grid/time refinement: the defect drops about 4x per level
     base = small_scenario(grid=PeriodicGrid((16,)), dt=0.001 / 8, cadence=1)
+    pert = Perturbation(amplitude=1e-3, mode=1)
     residuals = []
     for k in range(3):
         sc = base.refine(2**k)
-        res = twin_experiment(sc, perturbation=Perturbation(amplitude=1e-3, mode=1))
-        residuals.append(identity_residual(res.base, res.twin, sc.D).residual)
+        pair = run_lockstep([sc, replace(sc, perturbation=pert)])
+        residuals.append(identity_residual(*pair, sc.D).residual)
     orders = [math.log2(residuals[k] / residuals[k + 1]) for k in range(2)]
     assert min(orders) > 1.5, (residuals, orders)
 
@@ -461,21 +463,23 @@ def test_certificate_identical_trajectories():
 
 def test_certificate_perturbed_pair_holds():
     sc = small_scenario()
-    res = twin_experiment(sc, perturbation=Perturbation(amplitude=1e-4, mode=1))
-    cert = res.certificate
+    base, twin = run_lockstep(
+        [sc, replace(sc, perturbation=Perturbation(amplitude=1e-4, mode=1))])
+    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
     assert cert.holds_master
     assert cert.holds_envelope
     assert cert.flux_bound > 0.0
     assert cert.constants.delta_max < sc.delta
-    assert len(cert.f_series) == len(res.base.times)
+    assert len(cert.f_series) == len(base.times)
 
 
 def test_certificate_admissible_delta_branch():
     sc = small_scenario()
-    res = twin_experiment(sc, perturbation=Perturbation(amplitude=1e-4, mode=1))
+    base, twin = run_lockstep(
+        [sc, replace(sc, perturbation=Perturbation(amplitude=1e-4, mode=1))])
     # the cap depends only on the diffusivities, not on the shift itself
-    cap = res.certificate.constants.delta_max
-    cert = gronwall_certificate(res.base, res.twin, sc.D, 0.5 * cap)
+    cap = gronwall_certificate(base, twin, sc.D, sc.delta).constants.delta_max
+    cert = gronwall_certificate(base, twin, sc.D, 0.5 * cap)
     assert cert.admissible
     assert cert.holds_master and cert.holds_envelope
 
@@ -558,8 +562,9 @@ def test_batched_trajectory_functionals_match_snapshot_loops(
     grid = PeriodicGrid(cells)
     sc = Scenario(n=n, D=D, grid=grid, t_final=10 * 0.25 * max_stable_dt(grid, D),
                   amplitude=0.3, delta=0.05, scheme=scheme, cadence=cadence)
-    res = twin_experiment(sc, perturbation=Perturbation(amplitude=0.02, mode=1))
-    base, twin, cert = res.base, res.twin, res.certificate
+    base, twin = run_lockstep(
+        [sc, replace(sc, perturbation=Perturbation(amplitude=0.02, mode=1))])
+    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
     assert len(base.times) >= 4
 
     series = identity_series(base, twin, D)

@@ -272,7 +272,7 @@ def test_eliminate_matches_lapack(n, m, kind):
 def _recorded_systems(solve, c, grad, D):
     """Copies of the (n, n, k) matrix and (n, k) rows that solve (the n >= 4
     kernel or the oracle) hands to _eliminate, one pair per block of k
-    points, in order; the blocks cover the batch."""
+    points, in order; the blocks cover the batch, a lone point as a pair."""
     seen = []
     eliminate = flux._eliminate
 
@@ -282,8 +282,9 @@ def _recorded_systems(solve, c, grad, D):
 
     with mock.patch.object(flux, "_eliminate", recording):
         solve(c, grad, D)
+    solved = 2 if len(c) == 1 else len(c)
     assert [b.shape[1] for _, b in seen] == [
-        sl.stop - sl.start for sl in flux._blocks(len(c), c.shape[1])
+        sl.stop - sl.start for sl in flux._blocks(solved, c.shape[1])
     ]
     return seen
 
@@ -407,6 +408,29 @@ def test_blocked_solves_are_bit_equal_to_one_block(monkeypatch, n, extra, layout
     assert x.T.flags.c_contiguous and o.T.flags.c_contiguous
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("solve", [solve_fluxes_batch, solve_fluxes_lstsq], ids=["kernel", "oracle"])
+@pytest.mark.parametrize("layout", ["rows", "points"])
+def test_a_point_solved_alone_is_bit_equal_to_the_point_in_a_batch(n, solve, layout):
+    # matmul rounds one column differently from a batch (the kernel from
+    # four species on, the oracle from three), unless a lone point is
+    # solved as a pair; the sum of the right-hand side must not follow the
+    # layout either (numpy sums 8 contiguous values pairwise)
+    D, c, grad = _interior_problem(np.random.default_rng(400 + n), n, 64)
+    if layout == "points":
+        c, grad = np.ascontiguousarray(c), np.ascontiguousarray(grad)
+
+    def fluxes(c, grad):
+        out = solve(c, grad, D)
+        return out[0] if solve is solve_fluxes_batch else out
+
+    batch = fluxes(c, grad)
+    for i in range(len(c)):
+        alone = fluxes(c[i:i + 1], grad[i:i + 1])
+        assert alone.shape == (1, n) and alone.T.flags.c_contiguous
+        assert alone.tobytes() == batch[i:i + 1].tobytes(), i
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("bad", ["zero-row", "nan-row", "inf-gradient"])
 def test_a_degenerate_point_in_a_later_block_raises_as_in_one_block(monkeypatch, n, bad):
@@ -516,8 +540,10 @@ def test_kernel_projects_the_rhs_like_a_mean(monkeypatch, n, m):
     monkeypatch.setattr(flux, "_zero_sum_rhs", recording)
     solve_fluxes_batch(c, grad, D)
     # the mean form on the same C-ordered (n, m) rows: the layout fixes the
-    # summation order, so a strided (m, n) reduction is no reference at n = 8
-    ref = np.ascontiguousarray(-grad.T)
+    # summation order, so a strided (m, n) reduction is no reference at n = 8.
+    # A lone point is solved as a pair of copies.
+    solved = np.repeat(grad, 2, axis=0) if m == 1 else grad
+    ref = np.ascontiguousarray(-solved.T)
     ref = ref - ref.mean(axis=0)
     assert len(seen) == 1 and seen[0].tobytes() == ref.tobytes()
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from msdiff import sim
-from msdiff.entropy import entropy, identity_renorm
+from msdiff.entropy import entropy, gronwall_certificate, identity_renorm
 from msdiff.flux import DiffusionMatrix, SingularComposition, solve_fluxes_batch
 from msdiff.grid import ConcentrationState, PeriodicGrid, integrate, l2_norm
 from msdiff.mollify import fit_loglog
@@ -29,7 +29,6 @@ from msdiff.sim import (
     run,
     run_lockstep,
     step,
-    twin_experiment,
     weak_form_residual,
 )
 from test_lockstep import ladder
@@ -566,21 +565,21 @@ def test_scheme_orders_against_fine_reference():
 
 def test_twin_without_perturbation_is_bitwise_identical():
     sc = Scenario(n=3, D=D3, grid=PeriodicGrid((24,)), t_final=0.002, cadence=2)
-    res = twin_experiment(sc)
-    for ca, cb in zip(res.base.states, res.twin.states):
+    base, twin = run_lockstep([sc, sc])
+    for ca, cb in zip(base.states, twin.states):
         assert np.array_equal(ca, cb)
-    assert np.all(res.certificate.r_series == 0.0)
-    assert res.certificate.holds
+    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
+    assert np.all(cert.r_series == 0.0)
+    assert cert.holds
 
 
 def test_twin_time_refinement_aligns_snapshots():
     sc = Scenario(n=3, D=D3, grid=PeriodicGrid((24,)), t_final=0.002, cadence=2)
-    res = twin_experiment(sc, dt_divisor=2)
-    assert res.twin.dt == res.base.dt / 2
-    assert np.abs(np.asarray(res.base.times) - np.asarray(res.twin.times)).max() == 0.0
-    assert res.certificate.holds
-    with pytest.raises(ValueError):
-        twin_experiment(sc, dt_divisor=1.5)
+    dt, _ = sc.resolve_steps()
+    base, twin = run_lockstep([replace(sc, dt=dt), replace(sc, dt=dt / 2, cadence=4)])
+    assert twin.dt == base.dt / 2
+    assert np.abs(np.asarray(base.times) - np.asarray(twin.times)).max() == 0.0
+    assert gronwall_certificate(base, twin, sc.D, sc.delta).holds
 
 
 def test_perturbation_is_mass_neutral_and_guarded():
