@@ -1,19 +1,17 @@
 """Entropy functionals and the stability estimates built on them.
 
-Everything here is a plain quadrature over grid fields: the mixing
-entropy, relative entropies (plain, symmetrized and shift-regularized),
-the renormalized entropy of a user-supplied convex profile, the pairwise
-dissipation form, the discrete entropy-identity residual for trajectory
-pairs, the four cross-term functionals of the twin estimate together
-with their certified upper bounds, and an exponential stability
-certificate assembled from all of the above.
+Plain quadratures over grid fields: the mixing, relative (plain,
+symmetrized, shifted) and renormalized entropies, the pairwise
+dissipation, the entropy-identity residual of trajectory pairs, the
+twin estimate's four cross terms with their certified bounds, and an
+exponential stability certificate built from them.
 
 Each functional is one array core on species-first fields, (n, *cells) and
 (n, dim, *cells); axes between those and the cells are batch axes that the
 result keeps. Sums over species pairs expand into contractions
 (K f)_i = sum_j K_ij f_j of (n, ...) fields with K = D.inv, so no
 (n, n, ...) array is formed. A trajectory pair is evaluated in one pass
-over blocks of snapshots, which recovers each velocity field once.
+over blocks of snapshots, which solves and drops each block's fluxes.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ import numpy as np
 
 from .flux import DeltaOutOfRange, stability_constants
 from .grid import GridMismatch, integrate
+from .sim import _snapshot_fluxes
 
 
 class MeshMismatch(ValueError):
@@ -178,19 +177,14 @@ def _block_snapshots(states, grid):
     return max(1, _BLOCK_VALUES // (states.shape[1] * states[0].size * grid.dim))
 
 
-def _blockwise(fn, grid, *arrays):
-    """Evaluate fn over blocks of snapshots of arrays with a leading snapshot
-    axis, the first of them a stack of states (S, n, *cells).
-
-    fn gets a species-first view of each array's block, its snapshot axis
-    moved just before the cells (states (n, S, *cells), fluxes
-    (n, dim, S, *cells)), and returns a dict of (S,) arrays; each is joined
-    over blocks.
-    """
-    per = _block_snapshots(arrays[0], grid)
+def _blockwise(fn, grid, *stacks):
+    """Evaluate fn over blocks of snapshots of stacks of states (S, n,
+    *cells): fn gets each stack's block as a (n, S_b, *cells) view and
+    returns a dict of (S_b,) arrays, each joined over blocks."""
+    per = _block_snapshots(stacks[0], grid)
     parts = []
-    for lo in range(0, len(arrays[0]), per):
-        parts.append(fn(*(np.moveaxis(a[lo:lo + per], 0, a.ndim - 1 - grid.dim) for a in arrays)))
+    for lo in range(0, len(stacks[0]), per):
+        parts.append(fn(*(np.moveaxis(a[lo:lo + per], 0, 1) for a in stacks)))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
@@ -260,7 +254,10 @@ def _cross_terms(d, dbar, v, vbar, K, delta, grid):
 def _pair_columns(traj_a, traj_b, D, delta=None):
     """Every per-snapshot column of a trajectory pair, in one blocked pass.
 
-    Velocities are recovered once per block: u = J / max(c, 1e-14) for the
+    Each block's fluxes J are solved as ``Trajectory.fluxes`` solves them
+    and dropped with the block; that cache is neither read nor filled, and
+    the first flux reader holds the last state to the residual test. D
+    must be both runs' own. Velocities: u = J / max(c, 1e-14) for the
     entropy identity and, when delta is given, v = J / (c + delta) for the
     twin columns. Returns the snapshot times and a dict of (S,) columns.
     """
@@ -269,10 +266,13 @@ def _pair_columns(traj_a, traj_b, D, delta=None):
         raise MeshMismatch("trajectories have different snapshot times")
     if traj_a.grid != traj_b.grid:
         raise GridMismatch("trajectories live on different grids")
+    if not all(np.array_equal(t.D.d, D.d) for t in (traj_a, traj_b)):
+        raise ValueError("D is not both trajectories' diffusion matrix")
     grid = traj_a.grid
     beta = None if delta is None else log_shift_renorm(delta)
 
-    def columns(c, cb, J, Jb):
+    def columns(c, cb):
+        J, Jb = _snapshot_fluxes(c, traj_a.D, grid), _snapshot_fluxes(cb, traj_b.D, grid)
         u, ub = _velocities(J, c), _velocities(Jb, cb)
         out = dict(symmetrized_entropy=_symmetrized_entropy(c, cb, grid),
                    dissipation=dissipation(c, cb, u, ub, D, grid),
@@ -296,8 +296,7 @@ def _pair_columns(traj_a, traj_b, D, delta=None):
             j1=j1, j2=j2, j3=j3, j4=j4,
         )
 
-    return ta, _blockwise(columns, grid, traj_a.states, traj_b.states,
-                          traj_a.fluxes, traj_b.fluxes)
+    return ta, _blockwise(columns, grid, traj_a.states, traj_b.states)
 
 
 @dataclass
@@ -336,9 +335,9 @@ def _identity_series(ta, cols):
 def identity_series(traj_a, traj_b, D):
     """Evaluate the symmetric-entropy balance pieces at every snapshot.
 
-    Velocities come from the recorded fluxes with a small positivity floor;
+    Velocities come from the snapshot fluxes with a small positivity floor;
     time integrals are cumulative trapezoids over the snapshot times.
-    Trajectories must share snapshot times and grids.
+    Trajectories must share snapshot times, grids and D.
     """
     return _identity_series(*_pair_columns(traj_a, traj_b, D))
 
@@ -494,7 +493,7 @@ class GronwallReport:
 def gronwall_certificate(traj_a, traj_b, D, delta):
     """Certify the twin stability estimate numerically for two trajectories.
 
-    Velocities are recovered from the recorded fluxes as v = J / (c + delta),
+    Velocities are recovered from the snapshot fluxes as v = J / (c + delta),
     which satisfies the shifted zero-sum constraint exactly. The flux bound
     is the measured sup of |J_i| over both trajectories. Both checks allow a
     slack of 1e-9: times max(1, |rhs|) in the master inequality; in the

@@ -11,18 +11,15 @@ toggle; the time step respects a parabolic stability bound.
 One private step core, ``_advance``, holds the Euler and Heun arithmetic.
 ``step`` is its checked front for one state, and ``run`` loops over
 ``step``. ``run_lockstep`` steps several runs of one grid, D, scheme and
-final time together: their states are stacked as (n, B, *cells), the
-members due at a tick are a prefix of the stack, and each stage makes one
-face solve for all of them. Every member comes out byte-equal to its own
-``run``, except that a residual entry is the largest residual of the
-shared solve, so at least the member's own. A twin pair, a run and its
-perturbed or refined twin, is a ``run_lockstep`` group of two, certified
-by ``entropy.gronwall_certificate``; the ``twin-study`` suite plans its
-ladder and twin through ``suites.study_runs``.
+final time together, one face solve per stage for the members due, each
+byte-equal to its own ``run`` but for residuals. A twin pair, a run and
+its perturbed or refined twin, is a ``run_lockstep`` group of two (see
+``suites.study_runs``), certified by ``entropy.gronwall_certificate``.
 
-A run records states only: its steps make all its face solves. A
-Trajectory solves the fluxes of its snapshots when they are first read,
-one face solve per block of snapshots, and keeps them.
+A run records states only: its steps make all its face solves. Snapshot
+fluxes are solved one face solve per block of snapshots; a
+``Trajectory.fluxes`` read keeps them, the entropy pair pass and
+``weak_form_residual`` drop each block.
 
 Scratch rule: a face divergence on a grid that this thread has already
 seen allocates only what it returns, the divergence and the face fluxes.
@@ -76,21 +73,16 @@ def _face_divergence(c, D, grid):
     between cells k and k+1 along that axis. Each axis is one kernel call
     over every member's faces; the kernel holds each face to its own
     gradient scale, so stacking loosens no residual test, and at n <= 3 a
-    member's results do not depend on what it is stacked with. The face
-    compositions and gradients go to the kernel as transposed views of
-    their (n, m) species rows, and each face array is a view of the
-    kernel's output: no copies. Both periodic neighbours come from the
-    grid's one shift helper; the composition shift is reused in place as
-    the gradient's buffer. The first axis's face difference is added to 0.0
+    member's results do not depend on what it is stacked with. The kernel
+    gets transposed views of (n, m) species rows, and each face array views
+    its output: no copies. The composition shift is reused in place as the
+    gradient's buffer. The first axis's face difference is added to 0.0
     into a new array (which turns -0.0 into +0.0, as a zero-filled buffer
     would), and each later axis's difference is added to that sum in place.
 
-    The shifted compositions and gradients, the face compositions and their
-    column sum, the shifted faces and |J| live in this thread's scratch for
-    c.shape (see ``_scratch``). The divergence and the faces are fresh:
-    Heun holds the first divergence across its second call, and
-    ``Trajectory.fluxes`` averages the faces of a block of snapshots into
-    the array it keeps.
+    Every other temporary lives in this thread's scratch for c.shape. The
+    divergence and the faces are fresh: Heun holds the first divergence
+    across its second call, and ``_snapshot_fluxes`` averages the faces.
     """
     n, dim = c.shape[0], grid.dim
     right, face, total = scratch("face_divergence", c.shape, _divergence_scratch)
@@ -134,6 +126,15 @@ def _cell_average(faces, out):
         slot += F
     out *= 0.5
     return out
+
+
+def _snapshot_fluxes(c, D, grid, out=None):
+    """Cell-averaged fluxes of a block of snapshots c (n, S_b, *cells), one
+    face divergence for all, into out (n, dim, S_b, *cells), by default a
+    fresh (S_b, n, dim, *cells) block so moved."""
+    if out is None:
+        out = np.moveaxis(np.empty((c.shape[1], c.shape[0], grid.dim) + c.shape[2:]), 0, 2)
+    return _cell_average(_face_divergence(c, D, grid)[1], out)
 
 
 def apply_positivity(c, cell_volume):
@@ -350,7 +351,8 @@ class Trajectory:
     Snapshot k sits in slot k of ``states``, (S, n, *cells); index,
     iterate or call ``state(k)`` to read one. ``fluxes``, the cell-averaged
     fluxes of each state, (S, n, dim, *cells), is solved with the run's
-    ``D`` on first read and kept.
+    ``D`` on first read and kept; the pair pass and the weak form solve
+    them per block and keep none.
 
     Entry k of flux_inf_series, clipped_series and residual_series belongs
     to step k: its largest |face flux|, its clipped mass, and the largest
@@ -358,10 +360,7 @@ class Trajectory:
     member, of the solves it shared). Entry 0, the initial state, is zero
     in all three. Every snapshot but the last was held to the kernel's
     residual test as its next step's first stage; the last is held to it
-    when ``fluxes`` is first read.
-
-    ``entropy_series`` is per snapshot instead: entry k is the mixing
-    entropy of snapshot k, aligned with ``times``, computed on each read.
+    by whichever flux reader comes first.
     """
 
     grid: PeriodicGrid
@@ -384,20 +383,18 @@ class Trajectory:
 
     @cached_property
     def fluxes(self):
-        """The cell-averaged fluxes of every snapshot, read-only: blocks of
-        snapshots of the entropy pass's size each make one face solve, as
-        member axes (n, S_block, *cells), so no temporary grows with S. At
-        n <= 3 entry k is bit for bit the average of a face solve of state k
-        alone. Raises SingularComposition if a face fails the kernel's
-        residual test."""
+        """The cell-averaged fluxes of every snapshot, read-only, solved
+        in blocks of the entropy pass's size. At n <= 3 entry k is bit for
+        bit the average of a face solve of state k alone. Raises
+        SingularComposition if a face fails the kernel's residual test."""
         from .entropy import _block_snapshots
 
         grid = self.grid
         out = np.empty(self.states.shape[:2] + (grid.dim,) + grid.cells)
         per = _block_snapshots(self.states, grid)
         for lo in range(0, len(out), per):
-            faces = _face_divergence(np.moveaxis(self.states[lo:lo + per], 0, 1), self.D, grid)[1]
-            _cell_average(faces, np.moveaxis(out[lo:lo + per], 0, 2))
+            _snapshot_fluxes(np.moveaxis(self.states[lo:lo + per], 0, 1), self.D, grid,
+                             np.moveaxis(out[lo:lo + per], 0, 2))
         out.flags.writeable = False
         return out
 
@@ -450,12 +447,10 @@ def run(scenario):
 
     The S = 1 + ceil(steps / cadence) snapshots (the initial state, every
     cadence-th step and the last) fill a stack of states allocated up
-    front; the run solves no face of a snapshot, and its fluxes are solved
-    when ``Trajectory.fluxes`` is first read, which is when the last state
-    meets the kernel's residual test. The flux, clipping and residual
-    series get one entry per step; the entropy series is read from the
-    snapshots. Deterministic. Each step goes through ``step``;
-    ``run_lockstep`` is the stacked loop.
+    front; the run solves no face of a snapshot (see ``Trajectory``). The
+    flux, clipping and residual series get one entry per step; the
+    entropy series is read from the snapshots. Deterministic. Each step
+    goes through ``step``; ``run_lockstep`` is the stacked loop.
     """
     dt, steps = scenario.resolve_steps()
     state = scenario.initial_state()
@@ -629,25 +624,29 @@ def weak_form_residual(traj, beta, phi):
         int beta(c0) phi(0) + int dt [ int beta(c) phi_t
             + beta'(c) (c u) . grad phi + beta''(c) ((c u) . grad c) phi ]
     with the entropy layer's trapezoid rule (``_cumulative_trapezoid``)
-    over the recorded snapshots. The test function must vanish at the
-    final recorded time. Returns one residual per species; all tend to
-    zero under mesh refinement for solutions of the divergence-form
-    system.
+    over the recorded snapshots, whose fluxes are solved per block and
+    dropped. The test function must vanish at the final recorded time.
+    Returns one residual per species; all tend to zero under mesh
+    refinement for solutions of the divergence-form system.
     """
-    from .entropy import _cumulative_trapezoid
+    from .entropy import _block_snapshots, _cumulative_trapezoid
 
     grid = traj.grid
     times = np.asarray(traj.times, dtype=float)
     if float(np.max(np.abs(phi.value(times[-1])))) > 1e-14:
         raise ValueError("test function must vanish at the final snapshot time")
     rows = []
-    for t, c, J in zip(times, traj.states, traj.fluxes):
-        pv, pt, pg = phi.value(t), phi.dt(t), phi.grad(t)
-        gc = gradient(c, grid)
-        term_t = integrate(beta.f(c) * pt, grid)
-        term_adv = integrate((beta.df(c)[:, None] * J * pg[None]).sum(axis=1), grid)
-        term_curv = integrate(beta.d2f(c) * (J * gc).sum(axis=1) * pv, grid)
-        rows.append(term_t + term_adv + term_curv)
+    per = _block_snapshots(traj.states, grid)
+    for lo in range(0, len(times), per):
+        block = traj.states[lo:lo + per]
+        fluxes = np.moveaxis(_snapshot_fluxes(np.moveaxis(block, 0, 1), traj.D, grid), 2, 0)
+        for t, c, J in zip(times[lo:lo + per], block, fluxes):
+            pv, pt, pg = phi.value(t), phi.dt(t), phi.grad(t)
+            gc = gradient(c, grid)
+            term_t = integrate(beta.f(c) * pt, grid)
+            term_adv = integrate((beta.df(c)[:, None] * J * pg[None]).sum(axis=1), grid)
+            term_curv = integrate(beta.d2f(c) * (J * gc).sum(axis=1) * pv, grid)
+            rows.append(term_t + term_adv + term_curv)
     bulk = _cumulative_trapezoid(np.asarray(rows), times)[-1]
     initial = integrate(beta.f(traj.states[0]) * phi.value(times[0]), grid)
     return np.abs(initial + bulk)

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -583,3 +584,89 @@ def test_batched_trajectory_functionals_match_snapshot_loops(
     for k, key in enumerate(keys):
         assert_series_close(cols[key], ref[:, k])
     assert cols["time"].tolist() == base.times
+
+
+def test_pair_pass_refuses_a_d_that_is_not_the_runs_own():
+    sc = small_scenario()
+    base, twin = run_lockstep(
+        [sc, replace(sc, perturbation=Perturbation(amplitude=1e-4, mode=1))])
+    other = DiffusionMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])
+    with pytest.raises(ValueError, match="D is not"):
+        identity_residual(base, twin, other)
+    with pytest.raises(ValueError, match="D is not"):
+        gronwall_certificate(base, twin, other, sc.delta)
+    # one run of the pair with another D is refused too, whichever D is given
+    mixed = run(replace(sc, D=other, dt=base.dt))
+    for D in (sc.D, other):
+        with pytest.raises(ValueError, match="D is not"):
+            identity_residual(base, mixed, D)
+
+
+def pair_runs(kind, cells):
+    """A twin pair (Heun, every step) or an identity pair (Euler, cadence
+    2) of 12 steps."""
+    scheme, cadence = {"twin": ("heun", 1), "identity": ("euler", 2)}[kind]
+    sc = small_scenario(grid=PeriodicGrid(cells), scheme=scheme, cadence=cadence)
+    sc = replace(sc, t_final=12 * 0.25 * max_stable_dt(sc.grid, sc.D))
+    pert = Perturbation(amplitude=1e-3, mode=1)
+    return sc, run_lockstep([sc, replace(sc, perturbation=pert)])
+
+
+def pair_pass(sc, base, twin):
+    """Every certificate diagnostic and identity-series field of a pair."""
+    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
+    series = identity_series(base, twin, sc.D)
+    return {**cert.diagnostics, **{f"series.{k}": v for k, v in vars(series).items()}}
+
+
+@pytest.mark.parametrize("blocks", ["one", "several"])
+@pytest.mark.parametrize("cells", [(24,), (6, 5)])
+@pytest.mark.parametrize("kind", ["twin", "identity"])
+def test_pair_pass_solves_fluxes_per_block_and_keeps_none(monkeypatch, kind, cells, blocks):
+    sim_module = importlib.import_module("msdiff.sim")
+    if blocks == "several":  # blocks of three snapshots, the last one partial
+        monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
+                            3 * 9 * len(cells) * math.prod(cells))
+    calls = []
+    real = sim_module._face_divergence
+
+    def counted(c, D, grid):
+        calls.append(c.shape)
+        return real(c, D, grid)
+
+    sc, (base, twin) = pair_runs(kind, cells)
+    monkeypatch.setattr(sim_module, "_face_divergence", counted)
+    streamed = pair_pass(sc, base, twin)
+    streamed_calls = len(calls)
+    assert not any("fluxes" in traj.__dict__ for traj in (base, twin))
+    calls.clear()
+    base.fluxes, twin.fluxes
+    assert calls[0][1] == (3 if blocks == "several" else len(base.times))
+    # two passes, each making the face solves of reading both runs' fluxes
+    assert streamed_calls == 2 * len(calls) == 4 * -(-len(base.times) // calls[0][1])
+    cached = pair_pass(sc, base, twin)
+    assert streamed.keys() == cached.keys()
+    for key, col in streamed.items():
+        assert np.asarray(col).tobytes() == np.asarray(cached[key]).tobytes(), key
+
+
+def test_pair_pass_memory_stays_below_one_runs_fluxes(monkeypatch):
+    # blocks of four snapshots: the pass may hold its (S,) columns and one
+    # block's temporaries, not a whole (S, n, dim, *cells) flux array
+    grid = PeriodicGrid((256,))
+    monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
+                        4 * 9 * math.prod(grid.cells))
+    sc = small_scenario(grid=grid, cadence=1)
+    sc = replace(sc, t_final=400 * 0.25 * max_stable_dt(grid, sc.D))
+    base, twin = run_lockstep(
+        [sc, replace(sc, perturbation=Perturbation(amplitude=1e-3, mode=1))])
+    flux_bytes = base.states.nbytes * grid.dim
+    assert len(base.times) > 300
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        gronwall_certificate(base, twin, sc.D, sc.delta)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < flux_bytes, (peak, flux_bytes)

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from msdiff import sim
-from msdiff.entropy import entropy, gronwall_certificate, identity_renorm
+from msdiff.entropy import (
+    _cumulative_trapezoid, entropy, gronwall_certificate, identity_renorm, log_shift_renorm)
 from msdiff.flux import DiffusionMatrix, SingularComposition, solve_fluxes_batch
-from msdiff.grid import ConcentrationState, PeriodicGrid, integrate, l2_norm
+from msdiff.grid import ConcentrationState, PeriodicGrid, gradient, integrate, l2_norm
 from msdiff.mollify import fit_loglog
 from msdiff.sim import (
     MAX_STEPS,
@@ -630,6 +631,28 @@ def test_weak_form_requires_vanishing_final_test_function():
     alive = bump_test_function(traj.grid, -0.004, 0.008)
     with pytest.raises(ValueError):
         weak_form_residual(traj, identity_renorm(), alive)
+
+
+@pytest.mark.parametrize("per", [None, 4])
+def test_weak_form_solves_fluxes_per_block_and_keeps_none(monkeypatch, per):
+    T, grid = 0.004, PeriodicGrid((16,))
+    if per is not None:  # 33 snapshots: the last block holds one
+        _blocks_of(monkeypatch, per, 3, grid)
+    traj = run(Scenario(n=3, D=D3, grid=grid, t_final=T, amplitude=0.3, dt=T / 32,
+                        scheme="heun"))
+    beta, phi = log_shift_renorm(0.05), bump_test_function(grid, -T, 0.0035)
+    got = weak_form_residual(traj, beta, phi)
+    assert "fluxes" not in traj.__dict__
+    # the per-snapshot loop over the kept fluxes that the blocks replaced
+    rows = []
+    for t, c, J in zip(traj.times, traj.states, traj.fluxes):
+        gc = gradient(c, grid)
+        rows.append(integrate(beta.f(c) * phi.dt(t), grid)
+                    + integrate((beta.df(c)[:, None] * J * phi.grad(t)[None]).sum(axis=1), grid)
+                    + integrate(beta.d2f(c) * (J * gc).sum(axis=1) * phi.value(t), grid))
+    bulk = _cumulative_trapezoid(np.asarray(rows), np.asarray(traj.times))[-1]
+    ref = np.abs(integrate(beta.f(traj.states[0]) * phi.value(0.0), grid) + bulk)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_weak_form_residual_refines():
