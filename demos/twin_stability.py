@@ -1,9 +1,9 @@
 """Certified stability gap between a run and its perturbed twin.
 
 Runs the same scenario twice in lockstep, the twin starting from a
-mass-neutral sinusoidal perturbation, and prints the Gronwall certificate
-comparing the regularized relative entropy against its integrated
-envelope. The default shift of 0.05 sits far above the admissibility
+mass-neutral sinusoidal perturbation, and prints the Gronwall certificate,
+which takes D from the two runs, comparing the regularized relative
+entropy against its integrated envelope. The default shift of 0.05 sits far above the admissibility
 threshold of the stability constants, so the certificate is reported
 with that caveat.
 """
@@ -22,7 +22,7 @@ def main():
                   delta=0.05, amplitude=0.2, cadence=4)
     pert = Perturbation(amplitude=1e-3, mode=2)
     base, twin = run_lockstep([sc, replace(sc, perturbation=pert)])
-    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
+    cert = gronwall_certificate(base, twin, sc.delta)
     k = cert.constants
 
     print(f"shift delta      : {k.delta}")

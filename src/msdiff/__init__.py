@@ -29,7 +29,6 @@ from .entropy import (
     MeshMismatch,
     RenormFunction,
     dissipation,
-    entropy,
     error_terms,
     gronwall_certificate,
     identity_renorm,

@@ -333,8 +333,6 @@ def _parse_diffusivities(entries, n):
 def _parse_perturbation(values, entries, n):
     amp, mode = values["perturb.amplitude"], values["perturb.mode"]
     species = values.get("perturb.species", [1, 2])
-    if amp is None:
-        return None
     if len(species) != 2 or species[0] == species[1]:
         raise ValidationError(
             f"line {entries['perturb.species'][1]}: perturb.species needs two "
@@ -344,6 +342,8 @@ def _parse_perturbation(values, entries, n):
         raise ValidationError(
             f"line {entries['perturb.species'][1]}: species must lie in 1..{n}"
         )
+    if amp is None:
+        return None
     return Perturbation(
         amplitude=amp, mode=mode, species=(species[0] - 1, species[1] - 1)
     )

@@ -10,8 +10,9 @@ Each functional is one array core on species-first fields, (n, *cells) and
 (n, dim, *cells); axes between those and the cells are batch axes that the
 result keeps. Sums over species pairs expand into contractions
 (K f)_i = sum_j K_ij f_j of (n, ...) fields with K = D.inv, so no
-(n, n, ...) array is formed. A trajectory pair is evaluated in one pass
-over blocks of snapshots, which solves and drops each block's fluxes.
+(n, n, ...) array is formed. A trajectory pair of one Maxwell-Stefan
+system is evaluated with its runs' own D, in one pass over blocks of
+snapshots (``sim._blockwise``) that solves and drops each block's fluxes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .flux import DeltaOutOfRange, stability_constants
 from .grid import GridMismatch, integrate
-from .sim import _snapshot_fluxes
+from .sim import _blockwise, _snapshot_fluxes
 
 
 class MeshMismatch(ValueError):
@@ -165,29 +166,6 @@ def _contract(K, f):
     return np.einsum("ij,j...->i...", K, f)
 
 
-# values in the largest temporary of one block of snapshots or states, so
-# that batched memory does not grow with their count
-_BLOCK_VALUES = 2**15
-
-
-def _block_snapshots(states, grid):
-    """Snapshots per block of a stack of states (S, n, *cells): the block's
-    largest temporary, n times its fluxes of n dim cells values a snapshot,
-    holds at most _BLOCK_VALUES values."""
-    return max(1, _BLOCK_VALUES // (states.shape[1] * states[0].size * grid.dim))
-
-
-def _blockwise(fn, grid, *stacks):
-    """Evaluate fn over blocks of snapshots of stacks of states (S, n,
-    *cells): fn gets each stack's block as a (n, S_b, *cells) view and
-    returns a dict of (S_b,) arrays, each joined over blocks."""
-    per = _block_snapshots(stacks[0], grid)
-    parts = []
-    for lo in range(0, len(stacks[0]), per):
-        parts.append(fn(*(np.moveaxis(a[lo:lo + per], 0, 1) for a in stacks)))
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-
-
 def _cumulative_trapezoid(values, times):
     """Trapezoid integrals of a sampled series from the first time to each:
     values is (S,) or (S, k), one row per time."""
@@ -251,28 +229,29 @@ def _cross_terms(d, dbar, v, vbar, K, delta, grid):
     return drift(d, vbar), drift(dbar, v), j3, j4, gap
 
 
-def _pair_columns(traj_a, traj_b, D, delta=None):
+def _pair_columns(traj_a, traj_b, delta=None):
     """Every per-snapshot column of a trajectory pair, in one blocked pass.
 
-    Each block's fluxes J are solved as ``Trajectory.fluxes`` solves them
-    and dropped with the block; that cache is neither read nor filled, and
-    the first flux reader holds the last state to the residual test. D
-    must be both runs' own. Velocities: u = J / max(c, 1e-14) for the
-    entropy identity and, when delta is given, v = J / (c + delta) for the
-    twin columns. Returns the snapshot times and a dict of (S,) columns.
+    The runs must share snapshot times, grid and D, the D of every
+    functional. Each block's fluxes J are solved as ``Trajectory.fluxes``
+    solves them and dropped with the block; that cache is neither read
+    nor filled, and the first flux reader holds the last state to the
+    residual test. Velocities: u = J / max(c, 1e-14) for the entropy
+    identity and, when delta is given, v = J / (c + delta) for the twin
+    columns. Returns the snapshot times and a dict of (S,) columns.
     """
     ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
     if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12:
         raise MeshMismatch("trajectories have different snapshot times")
     if traj_a.grid != traj_b.grid:
         raise GridMismatch("trajectories live on different grids")
-    if not all(np.array_equal(t.D.d, D.d) for t in (traj_a, traj_b)):
-        raise ValueError("D is not both trajectories' diffusion matrix")
-    grid = traj_a.grid
+    if not np.array_equal(traj_a.D.d, traj_b.D.d):
+        raise ValueError("trajectories have different diffusion matrices")
+    grid, D = traj_a.grid, traj_a.D
     beta = None if delta is None else log_shift_renorm(delta)
 
     def columns(c, cb):
-        J, Jb = _snapshot_fluxes(c, traj_a.D, grid), _snapshot_fluxes(cb, traj_b.D, grid)
+        J, Jb = _snapshot_fluxes(c, D, grid), _snapshot_fluxes(cb, D, grid)
         u, ub = _velocities(J, c), _velocities(Jb, cb)
         out = dict(symmetrized_entropy=_symmetrized_entropy(c, cb, grid),
                    dissipation=dissipation(c, cb, u, ub, D, grid),
@@ -332,17 +311,17 @@ def _identity_series(ta, cols):
                           _cumulative_trapezoid(q, ta), _cumulative_trapezoid(rhs, ta))
 
 
-def identity_series(traj_a, traj_b, D):
+def identity_series(traj_a, traj_b):
     """Evaluate the symmetric-entropy balance pieces at every snapshot.
 
     Velocities come from the snapshot fluxes with a small positivity floor;
     time integrals are cumulative trapezoids over the snapshot times.
     Trajectories must share snapshot times, grids and D.
     """
-    return _identity_series(*_pair_columns(traj_a, traj_b, D))
+    return _identity_series(*_pair_columns(traj_a, traj_b))
 
 
-def identity_residual(traj_a, traj_b, D, window=None):
+def identity_residual(traj_a, traj_b, window=None):
     """Discrete defect of the symmetric-entropy balance over a time window.
 
     Compares the change of the symmetrized relative entropy against the
@@ -350,7 +329,7 @@ def identity_residual(traj_a, traj_b, D, window=None):
     quadrature on the recorded snapshots (trapezoids are interval-additive,
     so windowed values agree with differences of the cumulative series).
     """
-    series = identity_series(traj_a, traj_b, D)
+    series = identity_series(traj_a, traj_b)
     ta = series.times
     lo = window[0] if window is not None else ta[0]
     hi = window[1] if window is not None else ta[-1]
@@ -490,24 +469,25 @@ class GronwallReport:
         return self.holds_master and self.holds_envelope
 
 
-def gronwall_certificate(traj_a, traj_b, D, delta):
+def gronwall_certificate(traj_a, traj_b, delta):
     """Certify the twin stability estimate numerically for two trajectories.
 
-    Velocities are recovered from the snapshot fluxes as v = J / (c + delta),
-    which satisfies the shifted zero-sum constraint exactly. The flux bound
-    is the measured sup of |J_i| over both trajectories. Both checks allow a
-    slack of 1e-9: times max(1, |rhs|) in the master inequality; in the
-    envelope, on a distance R and on the log-space comparison. The same
-    pass evaluates the entropy identity and the cross terms j1..j4 that
-    fill ``diagnostics``.
+    The trajectories must share snapshot times, grids and D, whose
+    stability constants the checks use. Velocities are recovered from the
+    snapshot fluxes as v = J / (c + delta), which satisfies the shifted
+    zero-sum constraint exactly. The flux bound is the measured sup of
+    |J_i| over both trajectories. Both checks allow a slack of 1e-9: times
+    max(1, |rhs|) in the master inequality; in the envelope, on a distance
+    R and on the log-space comparison. The same pass evaluates the entropy
+    identity and the cross terms j1..j4 that fill ``diagnostics``.
     """
     if delta <= 0.0:
         raise DeltaNonpositive(f"certificate needs delta > 0, got {delta}")
-    ta, cols = _pair_columns(traj_a, traj_b, D, delta)
+    ta, cols = _pair_columns(traj_a, traj_b, delta)
     f_series, r_series, s_series = (
         cols[key] for key in ("regularized_entropy", "r_distance", "s_dissipation"))
     flux_bound = float(cols["sup_flux"].max())
-    k = stability_constants(D, delta, flux_bound)
+    k = stability_constants(traj_a.D, delta, flux_bound)
     slack = 1e-9
 
     t0 = ta - ta[0]

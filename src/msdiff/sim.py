@@ -16,10 +16,12 @@ byte-equal to its own ``run`` but for residuals. A twin pair, a run and
 its perturbed or refined twin, is a ``run_lockstep`` group of two (see
 ``suites.study_runs``), certified by ``entropy.gronwall_certificate``.
 
-A run records states only: its steps make all its face solves. Snapshot
-fluxes are solved one face solve per block of snapshots; a
-``Trajectory.fluxes`` read keeps them, the entropy pair pass and
-``weak_form_residual`` drop each block.
+A run records states only: its steps make all its face solves. Every
+reader of stored snapshots walks them in the blocks of one rule,
+``_snapshot_blocks``, so no temporary grows with their count. Snapshot
+fluxes are one face solve per block (``_snapshot_fluxes``): a
+``Trajectory.fluxes`` read keeps them, the entropy pair pass (through
+``_blockwise``) and ``weak_form_residual`` drop each block.
 
 Scratch rule: a face divergence on a grid that this thread has already
 seen allocates only what it returns, the divergence and the face fluxes.
@@ -135,6 +137,28 @@ def _snapshot_fluxes(c, D, grid, out=None):
     if out is None:
         out = np.moveaxis(np.empty((c.shape[1], c.shape[0], grid.dim) + c.shape[2:]), 0, 2)
     return _cell_average(_face_divergence(c, D, grid)[1], out)
+
+
+# values in the largest temporary of one block of snapshots, so that
+# batched memory does not grow with their count
+_BLOCK_VALUES = 2**15
+
+
+def _snapshot_blocks(states, grid):
+    """Slices of a stack of states (S, n, *cells) into blocks of snapshots,
+    at least one each: a block's largest temporary, n times its fluxes of
+    n dim cells values a snapshot, holds at most _BLOCK_VALUES values."""
+    per = max(1, _BLOCK_VALUES // (states.shape[1] * states[0].size * grid.dim))
+    return [slice(lo, lo + per) for lo in range(0, len(states), per)]
+
+
+def _blockwise(fn, grid, *stacks):
+    """Evaluate fn over blocks of snapshots of stacks of states (S, n,
+    *cells): fn gets each stack's block as a (n, S_b, *cells) view and
+    returns a dict of (S_b,) arrays, each joined over blocks."""
+    parts = [fn(*(np.moveaxis(a[block], 0, 1) for a in stacks))
+             for block in _snapshot_blocks(stacks[0], grid)]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def apply_positivity(c, cell_volume):
@@ -384,17 +408,14 @@ class Trajectory:
     @cached_property
     def fluxes(self):
         """The cell-averaged fluxes of every snapshot, read-only, solved
-        in blocks of the entropy pass's size. At n <= 3 entry k is bit for
+        per block of ``_snapshot_blocks``. At n <= 3 entry k is bit for
         bit the average of a face solve of state k alone. Raises
         SingularComposition if a face fails the kernel's residual test."""
-        from .entropy import _block_snapshots
-
         grid = self.grid
         out = np.empty(self.states.shape[:2] + (grid.dim,) + grid.cells)
-        per = _block_snapshots(self.states, grid)
-        for lo in range(0, len(out), per):
-            _snapshot_fluxes(np.moveaxis(self.states[lo:lo + per], 0, 1), self.D, grid,
-                             np.moveaxis(out[lo:lo + per], 0, 2))
+        for block in _snapshot_blocks(self.states, grid):
+            _snapshot_fluxes(np.moveaxis(self.states[block], 0, 1), self.D, grid,
+                             np.moveaxis(out[block], 0, 2))
         out.flags.writeable = False
         return out
 
@@ -402,7 +423,7 @@ class Trajectory:
     def entropy_series(self):
         """The mixing entropy of each snapshot, evaluated over blocks of
         ``states``; bit for bit ``entropy(self.state(k))`` for every k."""
-        from .entropy import _blockwise, _mixing_entropy
+        from .entropy import _mixing_entropy
 
         cols = _blockwise(lambda c: {"entropy": _mixing_entropy(c, self.grid)}, self.grid, self.states)
         return cols["entropy"].tolist()
@@ -629,18 +650,17 @@ def weak_form_residual(traj, beta, phi):
     Returns one residual per species; all tend to zero under mesh
     refinement for solutions of the divergence-form system.
     """
-    from .entropy import _block_snapshots, _cumulative_trapezoid
+    from .entropy import _cumulative_trapezoid
 
     grid = traj.grid
     times = np.asarray(traj.times, dtype=float)
     if float(np.max(np.abs(phi.value(times[-1])))) > 1e-14:
         raise ValueError("test function must vanish at the final snapshot time")
     rows = []
-    per = _block_snapshots(traj.states, grid)
-    for lo in range(0, len(times), per):
-        block = traj.states[lo:lo + per]
-        fluxes = np.moveaxis(_snapshot_fluxes(np.moveaxis(block, 0, 1), traj.D, grid), 2, 0)
-        for t, c, J in zip(times[lo:lo + per], block, fluxes):
+    for block in _snapshot_blocks(traj.states, grid):
+        states = traj.states[block]
+        fluxes = np.moveaxis(_snapshot_fluxes(np.moveaxis(states, 0, 1), traj.D, grid), 2, 0)
+        for t, c, J in zip(times[block], states, fluxes):
             pv, pt, pg = phi.value(t), phi.dt(t), phi.grad(t)
             gc = gradient(c, grid)
             term_t = integrate(beta.f(c) * pt, grid)

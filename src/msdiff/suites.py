@@ -308,7 +308,7 @@ def _hold(which, keys, sc):
 
 def _identity_level(args):
     level, (base, twin) = args
-    res = identity_residual(*sim.run_lockstep([base, twin]), base.D)
+    res = identity_residual(*sim.run_lockstep([base, twin]))
     return level, min(base.grid.spacing), res.residual
 
 
@@ -400,7 +400,7 @@ def twin_study(cfg, rng):
     ]
     slope, _ = mollify.fit_loglog(dts, [max(g, 1e-300) for g in f_gaps])
 
-    cert = gronwall_certificate(base, twin, scenario.D, delta)
+    cert = gronwall_certificate(base, twin, delta)
     cols = cert.diagnostics
     art_csv = os.path.join(cfg.out_dir, "twin_diagnostics.csv")
     with open(art_csv, "w", newline="") as fh:

@@ -223,7 +223,7 @@ def test_criterion_07_identity_residual_refinement():
     for k in range(3):
         sc = base.refine(2**k)
         pair = run_lockstep([sc, replace(sc, perturbation=pert)])
-        residuals.append(identity_residual(*pair, sc.D).residual)
+        residuals.append(identity_residual(*pair).residual)
     orders = [math.log2(residuals[k] / residuals[k + 1]) for k in range(2)]
     elapsed = time.time() - t0
     ok = min(orders) >= 1.0
@@ -291,7 +291,7 @@ def test_criterion_10_twin_stability():
     # perturbed twin at the same shift stays inside the certified envelope
     base = replace(sc, dt=sc.t_final / 16, cadence=2)
     twin = replace(base, perturbation=Perturbation(amplitude=1e-3, mode=1))
-    cert = gronwall_certificate(*run_lockstep([base, twin]), sc.D, sc.delta)
+    cert = gronwall_certificate(*run_lockstep([base, twin]), sc.delta)
     elapsed = time.time() - t0
     ok = slope >= 0.9 and cert.holds_master and cert.holds_envelope
     _report(10, "twin stability", ok,

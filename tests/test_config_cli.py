@@ -196,6 +196,20 @@ def test_perturbation_defaults_and_absence():
     assert cfg.scenario.perturbation.mode == 1
 
 
+@pytest.mark.parametrize(
+    "species, fragment",
+    [("7 7", "line 5: perturb.species needs two distinct species"),
+     ("1 4", "line 5: species must lie in 1..3")],
+)
+def test_perturb_species_are_checked_without_an_amplitude(tmp_path, capsys, species, fragment):
+    text = f"n = 3\nD.1.2 = 1.0\nD.1.3 = 2.0\nD.2.3 = 3.0\nperturb.species = {species}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert fragment in str(err.value), str(err.value)
+    assert main([write_cfg(tmp_path, text)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ParseError) as err:
         load_config(str(tmp_path / "nope.cfg"))

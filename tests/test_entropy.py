@@ -423,12 +423,12 @@ def test_identity_residual_small_for_twin_pair():
     sc = small_scenario()
     base, twin = run_lockstep(
         [sc, replace(sc, perturbation=Perturbation(amplitude=1e-3, mode=1))])
-    out = identity_residual(base, twin, sc.D)
+    out = identity_residual(base, twin)
     # the balance nearly cancels; the defect is scheme error, well below the terms
     assert out.residual < 0.1 * max(abs(out.q_integral), abs(out.dh_sym))
-    series = identity_series(base, twin, sc.D)
+    series = identity_series(base, twin)
     assert abs(series.residuals()[-1] - out.residual) < 1e-18
-    windowed = identity_residual(base, twin, sc.D, window=(base.times[1], base.times[-1]))
+    windowed = identity_residual(base, twin, window=(base.times[1], base.times[-1]))
     assert windowed.window[0] == base.times[1]
 
 
@@ -440,7 +440,7 @@ def test_identity_residual_refines():
     for k in range(3):
         sc = base.refine(2**k)
         pair = run_lockstep([sc, replace(sc, perturbation=pert)])
-        residuals.append(identity_residual(*pair, sc.D).residual)
+        residuals.append(identity_residual(*pair).residual)
     orders = [math.log2(residuals[k] / residuals[k + 1]) for k in range(2)]
     assert min(orders) > 1.5, (residuals, orders)
 
@@ -450,13 +450,13 @@ def test_identity_residual_rejects_mismatched_pairs():
     a = run(sc)
     b = run(small_scenario(cadence=4))
     with pytest.raises(MeshMismatch):
-        identity_residual(a, b, sc.D)
+        identity_residual(a, b)
 
 
 def test_certificate_identical_trajectories():
     sc = small_scenario()
     traj = run(sc)
-    cert = gronwall_certificate(traj, traj, sc.D, sc.delta)
+    cert = gronwall_certificate(traj, traj, sc.delta)
     assert cert.holds_master and cert.holds_envelope
     assert np.all(cert.r_series == 0.0) and np.all(cert.f_series == 0.0)
     assert not cert.admissible  # 0.05 sits far above the certified window
@@ -466,7 +466,7 @@ def test_certificate_perturbed_pair_holds():
     sc = small_scenario()
     base, twin = run_lockstep(
         [sc, replace(sc, perturbation=Perturbation(amplitude=1e-4, mode=1))])
-    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
+    cert = gronwall_certificate(base, twin, sc.delta)
     assert cert.holds_master
     assert cert.holds_envelope
     assert cert.flux_bound > 0.0
@@ -479,8 +479,8 @@ def test_certificate_admissible_delta_branch():
     base, twin = run_lockstep(
         [sc, replace(sc, perturbation=Perturbation(amplitude=1e-4, mode=1))])
     # the cap depends only on the diffusivities, not on the shift itself
-    cap = gronwall_certificate(base, twin, sc.D, sc.delta).constants.delta_max
-    cert = gronwall_certificate(base, twin, sc.D, 0.5 * cap)
+    cap = gronwall_certificate(base, twin, sc.delta).constants.delta_max
+    cert = gronwall_certificate(base, twin, 0.5 * cap)
     assert cert.admissible
     assert cert.holds_master and cert.holds_envelope
 
@@ -489,7 +489,7 @@ def test_certificate_requires_positive_delta():
     sc = small_scenario()
     traj = run(sc)
     with pytest.raises(DeltaNonpositive):
-        gronwall_certificate(traj, traj, sc.D, 0.0)
+        gronwall_certificate(traj, traj, 0.0)
 
 
 # The per-snapshot loops that the batched trajectory functionals replaced,
@@ -554,9 +554,9 @@ def assert_series_close(got, ref):
 def test_batched_trajectory_functionals_match_snapshot_loops(
     monkeypatch, cells, scheme, cadence, n, blocks
 ):
-    entropy_module = importlib.import_module("msdiff.entropy")
     if blocks == "several":  # blocks of one or two snapshots
-        monkeypatch.setattr(entropy_module, "_BLOCK_VALUES", 2 * n * n * math.prod(cells))
+        monkeypatch.setattr(importlib.import_module("msdiff.sim"), "_BLOCK_VALUES",
+                            2 * n * n * math.prod(cells))
     rng = np.random.default_rng(7 * n + len(cells))
     vals = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=(n, n)))
     D = DiffusionMatrix(np.triu(vals, 1) + np.triu(vals, 1).T)
@@ -565,10 +565,10 @@ def test_batched_trajectory_functionals_match_snapshot_loops(
                   amplitude=0.3, delta=0.05, scheme=scheme, cadence=cadence)
     base, twin = run_lockstep(
         [sc, replace(sc, perturbation=Perturbation(amplitude=0.02, mode=1))])
-    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
+    cert = gronwall_certificate(base, twin, sc.delta)
     assert len(base.times) >= 4
 
-    series = identity_series(base, twin, D)
+    series = identity_series(base, twin)
     for got, ref in zip((series.h_sym, series.q_values, series.rhs_values),
                         loop_identity_series(base, twin, D)):
         assert_series_close(got, ref)
@@ -587,19 +587,16 @@ def test_batched_trajectory_functionals_match_snapshot_loops(
 
 
 def test_pair_pass_refuses_a_d_that_is_not_the_runs_own():
+    # D belongs to the pair: runs of two systems are refused, in either order
     sc = small_scenario()
-    base, twin = run_lockstep(
-        [sc, replace(sc, perturbation=Perturbation(amplitude=1e-4, mode=1))])
+    base = run(sc)
     other = DiffusionMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])
-    with pytest.raises(ValueError, match="D is not"):
-        identity_residual(base, twin, other)
-    with pytest.raises(ValueError, match="D is not"):
-        gronwall_certificate(base, twin, other, sc.delta)
-    # one run of the pair with another D is refused too, whichever D is given
     mixed = run(replace(sc, D=other, dt=base.dt))
-    for D in (sc.D, other):
-        with pytest.raises(ValueError, match="D is not"):
-            identity_residual(base, mixed, D)
+    for pair in ((base, mixed), (mixed, base)):
+        with pytest.raises(ValueError, match="different diffusion matrices"):
+            identity_residual(*pair)
+        with pytest.raises(ValueError, match="different diffusion matrices"):
+            gronwall_certificate(*pair, sc.delta)
 
 
 def pair_runs(kind, cells):
@@ -614,8 +611,8 @@ def pair_runs(kind, cells):
 
 def pair_pass(sc, base, twin):
     """Every certificate diagnostic and identity-series field of a pair."""
-    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
-    series = identity_series(base, twin, sc.D)
+    cert = gronwall_certificate(base, twin, sc.delta)
+    series = identity_series(base, twin)
     return {**cert.diagnostics, **{f"series.{k}": v for k, v in vars(series).items()}}
 
 
@@ -625,8 +622,7 @@ def pair_pass(sc, base, twin):
 def test_pair_pass_solves_fluxes_per_block_and_keeps_none(monkeypatch, kind, cells, blocks):
     sim_module = importlib.import_module("msdiff.sim")
     if blocks == "several":  # blocks of three snapshots, the last one partial
-        monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
-                            3 * 9 * len(cells) * math.prod(cells))
+        monkeypatch.setattr(sim_module, "_BLOCK_VALUES", 3 * 9 * len(cells) * math.prod(cells))
     calls = []
     real = sim_module._face_divergence
 
@@ -654,7 +650,7 @@ def test_pair_pass_memory_stays_below_one_runs_fluxes(monkeypatch):
     # blocks of four snapshots: the pass may hold its (S,) columns and one
     # block's temporaries, not a whole (S, n, dim, *cells) flux array
     grid = PeriodicGrid((256,))
-    monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
+    monkeypatch.setattr(importlib.import_module("msdiff.sim"), "_BLOCK_VALUES",
                         4 * 9 * math.prod(grid.cells))
     sc = small_scenario(grid=grid, cadence=1)
     sc = replace(sc, t_final=400 * 0.25 * max_stable_dt(grid, sc.D))
@@ -665,7 +661,7 @@ def test_pair_pass_memory_stays_below_one_runs_fluxes(monkeypatch):
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        gronwall_certificate(base, twin, sc.D, sc.delta)
+        gronwall_certificate(base, twin, sc.delta)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()

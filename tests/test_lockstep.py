@@ -1,6 +1,5 @@
 """Lockstep runs: members stepped together match their own runs byte for byte."""
 
-import importlib
 import math
 import re
 from dataclasses import dataclass, replace
@@ -64,8 +63,7 @@ def test_members_match_their_own_runs(monkeypatch, scheme, stages, cells):
     assert len(calls) == ticks * stages
     assert max(shape[1] for shape in calls) == len(members)
     # each member's first flux read solves its snapshots in blocks, here of 2
-    monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
-                        2 * 9 * len(cells) * math.prod(cells))
+    monkeypatch.setattr(sim, "_BLOCK_VALUES", 2 * 9 * len(cells) * math.prod(cells))
     calls.clear()
     for traj in trajs:
         traj.fluxes
@@ -90,7 +88,7 @@ def test_four_species_members_match_their_own_runs(scheme, cells):
 def test_entropy_blocks_do_not_change_the_series(monkeypatch):
     # 500 values give a trajectory of 24 cells and 3 species blocks of 2
     # snapshots, so three of the four members end in a partial block
-    monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES", 500)
+    monkeypatch.setattr(sim, "_BLOCK_VALUES", 500)
     members = ladder(PeriodicGrid((24,)), "heun")
     for traj, member in zip(run_lockstep(members), members):
         assert_matches_run(traj, run(member))

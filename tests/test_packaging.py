@@ -1,6 +1,7 @@
 """What `import msdiff` loads, and what the package declares it needs."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -46,3 +47,13 @@ def test_imports_are_exactly_the_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]}
     assert _third_party_imports() == declared
+
+
+def test_package_attributes_are_its_submodules():
+    # a top-level export named like a submodule would make
+    # `import msdiff.entropy as E` bind that export instead of the module
+    import msdiff
+
+    for name in ("flux", "grid", "entropy", "mollify", "sim", "config", "suites", "cli"):
+        module = importlib.import_module(f"msdiff.{name}")
+        assert getattr(msdiff, name) is module, name

@@ -1,9 +1,12 @@
-"""README drift check: its Python example runs and its config example parses,
-so an API change that breaks the documentation fails the suite."""
+"""README drift check: its Python example runs, its config example parses
+and the signatures it quotes are current, so an API change that breaks the
+documentation fails the suite."""
 
+import inspect
 import re
 from pathlib import Path
 
+import msdiff
 from msdiff.config import parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,3 +33,29 @@ def test_readme_config_example_parses():
     assert cfg.seed == 7 and cfg.out_dir == "results"
     assert cfg.params["flux-certify.samples"] == 500
     assert cfg.scenario.perturbation.amplitude == 1e-3
+
+
+def _package_function(name):
+    """The function that a README name such as ``run`` or
+    ``entropy.gronwall_certificate`` names on the package, or None."""
+    obj = msdiff
+    for part in name.split("."):
+        obj = getattr(obj, part, None)
+    return obj if inspect.isfunction(obj) else None
+
+
+def test_readme_quotes_current_signatures():
+    # each backticked `name(a, b)` of a package function lists its
+    # parameters without defaults, in order
+    quoted = re.findall(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", README.read_text())
+    checked = 0
+    for name, args in quoted:
+        fn = _package_function(name)
+        if fn is None:
+            continue
+        required = [p.name for p in inspect.signature(fn).parameters.values()
+                    if p.default is p.empty]
+        listed = [a.strip() for a in args.split(",") if a.strip()]
+        assert listed == required, f"README quotes {name}({args}); the code has {required}"
+        checked += 1
+    assert checked

@@ -90,8 +90,7 @@ def test_entropy_series_never_increases():
 @pytest.mark.parametrize("cells", [(16,), (6, 5)])
 def test_entropy_series_equals_the_entropy_of_each_state(monkeypatch, cells, block):
     if block is not None:  # 7 n dim cells values: blocks of two snapshots of n^2 dim cells
-        monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
-                            block * 3 * len(cells) * math.prod(cells))
+        monkeypatch.setattr(sim, "_BLOCK_VALUES", block * 3 * len(cells) * math.prod(cells))
     sc = Scenario(n=3, D=D3, grid=PeriodicGrid(cells), t_final=0.002, amplitude=0.4,
                   scheme="heun", cadence=1)
     dense = run(sc)
@@ -131,6 +130,34 @@ def test_runs_are_deterministic():
     assert a.entropy_series == b.entropy_series
 
 
+def test_one_block_rule_serves_every_snapshot_reader(monkeypatch):
+    # only sim's block size is patched: blocks of three snapshots, the last
+    # partial, read from the snapshot axis of each face solve
+    sc = Scenario(n=3, D=D3, grid=PeriodicGrid((24,)), t_final=0.002, amplitude=0.4)
+    base, twin = run_lockstep(
+        [sc, replace(sc, perturbation=Perturbation(amplitude=1e-3, mode=1))])
+    S = len(base.states)
+    assert S > 3 and S % 3
+    blocks = [min(3, S - lo) for lo in range(0, S, 3)]
+    monkeypatch.setattr(sim, "_BLOCK_VALUES", 3 * 9 * math.prod(sc.grid.cells))
+    calls = []
+    real = sim._face_divergence
+
+    def counted(c, D, grid):
+        calls.append(c.shape[1])
+        return real(c, D, grid)
+
+    monkeypatch.setattr(sim, "_face_divergence", counted)
+    base.fluxes
+    assert calls == blocks
+    calls.clear()
+    gronwall_certificate(base, twin, sc.delta)
+    assert calls == [size for size in blocks for _ in (base, twin)]
+    calls.clear()
+    weak_form_residual(base, identity_renorm(), bump_test_function(sc.grid, -1.0, base.times[-1]))
+    assert calls == blocks
+
+
 def _fresh_snapshot_fluxes(traj, D):
     """Each snapshot's cell-averaged fluxes from a face solve of it alone."""
     return [sim._cell_average(sim._face_divergence(c, D, traj.grid)[1],
@@ -140,8 +167,7 @@ def _fresh_snapshot_fluxes(traj, D):
 
 def _blocks_of(monkeypatch, per, n, grid):
     """Make Trajectory.fluxes read per snapshots a block."""
-    monkeypatch.setattr(importlib.import_module("msdiff.entropy"), "_BLOCK_VALUES",
-                        per * n * n * grid.dim * math.prod(grid.cells))
+    monkeypatch.setattr(sim, "_BLOCK_VALUES", per * n * n * grid.dim * math.prod(grid.cells))
 
 
 @pytest.mark.parametrize("scheme", ["euler", "heun"])
@@ -569,7 +595,7 @@ def test_twin_without_perturbation_is_bitwise_identical():
     base, twin = run_lockstep([sc, sc])
     for ca, cb in zip(base.states, twin.states):
         assert np.array_equal(ca, cb)
-    cert = gronwall_certificate(base, twin, sc.D, sc.delta)
+    cert = gronwall_certificate(base, twin, sc.delta)
     assert np.all(cert.r_series == 0.0)
     assert cert.holds
 
@@ -580,7 +606,7 @@ def test_twin_time_refinement_aligns_snapshots():
     base, twin = run_lockstep([replace(sc, dt=dt), replace(sc, dt=dt / 2, cadence=4)])
     assert twin.dt == base.dt / 2
     assert np.abs(np.asarray(base.times) - np.asarray(twin.times)).max() == 0.0
-    assert gronwall_certificate(base, twin, sc.D, sc.delta).holds
+    assert gronwall_certificate(base, twin, sc.delta).holds
 
 
 def test_perturbation_is_mass_neutral_and_guarded():

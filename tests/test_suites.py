@@ -153,7 +153,6 @@ def test_identity_study_certifies_nothing(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("identity-study computed a Gronwall certificate")
 
-    # the package exports a function named entropy, so fetch the module
     entropy_module = importlib.import_module("msdiff.entropy")
     monkeypatch.setattr(entropy_module, "gronwall_certificate", refuse)
     calls = counting_run(monkeypatch)
