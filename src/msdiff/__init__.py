@@ -8,7 +8,6 @@ from .flux import (
     DiffusionMatrix,
     SingularComposition,
     StabilityConstants,
-    admissible_delta_max,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
     stability_constants,

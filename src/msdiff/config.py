@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .flux import DiffusionMatrix, admissible_delta_max
+from .flux import DeltaOutOfRange, DiffusionMatrix, stability_constants
 from .grid import PeriodicGrid
 from .sim import Perturbation, Scenario, max_stable_dt
 from .suites import SUITE_PARAMS, _SUITES, RunOverCap, study_runs
@@ -40,8 +40,8 @@ class RunConfig:
     params: dict = field(
         default_factory=lambda: {k: v[1] for k, v in SUITE_PARAMS.items()}
     )
-    # the suite keys the config text sets: key -> (line number, raw text)
-    param_sources: dict = field(default_factory=dict)
+    # every key the config text sets: key -> (raw text, line number)
+    sources: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
 
@@ -145,7 +145,6 @@ def parse_config(text):
     entries = _split_lines(text)
     values = {}
     params = {k: v[1] for k, v in SUITE_PARAMS.items()}
-    param_sources = {}
     for key, (raw, lineno) in entries.items():
         if key in _SCALARS:
             values[key] = _convert(key, raw, _SCALARS[key][0], lineno)
@@ -153,7 +152,6 @@ def parse_config(text):
             values[key] = _convert(key, raw, _LISTS[key], lineno, many=True)
         elif key in SUITE_PARAMS:
             params[key] = _suite_param(key, raw, lineno)
-            param_sources[key] = (lineno, raw)
         elif not _is_diffusivity_key(key):
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
     for key, (_, default, _, _) in _SCALARS.items():
@@ -181,13 +179,7 @@ def parse_config(text):
             )
 
     D = _parse_diffusivities(entries, n)
-    if delta >= 1.0 and "twin-study" in suites:
-        raise ValidationError(
-            f"line {entries['delta'][1]}: twin certificates need "
-            f"0 < delta < min(1, mu/(4 c4)) = {admissible_delta_max(D):.6g}; "
-            f"got {delta}"
-        )
-    if delta >= 1.0:
+    if delta >= 1.0 and "twin-study" not in suites:  # check_suites gates a twin delta
         raise ValidationError(
             f"line {entries['delta'][1]}: delta must lie in (0, 1), got {delta}"
         )
@@ -222,7 +214,7 @@ def parse_config(text):
         seed=values["seed"],
         workers=values["workers"],
         params=params,
-        param_sources=param_sources,
+        sources=entries,
     )
     check_suites(cfg)
     return cfg
@@ -235,8 +227,9 @@ def check_suites(cfg):
     ladder's finest run to, and not on a study's own perturbation. A run
     over the cap is refused quoting each suite key that sets it as
     "line N: key = text", or as "key = value (default)" when the config
-    leaves it out. Sets the warnings that follow from the final suite
-    selection."""
+    leaves it out. Refuses a twin delta or D that ``stability_constants``
+    cannot take, quoting its line. Sets the warnings that follow from the
+    final suite selection."""
     for name in cfg.suites:
         try:
             for group in study_runs(name, cfg.scenario, cfg.params):
@@ -252,18 +245,27 @@ def check_suites(cfg):
             raise ValidationError(f"scenario rejected: {name}: {exc}") from None
     cfg.warnings = []
     if "twin-study" in cfg.suites:
-        delta, cap = cfg.scenario.delta, admissible_delta_max(cfg.scenario.D)
-        if delta >= cap:
+        try:
+            k = stability_constants(cfg.scenario.D, cfg.scenario.delta, 0.0)
+        except DeltaOutOfRange:
+            raise ValidationError(f"{_quote_param(cfg, 'delta')}: twin certificates need "
+                                  f"delta**4 > 0 and 0 < delta < min(1, mu/(4 c4))") from None
+        except OverflowError:  # M**2 with M = 1 / the smallest D.i.j
+            key = min(filter(_is_diffusivity_key, cfg.sources),
+                      key=lambda s: float(cfg.sources[s][0]))
+            raise ValidationError(
+                f"{_quote_param(cfg, key)}: overflows the twin certificate's constants") from None
+        if not k.admissible:
             cfg.warnings.append(
-                f"delta={delta} is above the certified dissipation window "
-                f"(mu/(4 c4) = {cap:.6g}); the twin certificate will carry the "
+                f"delta={k.delta} is above the certified dissipation window "
+                f"(mu/(4 c4) = {k.delta_max:.6g}); the twin certificate will carry the "
                 f"eroded margin explicitly"
             )
 
 
 def _quote_param(cfg, key):
-    if key in cfg.param_sources:
-        lineno, text = cfg.param_sources[key]
+    if key in cfg.sources:
+        text, lineno = cfg.sources[key]
         return f"line {lineno}: {key} = {text}"
     return f"{key} = {cfg.params[key]} (default)"
 

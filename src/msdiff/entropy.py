@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import DeltaOutOfRange, stability_constants
+from .flux import stability_constants
 from .grid import GridMismatch, integrate
 from .sim import _blockwise, _snapshot_fluxes
 
@@ -396,20 +396,17 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
     """
     if delta <= 0.0:
         raise DeltaNonpositive(f"error terms need delta > 0, got {delta}")
-    if delta >= 1.0:
-        raise DeltaOutOfRange(f"error terms need delta < 1, got {delta}")
     d, dbar, v, vbar = (np.asarray(x, dtype=float) for x in (d, dbar, v, vbar))
     n = d.shape[0]
     if flux_bound is None:
         speed = lambda w, vel: np.sqrt(((w[:, None] * vel) ** 2).sum(axis=1)).max()
         flux_bound = max(speed(d, v), speed(dbar, vbar))
+    k = stability_constants(D, delta, flux_bound)
 
     j1, j2, j3, j4, gap = _cross_terms(d, dbar, v, vbar, D.inv, delta, grid)
     s_val = integrate(gap.sum(axis=0), grid)
     r_val = integrate(((d - dbar) ** 2).sum(axis=0), grid)
     q_val = dissipation(d, dbar, v, vbar, D, grid)
-
-    k = stability_constants(D, delta, flux_bound)
     mu = k.mu
     bound_j12 = 0.25 * mu * s_val + (k.c1 / delta**2) * r_val
     bound_j3 = n * delta * k.big_m * s_val

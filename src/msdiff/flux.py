@@ -472,22 +472,19 @@ class StabilityConstants:
     admissible: bool
 
 
-def admissible_delta_max(D):
-    """Largest shift for which the dissipation margin mu/4 - c4*delta stays positive."""
-    # delta_max depends on D alone; any shift in (0, 1) and flux bound will do
-    return stability_constants(D, 0.5, 0.0).delta_max
-
-
 def stability_constants(D, delta, flux_bound):
     """Explicit constants for the twin stability estimate at shift delta.
 
     flux_bound is the measured sup-norm of the species fluxes c_i u_i along
-    the trajectories. A shift outside (0, 1) raises DeltaOutOfRange. Any
-    shift inside it gets its constants; ``admissible`` says whether it also
+    the trajectories. A shift outside (0, 1), or one whose delta**4 (a
+    divisor of the certificate) underflows to 0, raises DeltaOutOfRange.
+    Any other shift gets its constants; ``admissible`` says whether it also
     lies below delta_max = min(1, mu/(4 c4)), where the certified
     dissipation margin mu/4 - c4 delta is positive (outside, the
     certificates carry the eroded margin explicitly).
     """
+    if not (0.0 < delta < 1.0 and delta**4 > 0.0):
+        raise DeltaOutOfRange(f"delta must lie in (0, 1) with delta**4 > 0, got {delta}")
     n, mu, M = D.n, D.mu, D.big_m
     F = float(flux_bound)
     if F < 0.0:
@@ -498,8 +495,6 @@ def stability_constants(D, delta, flux_bound):
     c4 = n * M + c2
     c5 = 2.0 * n * mu * F**2 + c1 + c3
     delta_max = min(1.0, mu / (4.0 * c4))
-    if not 0.0 < delta < 1.0:
-        raise DeltaOutOfRange(f"delta must lie in (0, 1), got {delta}")
     return StabilityConstants(
         n=n,
         mu=mu,

@@ -378,23 +378,23 @@ class Trajectory:
     ``D`` on first read and kept; the pair pass and the weak form solve
     them per block and keep none.
 
-    Entry k of flux_inf_series, clipped_series and residual_series belongs
-    to step k: its largest |face flux|, its clipped mass, and the largest
-    force-flux kernel residual of its face solves (for a ``run_lockstep``
-    member, of the solves it shared). Entry 0, the initial state, is zero
-    in all three. Every snapshot but the last was held to the kernel's
-    residual test as its next step's first stage; the last is held to it
-    by whichever flux reader comes first.
+    Entry k of flux_inf_series, clipped_series and residual_series, the
+    float64 rows of one (3, steps + 1) block, belongs to step k, at time
+    ``step_times[k]`` = k dt: its largest |face flux|, its clipped mass,
+    and the largest force-flux kernel residual of its face solves (for a
+    ``run_lockstep`` member, of the solves it shared). Entry 0, the
+    initial state, is zero in all three. Every snapshot but the last was
+    held to the kernel's residual test as its next step's first stage;
+    the last is held to it by whichever flux reader comes first.
     """
 
     grid: PeriodicGrid
     states: np.ndarray
     D: DiffusionMatrix
     times: list = field(default_factory=list)
-    step_times: list = field(default_factory=list)
-    flux_inf_series: list = field(default_factory=list)
-    clipped_series: list = field(default_factory=list)
-    residual_series: list = field(default_factory=list)
+    flux_inf_series: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    clipped_series: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    residual_series: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dt: float = 0.0
     scheme: str = "euler"
 
@@ -429,8 +429,12 @@ class Trajectory:
         return cols["entropy"].tolist()
 
     @property
+    def step_times(self):
+        return np.arange(len(self.flux_inf_series)) * self.dt
+
+    @property
     def flux_inf(self):
-        return max(self.flux_inf_series) if self.flux_inf_series else 0.0
+        return float(max(self.flux_inf_series, default=0.0))
 
     @property
     def clipped_total(self):
@@ -452,9 +456,8 @@ def _trajectory(scenario, dt, steps, n):
     room for the S = 1 + ceil(steps / cadence) snapshots."""
     grid = scenario.grid
     lead = (1 + -(-steps // scenario.cadence), n)
-    return Trajectory(grid, np.empty(lead + grid.cells), scenario.D, step_times=[0.0],
-                      flux_inf_series=[0.0], clipped_series=[0.0], residual_series=[0.0],
-                      dt=dt, scheme=scenario.scheme)
+    return Trajectory(grid, np.empty(lead + grid.cells), scenario.D, [],
+                      *np.zeros((3, steps + 1)), dt=dt, scheme=scenario.scheme)
 
 
 def _record(traj, t, c):
@@ -467,11 +470,11 @@ def run(scenario):
     """Integrate a scenario, recording snapshots every ``cadence`` steps.
 
     The S = 1 + ceil(steps / cadence) snapshots (the initial state, every
-    cadence-th step and the last) fill a stack of states allocated up
-    front; the run solves no face of a snapshot (see ``Trajectory``). The
-    flux, clipping and residual series get one entry per step; the
-    entropy series is read from the snapshots. Deterministic. Each step
-    goes through ``step``; ``run_lockstep`` is the stacked loop.
+    cadence-th step and the last) fill a stack of states, and the steps'
+    records their (3, steps + 1) block, both allocated up front and
+    written in place. The run solves no face of a snapshot (see
+    ``Trajectory``). Deterministic. Each step goes through ``step``;
+    ``run_lockstep`` is the stacked loop.
     """
     dt, steps = scenario.resolve_steps()
     state = scenario.initial_state()
@@ -481,10 +484,7 @@ def run(scenario):
     for k in range(1, steps + 1):
         state, info = step(state, scenario.D, dt, scheme=scenario.scheme)
         state.time = k * dt
-        traj.step_times.append(state.time)
-        traj.flux_inf_series.append(info.flux_max)
-        traj.clipped_series.append(info.clipped_mass)
-        traj.residual_series.append(info.residual)
+        traj.flux_inf_series.base[:, k] = info.flux_max, info.clipped_mass, info.residual
         if k % scenario.cadence == 0 or k == steps:
             _record(traj, state.time, state.c)
     return traj
@@ -527,9 +527,10 @@ def run_lockstep(scenarios):
     another (a twin ladder of halved steps, or runs of one dt), the members
     due at a tick are a prefix of the stack, and each Heun or Euler stage
     makes one face solve for the whole prefix, with dt a broadcast column.
-    A member due to record copies its state into its own Trajectory and
-    solves nothing for it, as in ``run``. Anything else raises ValueError
-    (see ``_lockstep_plan``).
+    A member due writes its step's records into its own block, and copies
+    its state into its own Trajectory when due to record, solving nothing
+    for it, as in ``run``. Anything else raises ValueError (see
+    ``_lockstep_plan``).
 
     Each member's states, times, step times, flux and clipping series, and
     so its entropy series and the fluxes read from its states, are
@@ -553,10 +554,7 @@ def run_lockstep(scenarios):
         X[:, :b], fmax, clipped, residual = _advance(X[:, :b], D, grid, dts[:b], scheme)
         for i in range(b):
             traj, (dt, steps), k = trajs[i], plans[i], j // ratios[i]
-            traj.step_times.append(k * dt)
-            traj.flux_inf_series.append(float(fmax[i]))
-            traj.clipped_series.append(float(clipped[i]))
-            traj.residual_series.append(residual)
+            traj.flux_inf_series.base[:, k] = fmax[i], clipped[i], residual
             if k % members[i].cadence == 0 or k == steps:
                 _record(traj, k * dt, X[:, i])
     out = [None] * len(trajs)

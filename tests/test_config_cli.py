@@ -188,6 +188,31 @@ def test_twin_study_delta_gate_and_warning():
     assert tiny.warnings == []
 
 
+# values the twin certificate cannot take: a delta whose delta**4 (the
+# rate's divisor) underflows to 0, and a D whose constants overflow (they
+# square 1 / the smallest D.i.j); other suites run with them
+@pytest.mark.parametrize("text, fragment", [
+    (MINIMAL + "cells = 8\ndelta = 1e-300\n",
+     "line 4: delta = 1e-300: twin certificates need delta**4 > 0"),
+    ("n = 2\nD.1.2 = 1e-300\ncells = 8\nt_final = 0.001\n",
+     "line 2: D.1.2 = 1e-300: overflows the twin certificate's constants"),
+    ("n = 3\nD.1.2 = 1.0\nD.1.3 = 1e-200\nD.2.3 = 1e-100\ncells = 8\n",
+     "line 3: D.1.3 = 1e-200: overflows the twin certificate's constants"),
+])
+def test_twin_study_refuses_what_its_certificate_cannot_take(tmp_path, capsys, text, fragment):
+    assert parse_config(text).warnings == []
+    with pytest.raises(ValidationError) as err:
+        parse_config(text + "suites = twin-study\n")
+    assert str(err.value).startswith(fragment), err.value
+    # refused before any run, whether the config or the flag selects it
+    out = tmp_path / "out"
+    assert main([write_cfg(tmp_path, text + "suites = twin-study\n"), "--out", str(out)]) == 2
+    assert f"error: {fragment}" in capsys.readouterr().err
+    assert main([write_cfg(tmp_path, text), "--out", str(out), "--suite", "twin-study"]) == 2
+    assert f"error: {fragment}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_perturbation_defaults_and_absence():
     cfg = parse_config("n = 2\nD.1.2 = 1.0\nperturb.mode = 3\n")
     assert cfg.scenario.perturbation is None

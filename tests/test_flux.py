@@ -15,7 +15,6 @@ from msdiff.flux import (
     DeltaOutOfRange,
     DiffusionMatrix,
     SingularComposition,
-    admissible_delta_max,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
     stability_constants,
@@ -697,7 +696,8 @@ def test_shifted_velocities_drift_linearly_in_delta():
 
 def test_stability_constants_structure():
     D = DiffusionMatrix.uniform(3, 1.0)
-    cap = admissible_delta_max(D)
+    # delta_max depends on D alone; any shift in (0, 1) and flux bound will do
+    cap = stability_constants(D, 0.5, 0.0).delta_max
     k = stability_constants(D, 0.5 * cap, flux_bound=2.0)
     assert k.admissible and k.delta_max == cap
     assert k.velocity_bound == 2.0 / (0.5 * cap)
@@ -711,9 +711,10 @@ def test_stability_constants_structure():
     loose = stability_constants(D, 2.0 * cap, flux_bound=1.0)
     assert not loose.admissible and loose.delta_max == cap
     assert loose.c4 == k.c4 and loose.velocity_bound == 1.0 / (2.0 * cap)
-    for delta in (1.5, 1.0, 0.0, -0.1):
+    for delta in (1.5, 1.0, 0.0, -0.1, 1e-300):  # 1e-300**4 underflows to 0
         with pytest.raises(DeltaOutOfRange):
             stability_constants(D, delta, 1.0)
+    assert stability_constants(D, 1e-80, 1.0).delta == 1e-80  # 1e-320 > 0
 
 
 @settings(max_examples=60, deadline=None)

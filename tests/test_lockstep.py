@@ -21,10 +21,11 @@ def assert_matches_run(traj, ref):
     """traj equals ref byte for byte, but for residuals at least ref's own."""
     assert traj.states.tobytes() == ref.states.tobytes()
     assert traj.fluxes.tobytes() == ref.fluxes.tobytes()
-    assert traj.times == ref.times and traj.step_times == ref.step_times
+    assert traj.times == ref.times
+    assert traj.step_times.tobytes() == ref.step_times.tobytes()
     assert traj.entropy_series == ref.entropy_series
-    assert traj.flux_inf_series == ref.flux_inf_series
-    assert traj.clipped_series == ref.clipped_series
+    assert traj.flux_inf_series.tobytes() == ref.flux_inf_series.tobytes()
+    assert traj.clipped_series.tobytes() == ref.clipped_series.tobytes()
     assert len(traj.residual_series) == len(ref.residual_series)
     assert all(a >= b for a, b in zip(traj.residual_series, ref.residual_series))
     assert traj.dt == ref.dt and traj.scheme == ref.scheme and traj.grid == ref.grid

@@ -399,7 +399,7 @@ def test_threads_running_on_one_grid_match_serial_runs():
         assert a.states.tobytes() == b.states.tobytes()
         assert a.fluxes.tobytes() == b.fluxes.tobytes()
         assert a.entropy_series == b.entropy_series
-        assert a.residual_series == b.residual_series
+        assert a.residual_series.tobytes() == b.residual_series.tobytes()
 
 
 @pytest.mark.parametrize("cells", [(24,), (2,), (1, 5), (12, 10), (6, 5, 4)])
@@ -483,6 +483,35 @@ def test_residual_series_carries_each_steps_kernel_residual():
     state, info = step(sc.initial_state(), D3, traj.dt, scheme="heun")
     assert np.array_equal(state.c, traj.states[1])
     assert info.residual == traj.residual_series[1]
+
+
+def _assert_records_in_one_block(traj, steps):
+    series = (traj.flux_inf_series, traj.clipped_series, traj.residual_series)
+    for s in series:
+        assert s.dtype == np.float64 and s.shape == (steps + 1,)
+        assert s.base is series[0].base and s.base.shape == (3, steps + 1)
+    assert traj.step_times.tobytes() == (np.arange(steps + 1) * traj.dt).tobytes()
+    assert traj.step_times.tobytes() == np.array([k * traj.dt for k in range(steps + 1)]).tobytes()
+
+
+def test_step_records_fill_one_preallocated_block():
+    sc = Scenario(n=3, D=D3, grid=PeriodicGrid((8,)), t_final=0.4, dt=1e-4, cadence=4000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = run(sc)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    steps = len(traj.flux_inf_series) - 1
+    assert steps == 4000
+    # the run holds its two snapshots, their times and 24 B of records per step
+    assert held - traj.states.nbytes <= 32 * steps, held / steps
+    _assert_records_in_one_block(traj, steps)
+    short = replace(sc, t_final=0.002, cadence=1)
+    members = run_lockstep([short, replace(short, dt=5e-5, cadence=3)])
+    for traj, steps in zip(members, (20, 40)):
+        _assert_records_in_one_block(traj, steps)
 
 
 def test_stability_guards():
