@@ -1,7 +1,7 @@
 """Command-line entry point: run certification suites from a config file.
 
 Exit codes: 0 when every selected suite passes, 1 when any certification
-check fails, 2 for configuration errors.
+check fails, 2 for configuration errors, some found only as suites run.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import sys
 from dataclasses import replace
 
 from .config import (
-    KNOWN_SUITES, ParseError, ValidationError, check_scalar, check_suites, load_config
+    KNOWN_SUITES, ParseError, ValidationError, _diffusivity_extremes, _quote_param,
+    check_scalar, check_suites, load_config,
 )
+from .flux import DeltaOutOfRange, SingularComposition
 from .suites import execute
 
 
@@ -57,7 +59,13 @@ def main(argv=None):
                 raise ValidationError(
                     f"cannot create output directory {cfg.out_dir}: {exc.strerror}"
                 ) from None
-        return execute(cfg)
+        try:
+            return execute(cfg)
+        except SingularComposition as exc:
+            quoted = ", ".join(_quote_param(cfg, key) for key in _diffusivity_extremes(cfg))
+            raise ValidationError(f"{quoted}: the force-flux solve fails on this D: {exc}") from None
+        except DeltaOutOfRange as exc:
+            raise ValidationError(f"{_quote_param(cfg, 'delta')}: {exc}") from None
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -251,10 +251,8 @@ def check_suites(cfg):
             raise ValidationError(f"{_quote_param(cfg, 'delta')}: twin certificates need "
                                   f"delta**4 > 0 and 0 < delta < min(1, mu/(4 c4))") from None
         except OverflowError:  # M**2 with M = 1 / the smallest D.i.j
-            key = min(filter(_is_diffusivity_key, cfg.sources),
-                      key=lambda s: float(cfg.sources[s][0]))
-            raise ValidationError(
-                f"{_quote_param(cfg, key)}: overflows the twin certificate's constants") from None
+            raise ValidationError(f"{_quote_param(cfg, _diffusivity_extremes(cfg)[0])}: "
+                                  f"overflows the twin certificate's constants") from None
         if not k.admissible:
             cfg.warnings.append(
                 f"delta={k.delta} is above the certified dissipation window "
@@ -268,6 +266,12 @@ def _quote_param(cfg, key):
         text, lineno = cfg.sources[key]
         return f"line {lineno}: {key} = {text}"
     return f"{key} = {cfg.params[key]} (default)"
+
+
+def _diffusivity_extremes(cfg):
+    """The D.i.j keys of the smallest and the largest diffusivity, once each."""
+    keys = sorted(filter(_is_diffusivity_key, cfg.sources), key=lambda s: float(cfg.sources[s][0]))
+    return list(dict.fromkeys([keys[0], keys[-1]]))
 
 
 def _suite_param(key, text, lineno):

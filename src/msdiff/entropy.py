@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import stability_constants
+from .flux import DeltaOutOfRange, stability_constants
 from .grid import GridMismatch, integrate
 from .sim import _blockwise, _snapshot_fluxes
 
@@ -233,12 +233,11 @@ def _pair_columns(traj_a, traj_b, delta=None):
     """Every per-snapshot column of a trajectory pair, in one blocked pass.
 
     The runs must share snapshot times, grid and D, the D of every
-    functional. Each block's fluxes J are solved as ``Trajectory.fluxes``
-    solves them and dropped with the block; that cache is neither read
-    nor filled, and the first flux reader holds the last state to the
-    residual test. Velocities: u = J / max(c, 1e-14) for the entropy
-    identity and, when delta is given, v = J / (c + delta) for the twin
-    columns. Returns the snapshot times and a dict of (S,) columns.
+    functional. Each block's fluxes J are one face solve of the block
+    (``sim._snapshot_fluxes``), dropped with it; this holds the last state
+    to the kernel's residual test. Velocities: u = J / max(c, 1e-14) for
+    the entropy identity and, when delta is given, v = J / (c + delta) for
+    the twin columns. Returns the snapshot times and a dict of (S,) columns.
     """
     ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
     if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12:
@@ -476,7 +475,8 @@ def gronwall_certificate(traj_a, traj_b, delta):
     |J_i| over both trajectories. Both checks allow a slack of 1e-9: times
     max(1, |rhs|) in the master inequality; in the envelope, on a distance
     R and on the log-space comparison. The same pass evaluates the entropy
-    identity and the cross terms j1..j4 that fill ``diagnostics``.
+    identity and the cross terms j1..j4 that fill ``diagnostics``. A delta
+    whose rate c5 / delta**4 overflows raises DeltaOutOfRange.
     """
     if delta <= 0.0:
         raise DeltaNonpositive(f"certificate needs delta > 0, got {delta}")
@@ -493,6 +493,8 @@ def gronwall_certificate(traj_a, traj_b, delta):
 
     margin = 0.25 * k.mu - k.c4 * delta
     rate = k.c5 / delta**4
+    if not math.isfinite(rate):
+        raise DeltaOutOfRange(f"the certificate's rate c5 / delta**4 = {k.c5:.6g} / delta**4 overflows")
     master_lhs = f_series - f_series[0] + margin * int_s
     master_rhs = rate * int_r
     ref = np.maximum(np.abs(master_rhs), 1.0)

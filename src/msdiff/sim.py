@@ -19,9 +19,9 @@ its perturbed or refined twin, is a ``run_lockstep`` group of two (see
 A run records states only: its steps make all its face solves. Every
 reader of stored snapshots walks them in the blocks of one rule,
 ``_snapshot_blocks``, so no temporary grows with their count. Snapshot
-fluxes are one face solve per block (``_snapshot_fluxes``): a
-``Trajectory.fluxes`` read keeps them, the entropy pair pass (through
-``_blockwise``) and ``weak_form_residual`` drop each block.
+fluxes are one face solve per block (``_snapshot_fluxes``), made by the
+entropy pair pass (through ``_blockwise``) and ``weak_form_residual`` and
+dropped with the block.
 
 Scratch rule: a face divergence on a grid that this thread has already
 seen allocates only what it returns, the divergence and the face fluxes.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -130,12 +129,12 @@ def _cell_average(faces, out):
     return out
 
 
-def _snapshot_fluxes(c, D, grid, out=None):
+def _snapshot_fluxes(c, D, grid):
     """Cell-averaged fluxes of a block of snapshots c (n, S_b, *cells), one
-    face divergence for all, into out (n, dim, S_b, *cells), by default a
-    fresh (S_b, n, dim, *cells) block so moved."""
-    if out is None:
-        out = np.moveaxis(np.empty((c.shape[1], c.shape[0], grid.dim) + c.shape[2:]), 0, 2)
+    face divergence for all: a (n, dim, S_b, *cells) view of a fresh
+    (S_b, n, dim, *cells) block. At n <= 3 snapshot k's slice is bit for
+    bit the average of a face solve of it alone."""
+    out = np.moveaxis(np.empty((c.shape[1], c.shape[0], grid.dim) + c.shape[2:]), 0, 2)
     return _cell_average(_face_divergence(c, D, grid)[1], out)
 
 
@@ -373,10 +372,9 @@ class Trajectory:
     """Recorded snapshots of one run, plus per-step scalar series.
 
     Snapshot k sits in slot k of ``states``, (S, n, *cells); index,
-    iterate or call ``state(k)`` to read one. ``fluxes``, the cell-averaged
-    fluxes of each state, (S, n, dim, *cells), is solved with the run's
-    ``D`` on first read and kept; the pair pass and the weak form solve
-    them per block and keep none.
+    iterate or call ``state(k)`` to read one. ``D`` is the run's own, with
+    which the pair pass and the weak form solve the snapshot fluxes per
+    block and keep none.
 
     Entry k of flux_inf_series, clipped_series and residual_series, the
     float64 rows of one (3, steps + 1) block, belongs to step k, at time
@@ -385,7 +383,7 @@ class Trajectory:
     ``run_lockstep`` member, of the solves it shared). Entry 0, the
     initial state, is zero in all three. Every snapshot but the last was
     held to the kernel's residual test as its next step's first stage;
-    the last is held to it by whichever flux reader comes first.
+    the last is held to it by each reader of the snapshot fluxes.
     """
 
     grid: PeriodicGrid
@@ -404,20 +402,6 @@ class Trajectory:
 
     def state(self, k):
         return ConcentrationState(self.grid, self.states[k], float(self.times[k]))
-
-    @cached_property
-    def fluxes(self):
-        """The cell-averaged fluxes of every snapshot, read-only, solved
-        per block of ``_snapshot_blocks``. At n <= 3 entry k is bit for
-        bit the average of a face solve of state k alone. Raises
-        SingularComposition if a face fails the kernel's residual test."""
-        grid = self.grid
-        out = np.empty(self.states.shape[:2] + (grid.dim,) + grid.cells)
-        for block in _snapshot_blocks(self.states, grid):
-            _snapshot_fluxes(np.moveaxis(self.states[block], 0, 1), self.D, grid,
-                             np.moveaxis(out[block], 0, 2))
-        out.flags.writeable = False
-        return out
 
     @property
     def entropy_series(self):
@@ -533,8 +517,8 @@ def run_lockstep(scenarios):
     ``_lockstep_plan``).
 
     Each member's states, times, step times, flux and clipping series, and
-    so its entropy series and the fluxes read from its states, are
-    byte-equal to ``run`` of it alone. Its residual series holds the
+    so its entropy series and any pair or weak-form reading of its states,
+    are byte-equal to ``run`` of it alone. Its residual series holds the
     largest kernel residual of each tick's shared solves, so every entry
     is at least its own.
     """

@@ -213,6 +213,31 @@ def test_twin_study_refuses_what_its_certificate_cannot_take(tmp_path, capsys, t
     assert not out.exists()
 
 
+# values that pass the config checks but fail once the suites run: a D
+# whose spread the force-flux solve fails on (the kernel's residual gate
+# fails from D.1.2 = 1e-6 beside these D.1.3 and D.2.3, a limit that
+# depends on the whole D and the data, so parsing sets no threshold), quoted by its smallest and largest D.i.j,
+# and a twin delta whose certificate rate c5 / delta**4 overflows
+@pytest.mark.parametrize("suite", ["identity-study", "twin-study"])
+def test_a_d_that_the_flux_solve_fails_on_exits_two_with_its_lines(tmp_path, capsys, suite):
+    text = ("n = 3\nD.1.2 = 1e-150\nD.1.3 = 1.0\nD.2.3 = 2.0\ncells = 8\nt_final = 0.001\n"
+            f"suites = {suite}\n")
+    assert main([write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: D.1.2 = 1e-150, line 4: D.2.3 = 2.0: "
+                          "the force-flux solve fails on this D: "), err
+    assert err.count("\n") == 1
+
+
+def test_a_twin_delta_whose_rate_overflows_exits_two_with_its_line(tmp_path, capsys):
+    text = ("n = 2\nD.1.2 = 1.0\ncells = 8\nt_final = 0.001\ndelta = 1e-80\n"
+            "twin-study.halvings = 2\nsuites = twin-study\n")
+    assert main([write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: line 5: delta = 1e-80: the certificate's rate"), out.err
+    assert out.err.count("\n") == 1 and "FAIL" not in out.out
+
+
 def test_perturbation_defaults_and_absence():
     cfg = parse_config("n = 2\nD.1.2 = 1.0\nperturb.mode = 3\n")
     assert cfg.scenario.perturbation is None

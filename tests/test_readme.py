@@ -1,7 +1,8 @@
-"""README drift check: its Python example runs, its config example parses
-and the signatures it quotes are current, so an API change that breaks the
-documentation fails the suite."""
+"""README drift check: its Python example runs, its config example parses,
+and the signatures and dotted names it quotes are current, so an API change
+that breaks the documentation fails the suite."""
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -59,3 +60,26 @@ def test_readme_quotes_current_signatures():
         assert listed == required, f"README quotes {name}({args}); the code has {required}"
         checked += 1
     assert checked
+
+
+def _resolves(name):
+    """Whether a dotted README name such as ``sim.MAX_STEPS`` names an
+    attribute of the package, or ends in a dataclass field such as
+    ``Trajectory.residual_series``."""
+    obj = msdiff
+    *path, last = name.split(".")
+    for part in path:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return hasattr(obj, last) or (
+        dataclasses.is_dataclass(obj) and last in {f.name for f in dataclasses.fields(obj)})
+
+
+def test_readme_dotted_names_resolve():
+    # each backticked `head.name`, or `head.name(...)`, whose head is a
+    # package attribute names something that the package still has
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`()]*\))?`", README.read_text())
+    checked = [name for name in names if hasattr(msdiff, name.split(".")[0])]
+    assert [name for name in checked if not _resolves(name)] == []
+    assert len(checked) >= 5

@@ -13,7 +13,8 @@ import pytest
 
 from msdiff import sim
 from msdiff.entropy import (
-    _cumulative_trapezoid, entropy, gronwall_certificate, identity_renorm, log_shift_renorm)
+    _cumulative_trapezoid, entropy, gronwall_certificate, identity_renorm, identity_residual,
+    log_shift_renorm)
 from msdiff.flux import DiffusionMatrix, SingularComposition, solve_fluxes_batch
 from msdiff.grid import ConcentrationState, PeriodicGrid, gradient, integrate, l2_norm
 from msdiff.mollify import fit_loglog
@@ -32,6 +33,7 @@ from msdiff.sim import (
     step,
     weak_form_residual,
 )
+from snapshot_reference import fresh_snapshot_fluxes
 from test_lockstep import ladder
 
 D2 = DiffusionMatrix.uniform(2, 1.5)
@@ -148,9 +150,6 @@ def test_one_block_rule_serves_every_snapshot_reader(monkeypatch):
         return real(c, D, grid)
 
     monkeypatch.setattr(sim, "_face_divergence", counted)
-    base.fluxes
-    assert calls == blocks
-    calls.clear()
     gronwall_certificate(base, twin, sc.delta)
     assert calls == [size for size in blocks for _ in (base, twin)]
     calls.clear()
@@ -158,15 +157,16 @@ def test_one_block_rule_serves_every_snapshot_reader(monkeypatch):
     assert calls == blocks
 
 
-def _fresh_snapshot_fluxes(traj, D):
-    """Each snapshot's cell-averaged fluxes from a face solve of it alone."""
-    return [sim._cell_average(sim._face_divergence(c, D, traj.grid)[1],
-                              np.empty((traj.n, traj.grid.dim) + traj.grid.cells))
-            for c in traj.states]
+def _block_fluxes(traj):
+    """(S, n, dim, *cells): the snapshot fluxes as the pair pass and the
+    weak form solve them, ``_snapshot_fluxes`` over ``_snapshot_blocks``."""
+    return np.concatenate([
+        np.moveaxis(sim._snapshot_fluxes(np.moveaxis(traj.states[block], 0, 1), traj.D, traj.grid), 2, 0)
+        for block in sim._snapshot_blocks(traj.states, traj.grid)])
 
 
 def _blocks_of(monkeypatch, per, n, grid):
-    """Make Trajectory.fluxes read per snapshots a block."""
+    """Make every reader of stored snapshots take per snapshots a block."""
     monkeypatch.setattr(sim, "_BLOCK_VALUES", per * n * n * grid.dim * math.prod(grid.cells))
 
 
@@ -185,9 +185,9 @@ def test_snapshot_fluxes_equal_a_fresh_solve(monkeypatch, scheme, cadence):
                 if several:  # blocks that leave the last one partial; of 1 for S = 2
                     per = next(p for p in (3, 4, 5) if S % p) if S > 2 else 1
                     _blocks_of(patch, per, n, sc.grid)
-                J = traj.fluxes
+                J = _block_fluxes(traj)
             assert J.shape == (S, n, len(cells)) + cells
-            for got, fresh in zip(J, _fresh_snapshot_fluxes(traj, D)):
+            for got, fresh in zip(J, fresh_snapshot_fluxes(traj)):
                 assert got.tobytes() == fresh.tobytes()
 
 
@@ -202,16 +202,8 @@ def test_snapshot_fluxes_at_four_species_agree_with_a_fresh_solve(monkeypatch):
     _blocks_of(monkeypatch, 3, n, grid)
     traj = run(Scenario(n=n, D=D, grid=grid, t_final=0.002, amplitude=0.4, scheme="heun"))
     assert len(traj.states) % 3
-    for J, fresh in zip(traj.fluxes, _fresh_snapshot_fluxes(traj, D)):
+    for J, fresh in zip(_block_fluxes(traj), fresh_snapshot_fluxes(traj)):
         assert np.abs(J - fresh).max() <= 1e-14 * np.abs(fresh).max()
-
-
-def test_flux_reads_are_kept_and_read_only():
-    traj = run(Scenario(n=3, D=D3, grid=PeriodicGrid((16,)), t_final=0.001, cadence=3))
-    J = traj.fluxes
-    assert traj.fluxes is J and not J.flags.writeable
-    with pytest.raises(ValueError):
-        J[0] = 0.0
 
 
 def test_only_a_flux_read_solves_faces_after_a_run(monkeypatch):
@@ -227,20 +219,24 @@ def test_only_a_flux_read_solves_faces_after_a_run(monkeypatch):
         assert len(traj.flux_inf_series) == len(traj.step_times)
         assert [traj.state(k).time for k in range(len(traj.times))] == traj.times
         with pytest.raises(AssertionError, match="face solve after the run"):
-            traj.fluxes
+            gronwall_certificate(traj, traj, 0.05)
 
 
 def test_a_degenerate_last_snapshot_fails_on_the_flux_read():
     # a run gates every snapshot but the last as its next step's first
-    # stage; the last one is gated when the fluxes are first read
+    # stage; the last one is gated by every reader of the snapshot fluxes
     grid = PeriodicGrid((8,))
     good = np.full((3, 8), 1.0 / 3.0)
     bad = good.copy()
     bad[:, 3:5] = 0.0  # two empty cells: their face composition is 0 / 0
     traj = sim.Trajectory(grid, np.stack([good, good, bad]), D3, times=[0.0, 1.0, 2.0])
     assert len(traj.entropy_series) == 3
-    with np.errstate(invalid="ignore"), pytest.raises(SingularComposition):
-        traj.fluxes
+    readers = [lambda: identity_residual(traj, traj),
+               lambda: gronwall_certificate(traj, traj, 0.05),
+               lambda: weak_form_residual(traj, identity_renorm(), bump_test_function(grid, -1.0, 2.0))]
+    for read in readers:
+        with np.errstate(invalid="ignore"), pytest.raises(SingularComposition):
+            read()
 
 
 def _face_divergence_reference(c, D, grid):
@@ -381,8 +377,7 @@ def test_threads_running_on_one_grid_match_serial_runs():
     def work(k):
         start.wait(timeout=60)
         traj = run(scenarios[k])
-        traj.fluxes  # solved in this thread, on its scratch
-        threaded[k] = traj
+        threaded[k] = traj, fresh_snapshot_fluxes(traj)  # solved on this thread's scratch
 
     workers = [threading.Thread(target=work, args=(k,)) for k in range(len(scenarios))]
     interval = sys.getswitchinterval()
@@ -395,9 +390,9 @@ def test_threads_running_on_one_grid_match_serial_runs():
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
-    for a, b in zip(serial, threaded):
+    for a, (b, fluxes) in zip(serial, threaded):
         assert a.states.tobytes() == b.states.tobytes()
-        assert a.fluxes.tobytes() == b.fluxes.tobytes()
+        assert fresh_snapshot_fluxes(a).tobytes() == fluxes.tobytes()
         assert a.entropy_series == b.entropy_series
         assert a.residual_series.tobytes() == b.residual_series.tobytes()
 
@@ -411,7 +406,7 @@ def test_cell_average_matches_its_roll_reference(cells):
         ref = np.stack([0.5 * (F + np.roll(F, 1, axis=1 + len(members) + k))
                         for k, F in enumerate(faces)], axis=1)
         assert sim._cell_average(faces, np.empty_like(ref)).tobytes() == ref.tobytes()
-        if members:  # into a strided view, as a block of Trajectory.fluxes
+        if members:  # into a strided view, as _snapshot_fluxes gives it
             out = np.empty((4, 3, len(cells), *cells))
             sim._cell_average(faces, np.moveaxis(out, 0, 2))
             assert np.moveaxis(out, 0, 2).tobytes() == ref.tobytes()
@@ -429,10 +424,11 @@ def test_runs_take_no_roll(monkeypatch, cells):
     monkeypatch.setattr(np, "roll", no_roll)
     traj = run(sc)
     assert len(traj.states) == len(expected.states) >= 3
-    assert len(traj.fluxes) == len(expected.fluxes) == len(traj.states)
+    J, expected_J = _block_fluxes(traj), _block_fluxes(expected)
+    assert len(J) == len(expected_J) == len(traj.states)
     for k in range(len(traj.states)):
         assert traj.states[k].tobytes() == expected.states[k].tobytes()
-        assert traj.fluxes[k].tobytes() == expected.fluxes[k].tobytes()
+        assert J[k].tobytes() == expected_J[k].tobytes()
     assert traj.entropy_series == expected.entropy_series
 
 
@@ -465,10 +461,9 @@ def test_run_steps_through_step_and_solves_snapshots_on_read(monkeypatch, scheme
     assert len(traj.states) == 1 + math.ceil(steps / cadence)
     # the steps' stages are the run's only face solves
     assert calls["faces"] == steps * stages
-    # the first flux read solves blocks of two snapshots; later reads none
+    # a flux read solves the snapshots in blocks, here of two
     _blocks_of(monkeypatch, 2, 3, sc.grid)
-    traj.fluxes
-    traj.fluxes
+    weak_form_residual(traj, identity_renorm(), bump_test_function(sc.grid, -1.0, traj.times[-1]))
     assert calls["faces"] == steps * stages + math.ceil(len(traj.states) / 2)
 
 
@@ -697,10 +692,9 @@ def test_weak_form_solves_fluxes_per_block_and_keeps_none(monkeypatch, per):
                         scheme="heun"))
     beta, phi = log_shift_renorm(0.05), bump_test_function(grid, -T, 0.0035)
     got = weak_form_residual(traj, beta, phi)
-    assert "fluxes" not in traj.__dict__
-    # the per-snapshot loop over the kept fluxes that the blocks replaced
+    # the per-snapshot loop that the blocks replaced, over fresh fluxes
     rows = []
-    for t, c, J in zip(traj.times, traj.states, traj.fluxes):
+    for t, c, J in zip(traj.times, traj.states, fresh_snapshot_fluxes(traj)):
         gc = gradient(c, grid)
         rows.append(integrate(beta.f(c) * phi.dt(t), grid)
                     + integrate((beta.df(c)[:, None] * J * phi.grad(t)[None]).sum(axis=1), grid)
