@@ -23,15 +23,16 @@ def main():
     pert = Perturbation(amplitude=1e-3, mode=2)
     base, twin = run_lockstep([sc, replace(sc, perturbation=pert)])
     cert = gronwall_certificate(base, twin, sc.delta)
-    k = cert.constants
+    k, cols = cert.constants, cert.diagnostics
+    gap, lhs, rhs = cols["regularized_entropy"], cols["gronwall_lhs"], cols["gronwall_rhs"]
 
     print(f"shift delta      : {k.delta}")
     print(f"admissible       : {k.admissible} (threshold {k.delta_max:.3e})")
-    print(f"initial gap      : {cert.f_series[0]:.6e}")
-    print(f"final gap        : {cert.f_series[-1]:.6e}")
-    margin = float((cert.master_rhs - cert.master_lhs).min())
-    print(f"master bound     : final lhs {cert.master_lhs[-1]:.6e}"
-          f" <= rhs {cert.master_rhs[-1]:.6e},"
+    print(f"initial gap      : {gap[0]:.6e}")
+    print(f"final gap        : {gap[-1]:.6e}")
+    margin = float((rhs - lhs).min())
+    print(f"master bound     : final lhs {lhs[-1]:.6e}"
+          f" <= rhs {rhs[-1]:.6e},"
           f" worst margin {margin:.3e}"
           f" -> {'holds' if cert.holds_master else 'violated'}")
     print(f"log envelope     : {'holds' if cert.holds_envelope else 'violated'}")

@@ -21,17 +21,13 @@ from .grid import (
     l2_norm,
 )
 from .entropy import (
-    DeltaNonpositive,
     ErrorTerms,
     GronwallReport,
-    IdentityResidual,
-    MeshMismatch,
     RenormFunction,
     dissipation,
     error_terms,
     gronwall_certificate,
     identity_renorm,
-    identity_residual,
     identity_series,
     log_shift_renorm,
     quadratic_log_gap,

@@ -247,9 +247,8 @@ def check_suites(cfg):
     if "twin-study" in cfg.suites:
         try:
             k = stability_constants(cfg.scenario.D, cfg.scenario.delta, 0.0)
-        except DeltaOutOfRange:
-            raise ValidationError(f"{_quote_param(cfg, 'delta')}: twin certificates need "
-                                  f"delta**4 > 0 and 0 < delta < min(1, mu/(4 c4))") from None
+        except DeltaOutOfRange as exc:
+            raise ValidationError(f"{_quote_param(cfg, 'delta')}: {exc}") from None
         except OverflowError:  # M**2 with M = 1 / the smallest D.i.j
             raise ValidationError(f"{_quote_param(cfg, _diffusivity_extremes(cfg)[0])}: "
                                   f"overflows the twin certificate's constants") from None

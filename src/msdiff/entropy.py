@@ -2,7 +2,7 @@
 
 Plain quadratures over grid fields: the mixing, relative (plain,
 symmetrized, shifted) and renormalized entropies, the pairwise
-dissipation, the entropy-identity residual of trajectory pairs, the
+dissipation, the entropy-identity series of trajectory pairs, the
 twin estimate's four cross terms with their certified bounds, and an
 exponential stability certificate built from them.
 
@@ -25,14 +25,6 @@ import numpy as np
 from .flux import DeltaOutOfRange, stability_constants
 from .grid import GridMismatch, integrate
 from .sim import _blockwise, _snapshot_fluxes
-
-
-class MeshMismatch(ValueError):
-    """Trajectory pairs must share snapshot times."""
-
-
-class DeltaNonpositive(ValueError):
-    """A positive shift is required."""
 
 
 @dataclass
@@ -61,7 +53,7 @@ def identity_renorm():
 def log_shift_renorm(delta):
     """The profile ln(s + delta); bounded derivatives for delta > 0."""
     if delta <= 0.0:
-        raise DeltaNonpositive(f"log shift needs delta > 0, got {delta}")
+        raise DeltaOutOfRange(f"log shift needs delta > 0, got {delta}")
 
     def antideriv(s):
         return (s + delta) * np.log(s + delta) - s - delta * math.log(delta)
@@ -142,7 +134,7 @@ def _regularized_entropy(c, cb, delta, grid):
 def regularized_relative_entropy(a, b, delta):
     """Shift-regularized symmetric entropy, always finite for delta > 0."""
     if delta <= 0.0:
-        raise DeltaNonpositive(f"regularization needs delta > 0, got {delta}")
+        raise DeltaOutOfRange(f"regularization needs delta > 0, got {delta}")
     if a.grid != b.grid:
         raise GridMismatch("states live on different grids")
     if a.n != b.n:
@@ -241,7 +233,7 @@ def _pair_columns(traj_a, traj_b, delta=None):
     """
     ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
     if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12:
-        raise MeshMismatch("trajectories have different snapshot times")
+        raise GridMismatch("trajectories have different snapshot times")
     if traj_a.grid != traj_b.grid:
         raise GridMismatch("trajectories live on different grids")
     if not np.array_equal(traj_a.D.d, traj_b.D.d):
@@ -278,15 +270,6 @@ def _pair_columns(traj_a, traj_b, delta=None):
 
 
 @dataclass
-class IdentityResidual:
-    residual: float
-    dh_sym: float
-    q_integral: float
-    rhs_integral: float
-    window: tuple
-
-
-@dataclass
 class IdentitySeries:
     """Per-snapshot pieces of the symmetric-entropy balance for a pair."""
 
@@ -320,34 +303,6 @@ def identity_series(traj_a, traj_b):
     return _identity_series(*_pair_columns(traj_a, traj_b))
 
 
-def identity_residual(traj_a, traj_b, window=None):
-    """Discrete defect of the symmetric-entropy balance over a time window.
-
-    Compares the change of the symmetrized relative entropy against the
-    time-integrated dissipation and the exchange term, both by trapezoid
-    quadrature on the recorded snapshots (trapezoids are interval-additive,
-    so windowed values agree with differences of the cumulative series).
-    """
-    series = identity_series(traj_a, traj_b)
-    ta = series.times
-    lo = window[0] if window is not None else ta[0]
-    hi = window[1] if window is not None else ta[-1]
-    sel = np.nonzero((ta >= lo - 1e-12) & (ta <= hi + 1e-12))[0]
-    if sel.size < 2:
-        raise ValueError("window must contain at least two snapshots")
-    a, b = sel[0], sel[-1]
-    dh = float(series.h_sym[b] - series.h_sym[a])
-    q_int = float(series.q_cumulative[b] - series.q_cumulative[a])
-    rhs_int = float(series.rhs_cumulative[b] - series.rhs_cumulative[a])
-    return IdentityResidual(
-        residual=abs(dh + q_int - rhs_int),
-        dh_sym=dh,
-        q_integral=q_int,
-        rhs_integral=rhs_int,
-        window=(float(ta[a]), float(ta[b])),
-    )
-
-
 @dataclass
 class ErrorTerms:
     """The four cross-term functionals of the twin estimate at one instant.
@@ -369,7 +324,6 @@ class ErrorTerms:
     r_distance: float
     q_shifted: float
     q_lower_bound: float
-    flux_bound: float
     constants: object
 
     def respects_bounds(self, slack=1e-12):
@@ -393,8 +347,6 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
     lower bound ``q_lower_bound`` additionally requires the velocity
     fields to satisfy the zero-sum constraint sum_i d_i v_i = 0.
     """
-    if delta <= 0.0:
-        raise DeltaNonpositive(f"error terms need delta > 0, got {delta}")
     d, dbar, v, vbar = (np.asarray(x, dtype=float) for x in (d, dbar, v, vbar))
     n = d.shape[0]
     if flux_bound is None:
@@ -416,7 +368,7 @@ def error_terms(d, dbar, v, vbar, D, delta, grid, flux_bound=None):
         j1=j1, j2=j2, j3=j3, j4=j4,
         bound_j12=bound_j12, bound_j3=bound_j3, bound_j4=bound_j4,
         s_dissipation=s_val, r_distance=r_val, q_shifted=q_val, q_lower_bound=q_lower,
-        flux_bound=float(flux_bound), constants=k,
+        constants=k,
     )
 
 
@@ -443,21 +395,17 @@ class GronwallReport:
     with A(T) = F(0) + max(0, c4 delta - mu/4) int_0^T S. The envelope is
     compared in log space; when delta exceeds its admissible window the
     eroded dissipation margin is carried explicitly instead of dropped,
-    and ``admissible`` records the fact. ``diagnostics`` maps each of
-    CSV_COLUMNS to its per-snapshot series.
+    and ``constants.admissible`` records the fact. ``diagnostics`` maps
+    each per-snapshot column of the pair pass to its (S,) series: the
+    CSV_COLUMNS, where F is ``regularized_entropy`` and the master
+    inequality's sides are ``gronwall_lhs`` and ``gronwall_rhs``, and
+    R (``r_distance``), S (``s_dissipation``), the balance's ``rhs`` and
+    each snapshot's largest |J_i| (``sup_flux``).
     """
 
-    times: np.ndarray
-    f_series: np.ndarray
-    r_series: np.ndarray
-    s_series: np.ndarray
-    master_lhs: np.ndarray
-    master_rhs: np.ndarray
     holds_master: bool
     holds_envelope: bool
-    admissible: bool
     constants: object
-    flux_bound: float
     diagnostics: dict
 
     @property
@@ -476,15 +424,13 @@ def gronwall_certificate(traj_a, traj_b, delta):
     max(1, |rhs|) in the master inequality; in the envelope, on a distance
     R and on the log-space comparison. The same pass evaluates the entropy
     identity and the cross terms j1..j4 that fill ``diagnostics``. A delta
-    whose rate c5 / delta**4 overflows raises DeltaOutOfRange.
+    outside (0, 1), or one whose rate c5 / delta**4 overflows, raises
+    DeltaOutOfRange.
     """
-    if delta <= 0.0:
-        raise DeltaNonpositive(f"certificate needs delta > 0, got {delta}")
     ta, cols = _pair_columns(traj_a, traj_b, delta)
     f_series, r_series, s_series = (
         cols[key] for key in ("regularized_entropy", "r_distance", "s_dissipation"))
-    flux_bound = float(cols["sup_flux"].max())
-    k = stability_constants(traj_a.D, delta, flux_bound)
+    k = stability_constants(traj_a.D, delta, float(cols["sup_flux"].max()))
     slack = 1e-9
 
     t0 = ta - ta[0]
@@ -513,20 +459,7 @@ def gronwall_certificate(traj_a, traj_b, delta):
 
     cols.update(time=ta, identity_residual=_identity_series(ta, cols).residuals(),
                 gronwall_lhs=master_lhs, gronwall_rhs=master_rhs)
-    return GronwallReport(
-        times=ta,
-        f_series=f_series,
-        r_series=r_series,
-        s_series=s_series,
-        master_lhs=master_lhs,
-        master_rhs=master_rhs,
-        holds_master=holds_master,
-        holds_envelope=holds_envelope,
-        admissible=k.admissible,
-        constants=k,
-        flux_bound=flux_bound,
-        diagnostics={key: cols[key] for key in CSV_COLUMNS},
-    )
+    return GronwallReport(holds_master, holds_envelope, k, cols)
 
 
 # the columns of the twin study's per-snapshot diagnostics table

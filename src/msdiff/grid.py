@@ -19,7 +19,8 @@ import numpy as np
 
 
 class GridMismatch(ValueError):
-    """Fields that should share a grid or species layout do not."""
+    """Fields or trajectories that should share a grid, a species layout or
+    snapshot times do not."""
 
 
 @dataclass(frozen=True)

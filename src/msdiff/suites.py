@@ -20,7 +20,7 @@ from . import mollify, sim
 from .entropy import (
     CSV_COLUMNS,
     gronwall_certificate,
-    identity_residual,
+    identity_series,
     regularized_relative_entropy,
 )
 from .flux import (
@@ -308,8 +308,8 @@ def _hold(which, keys, sc):
 
 def _identity_level(args):
     level, (base, twin) = args
-    res = identity_residual(*sim.run_lockstep([base, twin]))
-    return level, min(base.grid.spacing), res.residual
+    residuals = identity_series(*sim.run_lockstep([base, twin])).residuals()
+    return level, min(base.grid.spacing), float(residuals[-1])
 
 
 def identity_study(cfg, rng):
@@ -323,7 +323,7 @@ def identity_study(cfg, rng):
 
     checks = [
         _check(
-            "identity_refinement_order", "entropy.identity_residual",
+            "identity_refinement_order", "entropy.identity_series",
             float(np.min(orders)), 1.0, ">=",
         )
     ]
@@ -419,9 +419,9 @@ def twin_study(cfg, rng):
         "f_gaps": f_gaps,
         "dt_order_slope": slope,
         "delta": delta,
-        "delta_admissible": bool(cert.admissible),
+        "delta_admissible": bool(cert.constants.admissible),
         "delta_max": cert.constants.delta_max,
-        "flux_bound": cert.flux_bound,
+        "flux_bound": cert.constants.flux_bound,
         "constants": {
             k: getattr(cert.constants, k)
             for k in ("mu", "big_m", "c1", "c2", "c3", "c4", "c5")

@@ -179,7 +179,7 @@ def test_twin_study_delta_gate_and_warning():
     base = "n = 2\nD.1.2 = 1.0\nsuites = twin-study\n"
     with pytest.raises(ValidationError) as err:
         parse_config(base + "delta = 1.5\n")
-    assert "0 < delta < min(1, mu/(4 c4))" in str(err.value)
+    assert "line 4: delta = 1.5: delta must lie in (0, 1) with delta**4 > 0, got 1.5" in str(err.value)
     cfg = parse_config(base + "delta = 0.05\n")
     assert len(cfg.warnings) == 1
     assert "eroded margin" in cfg.warnings[0]
@@ -193,7 +193,7 @@ def test_twin_study_delta_gate_and_warning():
 # square 1 / the smallest D.i.j); other suites run with them
 @pytest.mark.parametrize("text, fragment", [
     (MINIMAL + "cells = 8\ndelta = 1e-300\n",
-     "line 4: delta = 1e-300: twin certificates need delta**4 > 0"),
+     "line 4: delta = 1e-300: delta must lie in (0, 1) with delta**4 > 0, got 1e-300"),
     ("n = 2\nD.1.2 = 1e-300\ncells = 8\nt_final = 0.001\n",
      "line 2: D.1.2 = 1e-300: overflows the twin certificate's constants"),
     ("n = 3\nD.1.2 = 1.0\nD.1.3 = 1e-200\nD.2.3 = 1e-100\ncells = 8\n",

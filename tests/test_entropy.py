@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from msdiff.entropy import (
-    DeltaNonpositive,
-    MeshMismatch,
     _entropy_rhs,
     _rel_entr,
     _relative_entropy,
@@ -24,7 +22,6 @@ from msdiff.entropy import (
     error_terms,
     gronwall_certificate,
     identity_renorm,
-    identity_residual,
     identity_series,
     log_shift_renorm,
     quadratic_log_gap,
@@ -32,7 +29,7 @@ from msdiff.entropy import (
     square_renorm,
 )
 from msdiff.flux import DeltaOutOfRange, DiffusionMatrix
-from msdiff.grid import ConcentrationState, PeriodicGrid, integrate
+from msdiff.grid import ConcentrationState, GridMismatch, PeriodicGrid, integrate
 from msdiff.sim import Perturbation, Scenario, max_stable_dt, run, run_lockstep
 from snapshot_reference import fresh_snapshot_fluxes
 
@@ -141,7 +138,7 @@ def test_regularized_entropy_value_and_guard():
     delta = 0.05
     expected = 2 * 0.2 * math.log(0.65 / 0.45)
     assert abs(regularized_relative_entropy(a, b, delta) - expected) < 1e-14
-    with pytest.raises(DeltaNonpositive):
+    with pytest.raises(DeltaOutOfRange):
         regularized_relative_entropy(a, b, 0.0)
 
 
@@ -150,7 +147,7 @@ def test_renormalized_profiles():
     assert np.array_equal(identity_renorm().f(s), s)
     assert np.array_equal(square_renorm().f(s), s**2)
     assert np.array_equal(log_shift_renorm(0.05).f(s), np.log(s + 0.05))
-    with pytest.raises(DeltaNonpositive):
+    with pytest.raises(DeltaOutOfRange):
         log_shift_renorm(-1.0)
 
 
@@ -274,9 +271,9 @@ def test_error_terms_delta_guards():
     D = DiffusionMatrix.uniform(2, 1.0)
     z = np.full((2, 8), 0.5)
     v = np.zeros((2, 1, 8))
-    with pytest.raises(DeltaNonpositive):
+    with pytest.raises(DeltaOutOfRange):
         error_terms(z, z, v, v, D, 0.0, grid)
-    with pytest.raises(Exception):
+    with pytest.raises(DeltaOutOfRange):
         error_terms(z, z, v, v, D, 1.0, grid)
 
 
@@ -423,13 +420,11 @@ def test_identity_residual_small_for_twin_pair():
     sc = small_scenario()
     base, twin = run_lockstep(
         [sc, replace(sc, perturbation=Perturbation(amplitude=1e-3, mode=1))])
-    out = identity_residual(base, twin)
-    # the balance nearly cancels; the defect is scheme error, well below the terms
-    assert out.residual < 0.1 * max(abs(out.q_integral), abs(out.dh_sym))
     series = identity_series(base, twin)
-    assert abs(series.residuals()[-1] - out.residual) < 1e-18
-    windowed = identity_residual(base, twin, window=(base.times[1], base.times[-1]))
-    assert windowed.window[0] == base.times[1]
+    dh_sym = series.h_sym[-1] - series.h_sym[0]
+    # the balance nearly cancels; the defect is scheme error, well below the terms
+    assert series.residuals()[-1] < 0.1 * max(abs(series.q_cumulative[-1]), abs(dh_sym))
+    assert series.q_cumulative[0] == series.rhs_cumulative[0] == 0.0
 
 
 def test_identity_residual_refines():
@@ -440,7 +435,7 @@ def test_identity_residual_refines():
     for k in range(3):
         sc = base.refine(2**k)
         pair = run_lockstep([sc, replace(sc, perturbation=pert)])
-        residuals.append(identity_residual(*pair).residual)
+        residuals.append(identity_series(*pair).residuals()[-1])
     orders = [math.log2(residuals[k] / residuals[k + 1]) for k in range(2)]
     assert min(orders) > 1.5, (residuals, orders)
 
@@ -449,8 +444,8 @@ def test_identity_residual_rejects_mismatched_pairs():
     sc = small_scenario()
     a = run(sc)
     b = run(small_scenario(cadence=4))
-    with pytest.raises(MeshMismatch):
-        identity_residual(a, b)
+    with pytest.raises(GridMismatch, match="snapshot times"):
+        identity_series(a, b)
 
 
 def test_certificate_identical_trajectories():
@@ -458,8 +453,9 @@ def test_certificate_identical_trajectories():
     traj = run(sc)
     cert = gronwall_certificate(traj, traj, sc.delta)
     assert cert.holds_master and cert.holds_envelope
-    assert np.all(cert.r_series == 0.0) and np.all(cert.f_series == 0.0)
-    assert not cert.admissible  # 0.05 sits far above the certified window
+    cols = cert.diagnostics
+    assert np.all(cols["r_distance"] == 0.0) and np.all(cols["regularized_entropy"] == 0.0)
+    assert not cert.constants.admissible  # 0.05 sits far above the certified window
 
 
 def test_certificate_perturbed_pair_holds():
@@ -469,9 +465,9 @@ def test_certificate_perturbed_pair_holds():
     cert = gronwall_certificate(base, twin, sc.delta)
     assert cert.holds_master
     assert cert.holds_envelope
-    assert cert.flux_bound > 0.0
+    assert cert.constants.flux_bound > 0.0
     assert cert.constants.delta_max < sc.delta
-    assert len(cert.f_series) == len(base.times)
+    assert len(cert.diagnostics["regularized_entropy"]) == len(base.times)
 
 
 def test_certificate_admissible_delta_branch():
@@ -481,14 +477,14 @@ def test_certificate_admissible_delta_branch():
     # the cap depends only on the diffusivities, not on the shift itself
     cap = gronwall_certificate(base, twin, sc.delta).constants.delta_max
     cert = gronwall_certificate(base, twin, 0.5 * cap)
-    assert cert.admissible
+    assert cert.constants.admissible
     assert cert.holds_master and cert.holds_envelope
 
 
 def test_certificate_requires_positive_delta():
     sc = small_scenario()
     traj = run(sc)
-    with pytest.raises(DeltaNonpositive):
+    with pytest.raises(DeltaOutOfRange):
         gronwall_certificate(traj, traj, 0.0)
 
 
@@ -544,7 +540,7 @@ def loop_twin_columns(base, twin, cert, D, delta):
         d, dbar = a.c + delta, b.c + delta
         v = _velocities(J[k], d)
         vbar = _velocities(Jb[k], dbar)
-        terms = error_terms(d, dbar, v, vbar, D, delta, a.grid, flux_bound=cert.flux_bound)
+        terms = error_terms(d, dbar, v, vbar, D, delta, a.grid, flux_bound=cert.constants.flux_bound)
         rows.append([
             entropy(a), _relative_entropy(a.c, b.c, a.grid), _renormalized_entropy(a.c, beta, a.grid),
             terms.j1, terms.j2, terms.j3, terms.j4,
@@ -586,11 +582,11 @@ def test_batched_trajectory_functionals_match_snapshot_loops(
         assert_series_close(got, ref)
 
     fb, f_ref, r_ref, s_ref = loop_certificate_series(base, twin, sc.delta)
-    assert cert.flux_bound == fb
-    for got, ref in zip((cert.f_series, cert.r_series, cert.s_series), (f_ref, r_ref, s_ref)):
-        assert_series_close(got, ref)
-
     cols = cert.diagnostics
+    assert cert.constants.flux_bound == fb
+    for key, ref in zip(("regularized_entropy", "r_distance", "s_dissipation"), (f_ref, r_ref, s_ref)):
+        assert_series_close(cols[key], ref)
+
     keys = ("entropy", "relative_entropy", "renorm_entropy", "j1", "j2", "j3", "j4")
     ref = loop_twin_columns(base, twin, cert, D, sc.delta)
     for k, key in enumerate(keys):
@@ -606,7 +602,7 @@ def test_pair_pass_refuses_a_d_that_is_not_the_runs_own():
     mixed = run(replace(sc, D=other, dt=base.dt))
     for pair in ((base, mixed), (mixed, base)):
         with pytest.raises(ValueError, match="different diffusion matrices"):
-            identity_residual(*pair)
+            identity_series(*pair)
         with pytest.raises(ValueError, match="different diffusion matrices"):
             gronwall_certificate(*pair, sc.delta)
 

@@ -2,9 +2,11 @@
 and the signatures and dotted names it quotes are current, so an API change
 that breaks the documentation fails the suite."""
 
+import builtins
 import dataclasses
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import msdiff
@@ -45,19 +47,37 @@ def _package_function(name):
     return obj if inspect.isfunction(obj) else None
 
 
+def _methods(name):
+    """The methods called ``name``, such as ``state``, of the classes that
+    the package defines."""
+    classes = {obj for mod_name, mod in list(sys.modules.items())
+               if mod_name == "msdiff" or mod_name.startswith("msdiff.")
+               for obj in vars(mod).values()
+               if inspect.isclass(obj) and obj.__module__.startswith("msdiff")}
+    return [m for cls in classes if inspect.isfunction(m := vars(cls).get(name))]
+
+
+def _required(fn, skip=0):
+    params = list(inspect.signature(fn).parameters.values())[skip:]
+    return [p.name for p in params if p.default is p.empty]
+
+
 def test_readme_quotes_current_signatures():
-    # each backticked `name(a, b)` of a package function lists its
-    # parameters without defaults, in order
+    # each backticked `name(a, b)` names a package function or a method of
+    # a package class, and lists its parameters without defaults (and
+    # without self), in order; or it names a Python builtin such as `max`
     quoted = re.findall(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", README.read_text())
     checked = 0
     for name, args in quoted:
         fn = _package_function(name)
-        if fn is None:
+        signatures = [_required(fn)] if fn else [_required(m, 1) for m in _methods(name)]
+        if not signatures:
+            assert "." not in name and hasattr(builtins, name), (
+                f"README quotes {name}({args}), which names no package function, "
+                f"method or builtin")
             continue
-        required = [p.name for p in inspect.signature(fn).parameters.values()
-                    if p.default is p.empty]
         listed = [a.strip() for a in args.split(",") if a.strip()]
-        assert listed == required, f"README quotes {name}({args}); the code has {required}"
+        assert listed in signatures, f"README quotes {name}({args}); the code has {signatures}"
         checked += 1
     assert checked
 

@@ -13,7 +13,7 @@ import pytest
 
 from msdiff import sim
 from msdiff.entropy import (
-    _cumulative_trapezoid, entropy, gronwall_certificate, identity_renorm, identity_residual,
+    _cumulative_trapezoid, entropy, gronwall_certificate, identity_renorm, identity_series,
     log_shift_renorm)
 from msdiff.flux import DiffusionMatrix, SingularComposition, solve_fluxes_batch
 from msdiff.grid import ConcentrationState, PeriodicGrid, gradient, integrate, l2_norm
@@ -231,7 +231,7 @@ def test_a_degenerate_last_snapshot_fails_on_the_flux_read():
     bad[:, 3:5] = 0.0  # two empty cells: their face composition is 0 / 0
     traj = sim.Trajectory(grid, np.stack([good, good, bad]), D3, times=[0.0, 1.0, 2.0])
     assert len(traj.entropy_series) == 3
-    readers = [lambda: identity_residual(traj, traj),
+    readers = [lambda: identity_series(traj, traj),
                lambda: gronwall_certificate(traj, traj, 0.05),
                lambda: weak_form_residual(traj, identity_renorm(), bump_test_function(grid, -1.0, 2.0))]
     for read in readers:
@@ -620,7 +620,7 @@ def test_twin_without_perturbation_is_bitwise_identical():
     for ca, cb in zip(base.states, twin.states):
         assert np.array_equal(ca, cb)
     cert = gronwall_certificate(base, twin, sc.delta)
-    assert np.all(cert.r_series == 0.0)
+    assert np.all(cert.diagnostics["r_distance"] == 0.0)
     assert cert.holds
 
 

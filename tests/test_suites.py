@@ -316,13 +316,16 @@ def test_zero_errors_fail_the_order_check_with_strict_json(tmp_path, monkeypatch
     assert summary["details"]["orders"] == ["nan", "nan"]
 
 
-@pytest.mark.parametrize("suite", ["flux-certify", "spectral-certify"])
+@pytest.mark.parametrize("suite", sorted(suites._SUITES))
 def test_check_operations_name_the_code_that_ran(tmp_path, monkeypatch, suite):
     cfg = study_config(
         tmp_path,
         "flux-certify.samples = 40\n"
         "spectral-certify.samples = 30\n"
-        "spectral-certify.operator_samples = 10\n",
+        "spectral-certify.operator_samples = 10\n"
+        "twin-study.halvings = 2\n"
+        "convergence-study.cells = 8\n"
+        "convergence-study.levels = 2\n",
     )
     run_suite = lambda: suites._SUITES[suite](cfg, np.random.default_rng(0))
     labels = {c["operation"] for c in run_suite().checks}
