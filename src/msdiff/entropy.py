@@ -425,8 +425,9 @@ def gronwall_certificate(traj_a, traj_b, delta):
     R and on the log-space comparison. The same pass evaluates the entropy
     identity and the cross terms j1..j4 that fill ``diagnostics``. A delta
     outside (0, 1), or one whose rate c5 / delta**4 overflows, raises
-    DeltaOutOfRange.
+    DeltaOutOfRange; one outside (0, 1) before the pair pass.
     """
+    stability_constants(traj_a.D, delta, 0.0)  # the shift's range first
     ta, cols = _pair_columns(traj_a, traj_b, delta)
     f_series, r_series, s_series = (
         cols[key] for key in ("regularized_entropy", "r_distance", "s_dissipation"))

@@ -7,6 +7,7 @@ depend only on the configuration and seed.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -25,6 +26,7 @@ from .entropy import (
 )
 from .flux import (
     DiffusionMatrix,
+    _blocks,
     solve_fluxes_batch,
     solve_fluxes_lstsq,
     _shift_correction,
@@ -87,12 +89,35 @@ def _random_diffusivities(rng, n):
 def _operator_draws(rng, n, k):
     """k random operators of n species: the reciprocal diffusivities K as a
     (k, n, n) stack with their off-diagonal minima mu, shifts delta and
-    compositions c."""
-    d = _diffusivity_draws(rng, n, k)
+    compositions c, drawn in that order from rng, or each from its own of
+    three generators (see _operator_pieces)."""
+    d_rng, delta_rng, c_rng = rng if isinstance(rng, tuple) else (rng,) * 3
+    d = _diffusivity_draws(d_rng, n, k)
     off = ~np.eye(n, dtype=bool)
     K = np.where(off, 1.0 / np.where(off, d, 1.0), 0.0)
-    delta = rng.uniform(0.01, 0.5, size=k)
-    return K, K[:, off].min(axis=1), delta, _random_simplex(rng, k, n)
+    delta = delta_rng.uniform(0.01, 0.5, size=k)
+    return K, K[:, off].min(axis=1), delta, _random_simplex(c_rng, k, n)
+
+
+def _operator_pieces(rng, n, k):
+    """_operator_draws(rng, n, k) in the kernel's blocks (flux._blocks): the
+    same values, and rng where that call leaves it, with no draw longer
+    than a block; none for k = 0."""
+    runs = tuple(_uniform_runs(rng, k * n * n, k, k * n))
+    for sl in _blocks(k, n) if k else []:
+        yield _operator_draws(runs, n, sl.stop - sl.start)
+
+
+def _uniform_runs(rng, *counts):
+    """Generators at the starts of consecutive runs of counts uniforms in
+    rng's stream, and rng moved past them all: a uniform takes one output
+    of the bit generator, so each run can be drawn in pieces while rng
+    draws on after the last."""
+    starts = []
+    for count in counts:
+        starts.append(copy.deepcopy(rng))
+        rng.bit_generator.advance(count)
+    return starts
 
 
 def _zero_sum_gradients(rng, m, n):
@@ -115,7 +140,9 @@ def flux_certify(cfg, rng):
     samples = cfg.params["flux-certify.samples"]
 
     # exactly `samples` points over 5 species counts, then up to 4 non-empty
-    # chunks each
+    # chunks each, drawn and checked in the kernel's blocks (flux._blocks):
+    # the compositions from their own run of the stream, the gradients from
+    # rng after it, so every value is the one a chunk-wide draw gives
     max_res = max_zero = max_oracle = 0.0
     total, species = 0, []
     for n, per_n in zip(range(2, 7), _shares(samples, 5)):
@@ -123,14 +150,17 @@ def flux_certify(cfg, rng):
         for m in filter(None, _shares(per_n, 4)):
             total += m
             D = _random_diffusivities(rng, n)
-            # (m, n) views of (n, m) rows: the kernel and the oracle copy neither
-            c = _random_simplex(rng, m, n)
-            g = _zero_sum_gradients(rng, m, n)
-            j, res = solve_fluxes_batch(c, g, D)
-            max_res = max(max_res, res)
-            max_zero = max(max_zero, float(np.abs(j.sum(axis=1)).max()))
-            j_or = solve_fluxes_lstsq(c, g, D)
-            max_oracle = max(max_oracle, float(np.abs(j - j_or).max()))
+            [c_rng] = _uniform_runs(rng, m * n)
+            for sl in _blocks(m, n):
+                k = sl.stop - sl.start
+                # (k, n) views of (n, k) rows: the kernel and the oracle copy neither
+                c = _random_simplex(c_rng, k, n)
+                g = _zero_sum_gradients(rng, k, n)
+                j, res = solve_fluxes_batch(c, g, D)
+                max_res = max(max_res, res)
+                max_zero = max(max_zero, float(np.abs(j.sum(axis=1)).max()))
+                j_or = solve_fluxes_lstsq(c, g, D)
+                max_oracle = max(max_oracle, float(np.abs(j - j_or).max()))
 
     checks = [
         _check("force_flux_residual", "flux.solve_fluxes_batch", max_res, 1e-10),
@@ -165,8 +195,9 @@ def spectral_certify(cfg, rng):
     """Operator algebra identities plus the coercivity bound, randomized.
 
     Draws are batched per species count, in ascending order, and checked on
-    whole (k, n, n) stacks of the symmetric friction: the bound on a random
-    z per sample, and exactly on each operator's second eigenvalue.
+    (k, n, n) stacks of the symmetric friction, one kernel block
+    (flux._blocks) at a time: the bound on a random z per sample, and
+    exactly on each operator's second eigenvalue.
     """
     suite = "spectral-certify"
     samples = cfg.params["spectral-certify.samples"]
@@ -174,44 +205,41 @@ def spectral_certify(cfg, rng):
 
     worst = {}
     for n, k in zip(range(2, 7), _shares(op_samples, 5)):
-        if not k:
-            continue
-        K, _, delta, c = _operator_draws(rng, n, k)
-        d = c + delta[:, None]
-        s, A = _symmetric_friction(d, K)
-        full = A + delta[:, None, None] * _shift_correction(s, K)
-        lam = d.sum(axis=1)
-        proj_kernel = s[:, :, None] * s[:, None, :] / lam[:, None, None]
-        proj_range = np.eye(n) - proj_kernel
-        # friction scales linearly when the shifted mass is rescaled
-        _, scaled = _symmetric_friction(d / lam[:, None], K)
-        # the friction M = diag(s) A diag(s)^-1 of the unshifted c, s = sqrt(c)
-        s0, A0 = _symmetric_friction(c, K)
-        defects = {
-            # the friction part kills s on the right, the full matrix on the left
-            "kernel_action": np.einsum("kij,kj->ki", A, s),
-            "left_annihilation": np.einsum("ki,kij->kj", s, full),
-            "projector_idempotence": proj_range @ proj_range - proj_range,
-            "projector_split": proj_range + proj_kernel - np.eye(n),
-            "scaling_identity": A - lam[:, None, None] * scaled,
-            "column_sums": (s0[:, :, None] * A0 / s0[:, None, :]).sum(axis=1),
-        }
-        for key, val in defects.items():
-            worst[key] = max(worst.get(key, 0.0), float(np.abs(val).max()))
+        for K, _, delta, c in _operator_pieces(rng, n, k):
+            d = c + delta[:, None]
+            s, A = _symmetric_friction(d, K)
+            full = A + delta[:, None, None] * _shift_correction(s, K)
+            lam = d.sum(axis=1)
+            proj_kernel = s[:, :, None] * s[:, None, :] / lam[:, None, None]
+            proj_range = np.eye(n) - proj_kernel
+            # friction scales linearly when the shifted mass is rescaled
+            _, scaled = _symmetric_friction(d / lam[:, None], K)
+            # the friction M = diag(s) A diag(s)^-1 of the unshifted c, s = sqrt(c)
+            s0, A0 = _symmetric_friction(c, K)
+            defects = {
+                # the friction part kills s on the right, the full matrix on the left
+                "kernel_action": np.einsum("kij,kj->ki", A, s),
+                "left_annihilation": np.einsum("ki,kij->kj", s, full),
+                "projector_idempotence": proj_range @ proj_range - proj_range,
+                "projector_split": proj_range + proj_kernel - np.eye(n),
+                "scaling_identity": A - lam[:, None, None] * scaled,
+                "column_sums": (s0[:, :, None] * A0 / s0[:, None, :]).sum(axis=1),
+            }
+            for key, val in defects.items():
+                worst[key] = max(worst.get(key, 0.0), float(np.abs(val).max()))
 
     violations = exact_violations = 0
     worst_slack = -math.inf
     tightness = {}
     for n, k in zip(range(2, 5), _shares(samples, 3)):
-        if not k:
-            continue
-        K, mu, delta, c = _operator_draws(rng, n, k)
-        z = rng.normal(size=(k, n))
-        lhs, rhs, lam2, floor = _gap_sides(c + delta[:, None], K, mu, z)
-        violations += int(np.count_nonzero(~(lhs >= rhs - 1e-12)))
-        exact_violations += int(np.count_nonzero(~(lam2 >= floor - 1e-12)))
-        worst_slack = max(worst_slack, float((rhs - lhs).max()))
-        tightness[str(n)] = float((lam2 / floor).min())
+        for K, mu, delta, c in _operator_pieces(rng, n, k):
+            z = rng.normal(size=c.shape)
+            lhs, rhs, lam2, floor = _gap_sides(c + delta[:, None], K, mu, z)
+            violations += int(np.count_nonzero(~(lhs >= rhs - 1e-12)))
+            exact_violations += int(np.count_nonzero(~(lam2 >= floor - 1e-12)))
+            worst_slack = max(worst_slack, float((rhs - lhs).max()))
+            tight = tightness.get(str(n), math.inf)
+            tightness[str(n)] = min(tight, float((lam2 / floor).min()))
 
     checks = [
         _check(f"operator_{key}", "flux._symmetric_friction", val, 1e-12)
@@ -503,22 +531,20 @@ _SUITES = {
     "convergence-study": convergence_study,
 }
 
-# The memory that the largest admissible sample count of a suite stays
-# under. Each count's bound is _SAMPLE_MEMORY over the suite's traced bytes
-# per sample: the slope of its tracemalloc peak between 10^5 and
-# 1.6 * 10^6 flux-certify samples (13.6 B), 3 * 10^4 and 1.2 * 10^5
-# spectral-certify gap samples (189 B) and 10^4 and 4 * 10^4 operator
-# samples (906 B), rounded up to 16, 200 and 1,000 B.
+# The sample counts' caps are _SAMPLE_MEMORY over the traced bytes per
+# sample of the suites when they drew each chunk whole: 13.6 B per
+# flux-certify sample, 189 per spectral-certify gap sample and 906 per
+# operator sample, rounded up to 16, 200 and 1,000 B. Their memory no
+# longer grows with a count; the caps stay, so every config accepted
+# before still is, and bound only a suite's work.
 _SAMPLE_MEMORY = 2**30
 
 # The settable suite parameters: "<suite>.<key>" -> (type, default, lowest
 # admissible value, highest or None). An integer may equal its lowest
-# value, a number must exceed it. A sample count may be at most the count
-# whose traced memory stays under 1 GiB (see _SAMPLE_MEMORY), so a larger
-# one is refused as a configuration error instead of failing in an
-# allocation. The config layer converts and checks every given key
-# against this table before any suite runs, so suites read typed values
-# only.
+# value, a number must exceed it. A sample count may be at most its cap
+# (see _SAMPLE_MEMORY), and a larger one is refused as a configuration
+# error. The config layer converts and checks every given key against
+# this table before any suite runs, so suites read typed values only.
 SUITE_PARAMS = {
     "flux-certify.samples": (int, 10000, 1, _SAMPLE_MEMORY // 16),
     "spectral-certify.samples": (int, 10000, 1, _SAMPLE_MEMORY // 200),

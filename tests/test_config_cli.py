@@ -442,7 +442,9 @@ def test_cli_bad_suite_parameter_exits_two(tmp_path, capsys, line, fragment):
     assert not out.exists()
 
 
-# traced bytes per sample, as measured for suites._SAMPLE_MEMORY
+# traced bytes per sample when the suites drew each chunk whole: the basis
+# of the caps under suites._SAMPLE_MEMORY, which stay though memory no
+# longer grows with the counts
 SAMPLE_BYTES = {
     "flux-certify.samples": 13.6,
     "spectral-certify.samples": 189,
@@ -453,7 +455,7 @@ SAMPLE_BYTES = {
 @pytest.mark.parametrize("key", SAMPLE_BYTES)
 def test_sample_counts_are_bounded_by_their_memory(key):
     _, default, low, high = suites.SUITE_PARAMS[key]
-    # the largest count stays under 1 GiB at the measured bytes per sample
+    # the largest count stays under 1 GiB at those bytes per sample
     assert low <= default < high and SAMPLE_BYTES[key] * high < suites._SAMPLE_MEMORY == 2**30
     # parsed only: no count near the bound is ever run
     assert parse_config(MINIMAL + f"{key} = {high}\n").params[key] == high

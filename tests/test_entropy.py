@@ -488,6 +488,23 @@ def test_certificate_requires_positive_delta():
         gronwall_certificate(traj, traj, 0.0)
 
 
+@pytest.mark.parametrize("delta", [1.5, 1.0, 0.0])
+def test_certificate_refuses_a_delta_out_of_range_before_its_pair_pass(monkeypatch, delta):
+    sim_module = importlib.import_module("msdiff.sim")
+    traj = run(small_scenario())
+    calls = []
+    real = sim_module._face_divergence
+
+    def counted(c, D, grid):
+        calls.append(c.shape)
+        return real(c, D, grid)
+
+    monkeypatch.setattr(sim_module, "_face_divergence", counted)
+    with pytest.raises(DeltaOutOfRange, match="must lie in"):
+        gronwall_certificate(traj, traj, delta)
+    assert calls == []
+
+
 def test_certificate_refuses_a_delta_whose_rate_overflows():
     # delta**4 = 1e-320 is positive, so stability_constants takes it, but
     # c5 / delta**4 is inf, and inf * 0 would fill the checks with NaN

@@ -5,12 +5,13 @@ import importlib
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from msdiff import sim, suites
+from msdiff import flux, sim, suites
 from msdiff.config import parse_config
 from msdiff.entropy import _regularized_entropy, _symmetrized_entropy, regularized_relative_entropy
 from msdiff.flux import DiffusionMatrix
@@ -188,10 +189,13 @@ def test_twin_study_perturbs_with_the_configured_perturbation(tmp_path):
     assert suites.study_runs("flux-certify", cfg.scenario, cfg.params) == []
 
 
-@pytest.mark.parametrize("samples", [20, 400])
+# 200,000 samples: chunks of 10,000 points, which split into pieces from
+# four species on
+@pytest.mark.parametrize("samples", [20, 400, 200_000])
 def test_flux_certify_keeps_its_draws_for_multiples_of_twenty(tmp_path, samples):
     cfg = study_config(tmp_path, f"flux-certify.samples = {samples}\n")
-    got = suites.flux_certify(cfg, np.random.default_rng([5, 0])).details
+    drawn = np.random.default_rng([5, 0])
+    got = suites.flux_certify(cfg, drawn).details
     # reference: samples / 20 points in each of 4 chunks per species count
     rng = np.random.default_rng([5, 0])
     worst = zero = gap = 0.0
@@ -208,6 +212,52 @@ def test_flux_certify_keeps_its_draws_for_multiples_of_twenty(tmp_path, samples)
     assert got["max_residual"] == worst
     assert got["max_zero_sum"] == zero and got["max_oracle_gap"] == gap
     assert got["samples"] == samples and got["species"] == [2, 3, 4, 5, 6]
+    # a later suite drawing from the same generator draws the same values
+    assert drawn.bit_generator.state == rng.bit_generator.state
+
+
+def test_flux_certify_memory_does_not_grow_with_its_samples(tmp_path):
+    # The peak is set by the largest piece, which flux._blocks keeps between
+    # half its cap and the cap, so the counts are chosen to give pieces of
+    # nearly one size: at 10^6 and 1.5 * 10^6 samples every chunk splits,
+    # into pieces of 25,000 points at two species in both (12,500 and
+    # 15,000 at three). Memory that grows with the count shows as up to 1.5x.
+    peaks = []
+    for samples in (1_000_000, 1_500_000):
+        cfg = study_config(tmp_path, f"flux-certify.samples = {samples}\n")
+        tracemalloc.start()
+        try:
+            suites.flux_certify(cfg, np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_operator_pieces_draw_what_one_call_draws(n):
+    k = 2 * (flux._STACK_VALUES // (n * n)) + 3
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    pieces = list(suites._operator_pieces(rng, n, k))
+    assert len(pieces) == 3
+    for got, want in zip(zip(*pieces), suites._operator_draws(ref, n, k)):
+        assert np.concatenate(got).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_spectral_certify_checks_in_pieces_what_it_checks_whole(tmp_path, monkeypatch):
+    # 5,000 operators of six species and 20,000 gap samples of three and
+    # four species each take two or more kernel blocks
+    cfg = study_config(
+        tmp_path,
+        "spectral-certify.samples = 60000\nspectral-certify.operator_samples = 25000\n",
+    )
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    got = suites.spectral_certify(cfg, rng)
+    monkeypatch.setattr(suites, "_blocks", lambda m, n: [slice(0, m)])
+    want = suites.spectral_certify(cfg, ref)
+    assert got.checks == want.checks and got.details == want.details
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("draw", [suites._random_simplex, suites._zero_sum_gradients])
