@@ -104,7 +104,13 @@ def _rel_entr(x, y):
 
 
 def _mixing_entropy(c, grid):
-    return integrate((_xlogy(c, c) - c).sum(axis=0), grid)
+    if c.min() > 0.0:
+        h = np.log(c)
+        h *= c
+    else:  # a zero, negative or NaN entry
+        h = _xlogy(c, c)
+    h -= c
+    return integrate(h.sum(axis=0), grid)
 
 
 def entropy(state):

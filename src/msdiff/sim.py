@@ -24,15 +24,16 @@ entropy pair pass (through ``_blockwise``) and ``weak_form_residual`` and
 dropped with the block.
 
 Scratch rule: a face divergence on a grid that this thread has already
-seen allocates only what it returns, the divergence and the face fluxes.
-Its other temporaries, and the kernel's, are reused buffers held per
-thread for the latest shape (``_scratch``); nothing that a caller keeps
-points into them.
+seen allocates its divergence and one axis's faces at a time, and a step
+writes its new state into its divergence. Other temporaries, the
+kernel's too, are buffers reused per thread for the latest shape
+(``_scratch``) that no caller's result views.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,29 +69,27 @@ def _face_divergence(c, D, grid):
 
     c is (n, *members, *cells): the spatial axes are the last grid.dim,
     and any axes between the species and the cells stack members that are
-    solved together. Returns (divergence of c's shape, per-axis face
-    fluxes, max |face flux| per member (a scalar without member axes), max
-    kernel residual over the whole call). Face index k holds the face
-    between cells k and k+1 along that axis. Each axis is one kernel call
+    solved together. Returns (divergence of c's shape, max |face flux| per
+    member (a scalar without member axes), max kernel residual). Face k
+    of an axis lies between cells k and k+1. Each axis is one kernel call
     over every member's faces; the kernel holds each face to its own
     gradient scale, so stacking loosens no residual test, and at n <= 3 a
     member's results do not depend on what it is stacked with. The kernel
-    gets transposed views of (n, m) species rows, and each face array views
-    its output: no copies. The composition shift is reused in place as the
+    gets transposed views of (n, m) species rows, and each face array
+    views its output: no copies. The composition shift is reused as the
     gradient's buffer. The first axis's face difference is added to 0.0
-    into a new array (which turns -0.0 into +0.0, as a zero-filled buffer
-    would), and each later axis's difference is added to that sum in place.
+    into a new array (turning -0.0 into +0.0, as a zero-filled buffer
+    would), each later one to that sum in place.
 
-    Every other temporary lives in this thread's scratch for c.shape. The
-    divergence and the faces are fresh: Heun holds the first divergence
-    across its second call, and ``_snapshot_fluxes`` averages the faces.
+    Other temporaries live in this thread's scratch for c.shape. An axis's
+    faces are dropped once added, unless ``_divergence_with_faces`` keeps them.
     """
     n, dim = c.shape[0], grid.dim
+    faces = getattr(_kept, "faces", None)
     right, face, total = scratch("face_divergence", c.shape, _divergence_scratch)
     # |J| is reduced over the species and the cells, leaving the members
     red = (0,) + tuple(range(c.ndim - dim, c.ndim))
     div = 0.0
-    faces = []
     fmax = 0.0
     residual = 0.0
     for k, h in enumerate(grid.spacing):
@@ -103,14 +102,30 @@ def _face_divergence(c, D, grid):
         g /= h
         J, res = solve_fluxes_batch(cf.reshape(n, -1).T, g.reshape(n, -1).T, D)
         Jf = J.T.reshape(c.shape)
-        faces.append(Jf)
+        if faces is not None:
+            faces.append(Jf)
         # the kernel is done with the face compositions and the gradients
         fmax = np.maximum(fmax, np.abs(Jf, out=face).max(axis=red))
         residual = max(residual, res)
         diff = _shift(Jf, 1, ax, out=right)
         np.subtract(Jf, diff, out=diff)
+        del J, Jf
         diff /= h
         div = np.add(div, diff, out=div if k else None)
+    return div, fmax, residual
+
+
+# per thread, the list that a face divergence keeps its faces in, if any
+_kept = threading.local()
+
+
+def _divergence_with_faces(c, D, grid):
+    """_face_divergence with its face fluxes kept: (div, faces, fmax, residual)."""
+    _kept.faces = faces = []
+    try:
+        div, fmax, residual = _face_divergence(c, D, grid)
+    finally:
+        _kept.faces = None
     return div, faces, fmax, residual
 
 
@@ -135,7 +150,7 @@ def _snapshot_fluxes(c, D, grid):
     (S_b, n, dim, *cells) block. At n <= 3 snapshot k's slice is bit for
     bit the average of a face solve of it alone."""
     out = np.moveaxis(np.empty((c.shape[1], c.shape[0], grid.dim) + c.shape[2:]), 0, 2)
-    return _cell_average(_face_divergence(c, D, grid)[1], out)
+    return _cell_average(_divergence_with_faces(c, D, grid)[1], out)
 
 
 # values in the largest temporary of one block of snapshots, so that
@@ -197,21 +212,25 @@ def _advance(c, D, grid, dt, scheme):
     c is one state (n, *cells) with a scalar dt, or a stack (n, B, *cells)
     with dt a column that broadcasts against (B, *cells). Returns (new c,
     max |face flux| and clipped mass, per member for a stack, and the
-    largest kernel residual of the step's face solves).
+    largest kernel residual of the step's face solves). The new c goes
+    into the fresh divergence by the operations of c - dt * div and
+    c - 0.5 * dt * (div + div2), so the bits are theirs.
     """
-    div, _, fmax, residual = _face_divergence(c, D, grid)
+    div, fmax, residual = _face_divergence(c, D, grid)
     if scheme == "euler":
-        c_new = c - dt * div
-        clipped = 0.0
+        rate, clipped = dt, 0.0
     elif scheme == "heun":
-        c_pred, clipped = _clip(c - dt * div, grid)
-        div2, _, fmax2, residual2 = _face_divergence(c_pred, D, grid)
+        c_pred = dt * div
+        c_pred, clipped = _clip(np.subtract(c, c_pred, out=c_pred), grid)
+        div2, fmax2, residual2 = _face_divergence(c_pred, D, grid)
         fmax = np.maximum(fmax, fmax2)
         residual = max(residual, residual2)
-        c_new = c - 0.5 * dt * (div + div2)
+        div += div2
+        rate = 0.5 * dt
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    c_new, lost = _clip(c_new, grid)
+    div *= rate
+    c_new, lost = _clip(np.subtract(c, div, out=div), grid)
     return c_new, fmax, clipped + lost, residual
 
 

@@ -191,6 +191,35 @@ def _gap_sides(d, K, mu, z):
     return lhs, rhs, np.linalg.eigvalsh(A)[:, 1], floor
 
 
+def _operator_defects(K, delta, c):
+    """(name, largest |defect|) of each operator identity on (k, n) draws,
+    in order; a defect's own matrices are formed, reduced and dropped
+    before the next defect's."""
+    n = c.shape[1]
+    d = c + delta[:, None]
+    s, A = _symmetric_friction(d, K)
+    lam = d.sum(axis=1)
+
+    def largest(defect):
+        return float(np.abs(defect).max())
+
+    # the friction part kills s on the right, the full matrix on the left
+    yield "kernel_action", largest(np.einsum("kij,kj->ki", A, s))
+    full = A + delta[:, None, None] * _shift_correction(s, K)
+    yield "left_annihilation", largest(np.einsum("ki,kij->kj", s, full))
+    del full
+    proj_kernel = s[:, :, None] * s[:, None, :] / lam[:, None, None]
+    proj_range = np.eye(n) - proj_kernel
+    yield "projector_idempotence", largest(proj_range @ proj_range - proj_range)
+    yield "projector_split", largest(proj_range + proj_kernel - np.eye(n))
+    del proj_kernel, proj_range
+    # friction scales linearly when the shifted mass is rescaled
+    yield "scaling_identity", largest(A - lam[:, None, None] * _symmetric_friction(d / lam[:, None], K)[1])
+    # the friction M = diag(s) A diag(s)^-1 of the unshifted c, s = sqrt(c)
+    s0, A0 = _symmetric_friction(c, K)
+    yield "column_sums", largest((s0[:, :, None] * A0 / s0[:, None, :]).sum(axis=1))
+
+
 def spectral_certify(cfg, rng):
     """Operator algebra identities plus the coercivity bound, randomized.
 
@@ -206,27 +235,8 @@ def spectral_certify(cfg, rng):
     worst = {}
     for n, k in zip(range(2, 7), _shares(op_samples, 5)):
         for K, _, delta, c in _operator_pieces(rng, n, k):
-            d = c + delta[:, None]
-            s, A = _symmetric_friction(d, K)
-            full = A + delta[:, None, None] * _shift_correction(s, K)
-            lam = d.sum(axis=1)
-            proj_kernel = s[:, :, None] * s[:, None, :] / lam[:, None, None]
-            proj_range = np.eye(n) - proj_kernel
-            # friction scales linearly when the shifted mass is rescaled
-            _, scaled = _symmetric_friction(d / lam[:, None], K)
-            # the friction M = diag(s) A diag(s)^-1 of the unshifted c, s = sqrt(c)
-            s0, A0 = _symmetric_friction(c, K)
-            defects = {
-                # the friction part kills s on the right, the full matrix on the left
-                "kernel_action": np.einsum("kij,kj->ki", A, s),
-                "left_annihilation": np.einsum("ki,kij->kj", s, full),
-                "projector_idempotence": proj_range @ proj_range - proj_range,
-                "projector_split": proj_range + proj_kernel - np.eye(n),
-                "scaling_identity": A - lam[:, None, None] * scaled,
-                "column_sums": (s0[:, :, None] * A0 / s0[:, None, :]).sum(axis=1),
-            }
-            for key, val in defects.items():
-                worst[key] = max(worst.get(key, 0.0), float(np.abs(val).max()))
+            for key, val in _operator_defects(K, delta, c):
+                worst[key] = max(worst.get(key, 0.0), val)
 
     violations = exact_violations = 0
     worst_slack = -math.inf

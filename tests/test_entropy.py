@@ -11,6 +11,7 @@ import pytest
 
 from msdiff.entropy import (
     _entropy_rhs,
+    _mixing_entropy,
     _rel_entr,
     _relative_entropy,
     _renormalized_entropy,
@@ -91,6 +92,21 @@ def test_entropy_primitives_edge_conventions():
     assert rel[5] == math.inf
     assert np.isnan(_xlogy(np.array([0.0]), np.array([math.nan])))[0]
     assert np.isnan(_rel_entr(np.array([math.nan, -1.0]), np.array([-1.0, math.nan]))).all()
+
+
+def test_mixing_entropy_is_bit_equal_to_its_xlogy_form():
+    # positive blocks take ln c times c in place; a block with a zero, a
+    # rounding undershoot or a NaN takes _xlogy's 0 ln 0 = 0, without warning
+    rng = np.random.default_rng(9)
+    positive = rng.uniform(1e-300, 1.0, size=(3, 4, 16))
+    blocks = [positive]
+    for bad in (0.0, -0.0, -1e-13, math.nan):
+        c = positive.copy()
+        c[1, 2, 5] = bad
+        blocks.append(c)
+    for c in blocks:
+        want = integrate((_xlogy(c, c) - c).sum(axis=0), GRID)
+        assert np.asarray(_mixing_entropy(c, GRID)).tobytes() == np.asarray(want).tobytes()
 
 
 def test_entropy_primitives_match_scipy():

@@ -169,11 +169,11 @@ def test_stacked_face_divergence_equals_member_calls(n, cells):
     c = _random_stack(rng, n, 3, cells)
     c[:, 1] *= 0.5  # smaller gradients in the middle member: other fluxes
     c[:, 1] += 0.5 / n
-    div, faces, fmax, residual = sim._face_divergence(c, D, grid)
+    div, faces, fmax, residual = sim._divergence_with_faces(c, D, grid)
     assert fmax.shape == (3,)
     residuals = []
     for i in range(3):
-        ref_div, ref_faces, ref_fmax, ref_res = sim._face_divergence(c[:, i].copy(), D, grid)
+        ref_div, ref_faces, ref_fmax, ref_res = sim._divergence_with_faces(c[:, i].copy(), D, grid)
         assert np.ascontiguousarray(div[:, i]).tobytes() == ref_div.tobytes()
         for F, ref in zip(faces, ref_faces):
             assert np.ascontiguousarray(F[:, i]).tobytes() == ref.tobytes()
@@ -186,8 +186,8 @@ def test_prefix_views_solve_like_copies():
     rng = np.random.default_rng(3)
     grid = PeriodicGrid((10, 6))
     c = _random_stack(rng, 3, 4, grid.cells)
-    view = sim._face_divergence(c[:, :2], D3, grid)
-    copy = sim._face_divergence(c[:, :2].copy(), D3, grid)
+    view = sim._divergence_with_faces(c[:, :2], D3, grid)
+    copy = sim._divergence_with_faces(c[:, :2].copy(), D3, grid)
     assert view[0].tobytes() == copy[0].tobytes()
     assert [F.tobytes() for F in view[1]] == [F.tobytes() for F in copy[1]]
     assert list(view[2]) == list(copy[2]) and view[3] == copy[3]

@@ -34,7 +34,7 @@ from msdiff.sim import (
     weak_form_residual,
 )
 from snapshot_reference import fresh_snapshot_fluxes
-from test_lockstep import ladder
+from test_lockstep import edge_case, ladder
 
 D2 = DiffusionMatrix.uniform(2, 1.5)
 D3 = DiffusionMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
@@ -284,7 +284,7 @@ def test_face_divergence_matches_reference_without_copies(monkeypatch, n, cells)
         return J, res
 
     monkeypatch.setattr(sim, "solve_fluxes_batch", recording)
-    new_div, new_faces, new_fmax, new_residual = sim._face_divergence(c, D, grid)
+    new_div, new_faces, new_fmax, new_residual = sim._divergence_with_faces(c, D, grid)
     assert new_div.tobytes() == div.tobytes()
     assert [F.tobytes() for F in new_faces] == [F.tobytes() for F in faces]
     assert new_fmax == fmax and new_residual == residual
@@ -293,6 +293,9 @@ def test_face_divergence_matches_reference_without_copies(monkeypatch, n, cells)
     for (cf, g, J), F in zip(seen, new_faces):
         assert cf.T.flags.c_contiguous and g.T.flags.c_contiguous
         assert np.shares_memory(F, J)
+    # without the faces kept, the same divergence, flux bound and residual
+    plain = sim._face_divergence(c, D, grid)
+    assert plain[0].tobytes() == div.tobytes() and plain[1:] == (fmax, residual)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -326,22 +329,73 @@ def _random_state(rng, n, cells):
     return c / c.sum(axis=0, keepdims=True)
 
 
-@pytest.mark.parametrize("cells", [(128,), (64, 64)])
-def test_face_divergence_allocates_little_beyond_its_outputs(cells):
-    # on a grid seen before, a call allocates its divergence and one face
-    # array per axis; every other temporary is reused scratch
-    grid = PeriodicGrid(cells)
-    c = _random_state(np.random.default_rng(len(cells)), 3, cells)
-    sim._face_divergence(c, D3, grid)
+def _warm_peak(fn, *args):
+    """tracemalloc peak of fn(*args) above what was held before, after one
+    untraced call that leaves the scratch for its shapes in place."""
+    fn(*args)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        sim._face_divergence(c, D3, grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= (grid.dim + 1.5) * c.nbytes
+
+
+@pytest.mark.parametrize("cells", [(128,), (64, 64)])
+def test_face_divergence_allocates_little_beyond_its_outputs(cells):
+    # on a grid seen before, a call allocates its divergence and one axis's
+    # face fluxes at a time, or every axis's when they are kept; every other
+    # temporary is reused scratch
+    grid = PeriodicGrid(cells)
+    c = _random_state(np.random.default_rng(len(cells)), 3, cells)
+    assert _warm_peak(sim._face_divergence, c, D3, grid) <= 2.5 * c.nbytes
+    assert _warm_peak(sim._divergence_with_faces, c, D3, grid) <= (grid.dim + 1.5) * c.nbytes
+
+
+@pytest.mark.parametrize("scheme,bound", [("euler", 2.5), ("heun", 4.5)])
+@pytest.mark.parametrize("cells", [(128,), (64, 64)])
+def test_a_warm_step_allocates_little_beyond_its_new_state(scheme, bound, cells):
+    # Euler: the divergence, which becomes the new state, and one axis's
+    # face fluxes; Heun adds its predictor and second divergence
+    grid = PeriodicGrid(cells)
+    state = ConcentrationState(grid, _random_state(np.random.default_rng(len(cells)), 3, cells), 0.0)
+    dt = 0.5 * max_stable_dt(grid, D3)
+    assert _warm_peak(step, state, D3, dt, scheme) <= bound * state.c.nbytes
+
+
+def _advance_reference(c, D, grid, dt, scheme):
+    """sim._advance in its out-of-place form, on divergences of the same
+    calls: (new c, clipped mass)."""
+    div = sim._face_divergence(c, D, grid)[0]
+    c_new, clipped = sim._clip(c - dt * div, grid)
+    if scheme == "heun":
+        div2 = sim._face_divergence(c_new, D, grid)[0]
+        c_new, lost = sim._clip(c - 0.5 * dt * (div + div2), grid)
+        clipped = clipped + lost
+    return c_new, clipped
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_in_place_steps_match_the_out_of_place_formulas(scheme):
+    # a state, and a stack with a dt column, of the edge case whose steps
+    # at the stability bound clip
+    D, edge = edge_case()
+    grid = PeriodicGrid((16,))
+    dt = max_stable_dt(grid, D)
+    smooth = _random_state(np.random.default_rng(5), 3, grid.cells)
+    cases = [(edge, dt), (np.stack([edge, smooth, edge], axis=1), np.array([[dt], [dt], [dt / 2]]))]
+    for c, dt in cases:
+        clipped_any = False
+        for _ in range(4):
+            got, _, clipped, _ = sim._advance(c, D, grid, dt, scheme)
+            want, want_clipped = _advance_reference(c, D, grid, dt, scheme)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(clipped, want_clipped)
+            clipped_any |= bool(np.any(clipped))
+            c = got
+        assert clipped_any
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -352,16 +406,20 @@ def test_results_do_not_alias_the_scratch(n, cells):
     D = DiffusionMatrix(d + d.T)
     grid = PeriodicGrid(cells)
     c, other = _random_state(rng, n, cells), _random_state(rng, n, cells)
-    div, faces, _, _ = sim._face_divergence(c, D, grid)
+    div, faces, _, _ = sim._divergence_with_faces(c, D, grid)
     m = math.prod(cells)
     g = rng.normal(size=(m, n))
     g -= g.mean(axis=1, keepdims=True)
     J, _ = solve_fluxes_batch(c.reshape(n, m).T, g, D)
-    kept = [div.tobytes(), [F.tobytes() for F in faces], J.tobytes()]
+    dt = 0.5 * max_stable_dt(grid, D)
+    states = [step(ConcentrationState(grid, c, 0.0), D, dt, scheme)[0].c for scheme in ("euler", "heun")]
+    kept = [div.tobytes(), [F.tobytes() for F in faces], J.tobytes(), [s.tobytes() for s in states]]
     # a second call of the same shape on other data reuses the scratch
-    sim._face_divergence(other, D, grid)
+    sim._divergence_with_faces(other, D, grid)
     solve_fluxes_batch(other.reshape(n, m).T, -2.0 * g, D)
-    assert kept == [div.tobytes(), [F.tobytes() for F in faces], J.tobytes()]
+    for scheme in ("euler", "heun"):
+        step(ConcentrationState(grid, other, 0.0), D, dt, scheme)
+    assert kept == [div.tobytes(), [F.tobytes() for F in faces], J.tobytes(), [s.tobytes() for s in states]]
 
 
 def test_threads_running_on_one_grid_match_serial_runs():

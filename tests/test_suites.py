@@ -396,3 +396,48 @@ def test_check_operations_name_the_code_that_ran(tmp_path, monkeypatch, suite):
                     monkeypatch.setattr(module, key, counted)
     run_suite()
     assert calls and all(calls.values()), calls
+
+
+def _operator_defects_whole(K, delta, c):
+    """The operator defects as one dict of every defect array of a piece,
+    all held at once before any is reduced."""
+    n = c.shape[1]
+    d = c + delta[:, None]
+    s, A = flux._symmetric_friction(d, K)
+    full = A + delta[:, None, None] * flux._shift_correction(s, K)
+    lam = d.sum(axis=1)
+    proj_kernel = s[:, :, None] * s[:, None, :] / lam[:, None, None]
+    proj_range = np.eye(n) - proj_kernel
+    _, scaled = flux._symmetric_friction(d / lam[:, None], K)
+    s0, A0 = flux._symmetric_friction(c, K)
+    defects = {
+        "kernel_action": np.einsum("kij,kj->ki", A, s),
+        "left_annihilation": np.einsum("ki,kij->kj", s, full),
+        "projector_idempotence": proj_range @ proj_range - proj_range,
+        "projector_split": proj_range + proj_kernel - np.eye(n),
+        "scaling_identity": A - lam[:, None, None] * scaled,
+        "column_sums": (s0[:, :, None] * A0 / s0[:, None, :]).sum(axis=1),
+    }
+    return [(key, float(np.abs(val).max())) for key, val in defects.items()]
+
+
+def test_spectral_certify_reduces_each_operator_defect_alone(tmp_path, monkeypatch):
+    # 20x the default counts: 200,000 gap and 20,000 operator samples. Each
+    # defect is formed and reduced before the next, so the peak stays under
+    # 13 MiB (19.1 MiB with every defect of a piece held at once), and the
+    # checks are those of the whole-piece form
+    cfg = study_config(
+        tmp_path,
+        "spectral-certify.samples = 200000\nspectral-certify.operator_samples = 20000\n",
+    )
+    suites.spectral_certify(cfg, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        got = suites.spectral_certify(cfg, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2**20, peak
+    monkeypatch.setattr(suites, "_operator_defects", _operator_defects_whole)
+    want = suites.spectral_certify(cfg, np.random.default_rng(3))
+    assert got.checks == want.checks and got.details == want.details
