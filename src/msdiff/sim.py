@@ -25,15 +25,14 @@ dropped with the block.
 
 Scratch rule: a face divergence on a grid that this thread has already
 seen allocates its divergence and one axis's faces at a time, and a step
-writes its new state into its divergence. Other temporaries, the
-kernel's too, are buffers reused per thread for the latest shape
-(``_scratch``) that no caller's result views.
+writes its new state into that divergence. Other temporaries, and the
+kernel's, are reused per-thread buffers for the latest shape
+(``_scratch``) that no result views.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,7 +63,7 @@ def max_stable_dt(grid, D):
         return math.inf
 
 
-def _face_divergence(c, D, grid):
+def _face_divergence(c, D, grid, faces=None):
     """Assemble the conservative divergence of the face fluxes.
 
     c is (n, *members, *cells): the spatial axes are the last grid.dim,
@@ -82,10 +81,9 @@ def _face_divergence(c, D, grid):
     would), each later one to that sum in place.
 
     Other temporaries live in this thread's scratch for c.shape. An axis's
-    faces are dropped once added, unless ``_divergence_with_faces`` keeps them.
+    faces are dropped once added, unless appended to a list faces.
     """
     n, dim = c.shape[0], grid.dim
-    faces = getattr(_kept, "faces", None)
     right, face, total = scratch("face_divergence", c.shape, _divergence_scratch)
     # |J| is reduced over the species and the cells, leaving the members
     red = (0,) + tuple(range(c.ndim - dim, c.ndim))
@@ -115,20 +113,6 @@ def _face_divergence(c, D, grid):
     return div, fmax, residual
 
 
-# per thread, the list that a face divergence keeps its faces in, if any
-_kept = threading.local()
-
-
-def _divergence_with_faces(c, D, grid):
-    """_face_divergence with its face fluxes kept: (div, faces, fmax, residual)."""
-    _kept.faces = faces = []
-    try:
-        div, fmax, residual = _face_divergence(c, D, grid)
-    finally:
-        _kept.faces = None
-    return div, faces, fmax, residual
-
-
 def _divergence_scratch(*shape):
     """Two state-sized buffers and one for the face compositions' column sum."""
     return np.empty(shape), np.empty(shape), np.empty((1,) + shape[1:])
@@ -150,7 +134,9 @@ def _snapshot_fluxes(c, D, grid):
     (S_b, n, dim, *cells) block. At n <= 3 snapshot k's slice is bit for
     bit the average of a face solve of it alone."""
     out = np.moveaxis(np.empty((c.shape[1], c.shape[0], grid.dim) + c.shape[2:]), 0, 2)
-    return _cell_average(_divergence_with_faces(c, D, grid)[1], out)
+    faces = []
+    _face_divergence(c, D, grid, faces)
+    return _cell_average(faces, out)
 
 
 # values in the largest temporary of one block of snapshots, so that
@@ -212,9 +198,9 @@ def _advance(c, D, grid, dt, scheme):
     c is one state (n, *cells) with a scalar dt, or a stack (n, B, *cells)
     with dt a column that broadcasts against (B, *cells). Returns (new c,
     max |face flux| and clipped mass, per member for a stack, and the
-    largest kernel residual of the step's face solves). The new c goes
-    into the fresh divergence by the operations of c - dt * div and
-    c - 0.5 * dt * (div + div2), so the bits are theirs.
+    largest kernel residual of the step's face solves). The new c is
+    computed into the fresh divergence, bit for bit c - dt * div or
+    c - 0.5 * dt * (div + div2).
     """
     div, fmax, residual = _face_divergence(c, D, grid)
     if scheme == "euler":

@@ -191,35 +191,6 @@ def _gap_sides(d, K, mu, z):
     return lhs, rhs, np.linalg.eigvalsh(A)[:, 1], floor
 
 
-def _operator_defects(K, delta, c):
-    """(name, largest |defect|) of each operator identity on (k, n) draws,
-    in order; a defect's own matrices are formed, reduced and dropped
-    before the next defect's."""
-    n = c.shape[1]
-    d = c + delta[:, None]
-    s, A = _symmetric_friction(d, K)
-    lam = d.sum(axis=1)
-
-    def largest(defect):
-        return float(np.abs(defect).max())
-
-    # the friction part kills s on the right, the full matrix on the left
-    yield "kernel_action", largest(np.einsum("kij,kj->ki", A, s))
-    full = A + delta[:, None, None] * _shift_correction(s, K)
-    yield "left_annihilation", largest(np.einsum("ki,kij->kj", s, full))
-    del full
-    proj_kernel = s[:, :, None] * s[:, None, :] / lam[:, None, None]
-    proj_range = np.eye(n) - proj_kernel
-    yield "projector_idempotence", largest(proj_range @ proj_range - proj_range)
-    yield "projector_split", largest(proj_range + proj_kernel - np.eye(n))
-    del proj_kernel, proj_range
-    # friction scales linearly when the shifted mass is rescaled
-    yield "scaling_identity", largest(A - lam[:, None, None] * _symmetric_friction(d / lam[:, None], K)[1])
-    # the friction M = diag(s) A diag(s)^-1 of the unshifted c, s = sqrt(c)
-    s0, A0 = _symmetric_friction(c, K)
-    yield "column_sums", largest((s0[:, :, None] * A0 / s0[:, None, :]).sum(axis=1))
-
-
 def spectral_certify(cfg, rng):
     """Operator algebra identities plus the coercivity bound, randomized.
 
@@ -233,10 +204,28 @@ def spectral_certify(cfg, rng):
     op_samples = cfg.params["spectral-certify.operator_samples"]
 
     worst = {}
+
+    def note(key, defect):
+        worst[key] = max(worst.get(key, 0.0), float(np.abs(defect).max()))
+
+    # each defect is reduced as it is formed, so no piece holds them all
     for n, k in zip(range(2, 7), _shares(op_samples, 5)):
         for K, _, delta, c in _operator_pieces(rng, n, k):
-            for key, val in _operator_defects(K, delta, c):
-                worst[key] = max(worst.get(key, 0.0), val)
+            d = c + delta[:, None]
+            s, A = _symmetric_friction(d, K)
+            lam = d.sum(axis=1)
+            # the friction part kills s on the right, the full matrix on the left
+            note("kernel_action", np.einsum("kij,kj->ki", A, s))
+            note("left_annihilation", np.einsum("ki,kij->kj", s, A + delta[:, None, None] * _shift_correction(s, K)))
+            proj_kernel = s[:, :, None] * s[:, None, :] / lam[:, None, None]
+            proj_range = np.eye(n) - proj_kernel
+            note("projector_idempotence", proj_range @ proj_range - proj_range)
+            note("projector_split", proj_range + proj_kernel - np.eye(n))
+            # friction scales linearly when the shifted mass is rescaled
+            note("scaling_identity", A - lam[:, None, None] * _symmetric_friction(d / lam[:, None], K)[1])
+            # the friction M = diag(s) A diag(s)^-1 of the unshifted c, s = sqrt(c)
+            s, A = _symmetric_friction(c, K)
+            note("column_sums", (s[:, :, None] * A / s[:, None, :]).sum(axis=1))
 
     violations = exact_violations = 0
     worst_slack = -math.inf

@@ -12,5 +12,12 @@ def fresh_snapshot_fluxes(traj):
     grid = traj.grid
     out = np.empty(traj.states.shape[:2] + (grid.dim,) + grid.cells)
     for c, J in zip(traj.states, out):
-        sim._cell_average(sim._divergence_with_faces(c, traj.D, grid)[1], J)
+        sim._cell_average(divergence_and_faces(c, traj.D, grid)[1], J)
     return out
+
+
+def divergence_and_faces(c, D, grid):
+    """A face divergence with its face fluxes kept: (div, faces, fmax, residual)."""
+    faces = []
+    div, fmax, residual = sim._face_divergence(c, D, grid, faces)
+    return div, faces, fmax, residual

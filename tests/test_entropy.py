@@ -109,6 +109,22 @@ def test_mixing_entropy_is_bit_equal_to_its_xlogy_form():
         assert np.asarray(_mixing_entropy(c, GRID)).tobytes() == np.asarray(want).tobytes()
 
 
+def test_mixing_entropy_of_a_positive_block_holds_one_array():
+    # ln c times c in place: about 1.3x the block's bytes, where the
+    # _xlogy form holds its log, its product and the difference (2.1x)
+    grid = PeriodicGrid((64, 64))
+    c = np.random.default_rng(4).uniform(0.1, 1.0, size=(3,) + grid.cells)
+    _mixing_entropy(c, grid)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        _mixing_entropy(c, grid)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * c.nbytes, peak / c.nbytes
+
+
 def test_entropy_primitives_match_scipy():
     special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(22)
@@ -667,9 +683,9 @@ def test_pair_pass_solves_fluxes_per_block_and_keeps_none(monkeypatch, kind, cel
     calls = []
     real = sim_module._face_divergence
 
-    def counted(c, D, grid):
+    def counted(c, D, grid, *rest):
         calls.append(c.shape)
-        return real(c, D, grid)
+        return real(c, D, grid, *rest)
 
     sc, (base, twin) = pair_runs(kind, cells)
     monkeypatch.setattr(sim_module, "_face_divergence", counted)

@@ -13,7 +13,7 @@ from msdiff.flux import DiffusionMatrix
 from msdiff.grid import ConcentrationState, PeriodicGrid
 from msdiff.sim import (
     Perturbation, Scenario, bump_test_function, run, run_lockstep, weak_form_residual)
-from snapshot_reference import fresh_snapshot_fluxes
+from snapshot_reference import divergence_and_faces, fresh_snapshot_fluxes
 
 D3 = DiffusionMatrix.from_pairs(3, {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0})
 D4 = DiffusionMatrix.from_pairs(
@@ -55,9 +55,9 @@ def test_members_match_their_own_runs(monkeypatch, scheme, stages, cells):
     calls = []
     real = sim._face_divergence
 
-    def counted(c, D, grid):
+    def counted(c, D, grid, *rest):
         calls.append(c.shape)
-        return real(c, D, grid)
+        return real(c, D, grid, *rest)
 
     monkeypatch.setattr(sim, "_face_divergence", counted)
     trajs = run_lockstep(members)
@@ -169,11 +169,11 @@ def test_stacked_face_divergence_equals_member_calls(n, cells):
     c = _random_stack(rng, n, 3, cells)
     c[:, 1] *= 0.5  # smaller gradients in the middle member: other fluxes
     c[:, 1] += 0.5 / n
-    div, faces, fmax, residual = sim._divergence_with_faces(c, D, grid)
+    div, faces, fmax, residual = divergence_and_faces(c, D, grid)
     assert fmax.shape == (3,)
     residuals = []
     for i in range(3):
-        ref_div, ref_faces, ref_fmax, ref_res = sim._divergence_with_faces(c[:, i].copy(), D, grid)
+        ref_div, ref_faces, ref_fmax, ref_res = divergence_and_faces(c[:, i].copy(), D, grid)
         assert np.ascontiguousarray(div[:, i]).tobytes() == ref_div.tobytes()
         for F, ref in zip(faces, ref_faces):
             assert np.ascontiguousarray(F[:, i]).tobytes() == ref.tobytes()
@@ -186,8 +186,8 @@ def test_prefix_views_solve_like_copies():
     rng = np.random.default_rng(3)
     grid = PeriodicGrid((10, 6))
     c = _random_stack(rng, 3, 4, grid.cells)
-    view = sim._divergence_with_faces(c[:, :2], D3, grid)
-    copy = sim._divergence_with_faces(c[:, :2].copy(), D3, grid)
+    view = divergence_and_faces(c[:, :2], D3, grid)
+    copy = divergence_and_faces(c[:, :2].copy(), D3, grid)
     assert view[0].tobytes() == copy[0].tobytes()
     assert [F.tobytes() for F in view[1]] == [F.tobytes() for F in copy[1]]
     assert list(view[2]) == list(copy[2]) and view[3] == copy[3]

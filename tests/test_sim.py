@@ -33,7 +33,7 @@ from msdiff.sim import (
     step,
     weak_form_residual,
 )
-from snapshot_reference import fresh_snapshot_fluxes
+from snapshot_reference import divergence_and_faces, fresh_snapshot_fluxes
 from test_lockstep import edge_case, ladder
 
 D2 = DiffusionMatrix.uniform(2, 1.5)
@@ -145,9 +145,9 @@ def test_one_block_rule_serves_every_snapshot_reader(monkeypatch):
     calls = []
     real = sim._face_divergence
 
-    def counted(c, D, grid):
+    def counted(c, D, grid, *rest):
         calls.append(c.shape[1])
-        return real(c, D, grid)
+        return real(c, D, grid, *rest)
 
     monkeypatch.setattr(sim, "_face_divergence", counted)
     gronwall_certificate(base, twin, sc.delta)
@@ -210,7 +210,7 @@ def test_only_a_flux_read_solves_faces_after_a_run(monkeypatch):
     members = ladder(PeriodicGrid((12, 10)), "heun")
     trajs = [run(members[0])] + run_lockstep(members)
 
-    def refuse(c, D, grid):
+    def refuse(c, D, grid, *rest):
         raise AssertionError("face solve after the run")
 
     monkeypatch.setattr(sim, "_face_divergence", refuse)
@@ -284,7 +284,7 @@ def test_face_divergence_matches_reference_without_copies(monkeypatch, n, cells)
         return J, res
 
     monkeypatch.setattr(sim, "solve_fluxes_batch", recording)
-    new_div, new_faces, new_fmax, new_residual = sim._divergence_with_faces(c, D, grid)
+    new_div, new_faces, new_fmax, new_residual = divergence_and_faces(c, D, grid)
     assert new_div.tobytes() == div.tobytes()
     assert [F.tobytes() for F in new_faces] == [F.tobytes() for F in faces]
     assert new_fmax == fmax and new_residual == residual
@@ -351,7 +351,7 @@ def test_face_divergence_allocates_little_beyond_its_outputs(cells):
     grid = PeriodicGrid(cells)
     c = _random_state(np.random.default_rng(len(cells)), 3, cells)
     assert _warm_peak(sim._face_divergence, c, D3, grid) <= 2.5 * c.nbytes
-    assert _warm_peak(sim._divergence_with_faces, c, D3, grid) <= (grid.dim + 1.5) * c.nbytes
+    assert _warm_peak(divergence_and_faces, c, D3, grid) <= (grid.dim + 1.5) * c.nbytes
 
 
 @pytest.mark.parametrize("scheme,bound", [("euler", 2.5), ("heun", 4.5)])
@@ -406,7 +406,7 @@ def test_results_do_not_alias_the_scratch(n, cells):
     D = DiffusionMatrix(d + d.T)
     grid = PeriodicGrid(cells)
     c, other = _random_state(rng, n, cells), _random_state(rng, n, cells)
-    div, faces, _, _ = sim._divergence_with_faces(c, D, grid)
+    div, faces, _, _ = divergence_and_faces(c, D, grid)
     m = math.prod(cells)
     g = rng.normal(size=(m, n))
     g -= g.mean(axis=1, keepdims=True)
@@ -415,7 +415,7 @@ def test_results_do_not_alias_the_scratch(n, cells):
     states = [step(ConcentrationState(grid, c, 0.0), D, dt, scheme)[0].c for scheme in ("euler", "heun")]
     kept = [div.tobytes(), [F.tobytes() for F in faces], J.tobytes(), [s.tobytes() for s in states]]
     # a second call of the same shape on other data reuses the scratch
-    sim._divergence_with_faces(other, D, grid)
+    divergence_and_faces(other, D, grid)
     solve_fluxes_batch(other.reshape(n, m).T, -2.0 * g, D)
     for scheme in ("euler", "heun"):
         step(ConcentrationState(grid, other, 0.0), D, dt, scheme)
