@@ -1,8 +1,10 @@
 """Reused scratch buffers for the time-stepping path.
 
-A large temporary that is freed at the top of the heap goes back to the
-operating system, and the next call faults its pages in again. So the face
-divergence and the flux kernel keep their temporaries from call to call.
+A large temporary that is freed at the top of the heap, or that is mapped
+on its own, goes back to the operating system, and the next call faults
+its pages in again. So the flux kernel keeps its temporaries from call to
+call, and the face divergence keeps its own and the face fluxes that it
+drops once added (the kernel's ``out``).
 The buffers are per thread, so threads never share one, and each owner
 holds one set only: the set for the latest key it asked for. A new key
 drops the old set before the new one is built.

@@ -16,9 +16,10 @@ structure.
 Layout and scratch (see solve_fluxes_batch): the kernel takes (m, n)
 points by species and computes on (n, m) species rows, so a transposed
 view of such rows (what the face divergence passes) costs no copy. Its
-other temporaries live in one block that this thread reuses, so a time
-step on a grid already seen allocates only its fluxes; from four species
-on, a batch is solved in blocks of points, so no temporary grows with m.
+other temporaries live in one block that this thread reuses, and the
+fluxes go into the caller's out if given, so up to three species a time
+step on a grid already seen allocates nothing here; from four species on,
+a batch is solved in blocks of points, so no temporary grows with m.
 
 The symmetric form A = diag(s)^-1 M diag(s), s = sqrt(c + delta), is the
 Maxwell-Stefan matrix whose spectrum carries the uniqueness argument: it
@@ -133,7 +134,7 @@ def _row_times(c, K):
     return c @ K if K.ndim == 2 else np.einsum("mi,mij->mj", c, K)
 
 
-def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
+def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10, out=None):
     """Vectorized force-flux solve for many points, one gradient component.
 
     c, grad_c: shape (m, n) for the n species of D, with any strides; other
@@ -141,7 +142,11 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
     takes c.T and grad_c.T as C-contiguous rows, which is free when the
     caller passes transposed views of (n, m) rows (the fast path) and one
     copy otherwise. Returns (fluxes (m, n), max residual); the fluxes are
-    an (m, n) view of fresh (n, m) rows.
+    an (m, n) view of fresh (n, m) rows, or of out when it is given: out
+    takes C-ordered, aligned, writable float64 (n, m) rows (anything else
+    raises ValueError before any work) that share no memory with c or grad_c.
+    The fluxes are written into out by the same operations, so with the
+    same bits, as into fresh rows.
 
     The friction matrix M = diag(c K) - diag(c) K has zero column sums, so
     the zero-sum flux is found from the first n - 1 rows with the last
@@ -164,38 +169,43 @@ def solve_fluxes_batch(c, grad_c, D, residual_tol=1e-10):
 
     Up to three species every temporary lives in one scratch block of this
     thread, kept for the latest (n, m) (see ``_scratch``), so a call at a
-    size already seen allocates only its fluxes. From four on the points
-    are solved in near-equal blocks (see _blocks), each through the whole
-    body: right-hand side, c K, the stack, _eliminate (straight into the
-    fluxes' block columns), the shift and the residual. The scratch is
-    kept for (n, largest block), smaller blocks use its leading columns,
-    and one (n, n, largest block) stack and _eliminate's rows are
-    allocated per call, so nothing but the fluxes grows with m. A point's
-    result depends neither on the blocks nor on the batch: a lone point is
-    solved as a pair (see _species_rows).
+    size already seen allocates only its fluxes, and with out nothing that
+    grows with m. From four on the points are solved in near-equal blocks
+    (see _blocks), each through the whole body: right-hand side, c K, the
+    stack, _eliminate (straight into the fluxes' block columns), the shift
+    and the residual. The scratch is kept for (n, largest block), smaller
+    blocks use its leading columns, and one (n, n, largest block) stack and
+    _eliminate's rows are allocated per call, so nothing but the fluxes
+    grows with m. A point's result depends neither on the blocks nor on the
+    batch: a lone point is solved as a fresh pair (see _species_rows), and
+    out gets the pair's first column.
     """
     m = len(c)
+    if out is not None and not (isinstance(out, np.ndarray) and out.flags.carray
+                                and out.shape == (D.n, m) and out.dtype == np.float64):
+        raise ValueError(f"out must be C-ordered, writable float64 ({D.n}, {m}) species rows")
     c, grad_c = _species_rows(c, grad_c, D)
     K = D.inv
     n = len(c)
     if n >= 4:
-        x, residual = _solve_dominant(c, grad_c, D, residual_tol)
-        return _points(x, m), residual
+        x = _rows_into(out, c.shape)
+        residual = _solve_dominant(c, grad_c, D, residual_tol, x)
+        return _points(x, m, out), residual
     b, cK, Kx, rows = scratch("flux", c.shape, _kernel_scratch)
     # degenerate points give NaN or inf here; the residual test rejects them
     with np.errstate(divide="ignore", invalid="ignore"):
         _zero_sum_rhs(grad_c.T, b, rows[0])
         np.matmul(K, c, out=cK)
+        x = _rows_into(out, c.shape)
         if n == 2:
-            x = np.empty_like(b)
             t = np.add(c[0], c[1], out=rows[0])
             t *= K[0, 1]
             np.divide(b[0], t, out=x[0])
             np.negative(x[0], out=x[1])
         else:
-            x = _solve_reduced_3(c, cK, K, b, rows)
+            _solve_reduced_3(c, cK, K, b, rows, x)
         r = _residual_rows(K, c, x, b, cK, Kx)
-    return _points(x, m), _gated(r, grad_c, residual_tol)
+    return _points(x, m, out), _gated(r, grad_c, residual_tol)
 
 
 # The values of one (n, n, block) stack of the n >= 4 kernel and of the
@@ -218,10 +228,10 @@ def _blocks(m, n):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _solve_dominant(c, grad_c, D, tol):
+def _solve_dominant(c, grad_c, D, tol, x):
     """solve_fluxes_batch from four species on, for (n, m) rows c and
     (m, n) gradients: B x = b with B = M + mu c 1', one block of points at
-    a time. Returns (fluxes as (n, m) rows, max residual)."""
+    a time, into the (n, m) rows x. Returns the max residual."""
     K = D.inv
     n, m = c.shape
     blocks = _blocks(m, n)
@@ -229,7 +239,6 @@ def _solve_dominant(c, grad_c, D, tol):
     b_rows, cK_rows, _, rows = scratch("flux", (n, size), _kernel_scratch)
     stack = np.empty(n * n * size)
     mu_K = D.mu - K
-    x = np.empty((n, m))
     residual = 0.0
     for sl in blocks:
         k = sl.stop - sl.start
@@ -252,7 +261,7 @@ def _solve_dominant(c, grad_c, D, tol):
             xb -= np.multiply(shift, cb, out=Kx)
             r = _residual_rows(K, cb, xb, b, cK, Kx)
         residual = max(residual, _gated(r, gb, tol))
-    return x, residual
+    return residual
 
 
 def _residual_rows(K, c, x, b, cK, Kx):
@@ -306,14 +315,13 @@ def _zero_sum_rhs(grad_rows, out, total):
     return b
 
 
-def _solve_reduced_3(c, cK, K, b, rows):
-    """Three species: rows 1-2 of M x = b with x_3 = -x_1 - x_2, by Cramer.
-    Every argument but K and rows holds (3, m) species rows; rows holds six
-    (m,) buffers, for the matrix entries, det and one product."""
+def _solve_reduced_3(c, cK, K, b, rows, x):
+    """Three species: rows 1-2 of M x = b with x_3 = -x_1 - x_2, by Cramer,
+    into x. Every argument but K and rows holds (3, m) species rows; rows
+    holds six (m,) buffers, for the matrix entries, det and one product."""
     c1, c2 = c[0], c[1]
     b1, b2 = b[0], b[1]
     a11, a12, a21, a22, det, t = rows
-    x = np.empty_like(b)
     x1, x2, x3 = x
     np.multiply(c1, K[0, 2], out=a11)
     a11 += cK[0]
@@ -331,7 +339,6 @@ def _solve_reduced_3(c, cK, K, b, rows):
     x2 /= det
     np.negative(x1, out=x3)
     x3 -= x2
-    return x
 
 
 def _eliminate(B, b):
@@ -378,10 +385,17 @@ def _species_rows(c, grad_c, D):
     return np.ascontiguousarray(c.T), grad_c
 
 
-def _points(x, m):
-    """The solved (n, m) rows x as the (m, n) view of fresh rows that both
-    solvers return; for a lone point (m = 1), a copy of its pair's first."""
-    return (x[:, :1].copy() if m == 1 else x).T
+def _rows_into(out, shape):
+    """The (n, m) rows that the kernel solves into: out, or fresh rows
+    without out or for a lone point, whose (n, 2) pair is solved."""
+    return out if out is not None and out.shape == shape else np.empty(shape)
+
+
+def _points(x, m, out=None):
+    """The solved (n, m) rows x as the (m, n) view that both solvers
+    return; for a lone point (m = 1), of its pair's first column, copied
+    into out or into fresh rows."""
+    return (np.take(x, [0], axis=1, out=out) if m == 1 else x).T
 
 
 def solve_fluxes_lstsq(c, grad_c, D):

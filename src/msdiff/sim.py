@@ -24,9 +24,9 @@ entropy pair pass (through ``_blockwise``) and ``weak_form_residual`` and
 dropped with the block.
 
 Scratch rule: a face divergence on a grid that this thread has already
-seen allocates its divergence and one axis's faces at a time, and a step
-writes its new state into that divergence. Other temporaries, and the
-kernel's, are reused per-thread buffers for the latest shape
+seen allocates only its divergence, and a step writes its new state into
+that divergence. The face fluxes, unless kept, other temporaries and the
+kernel's are reused per-thread buffers for the latest shape
 (``_scratch``) that no result views.
 """
 
@@ -80,11 +80,15 @@ def _face_divergence(c, D, grid, faces=None):
     into a new array (turning -0.0 into +0.0, as a zero-filled buffer
     would), each later one to that sum in place.
 
-    Other temporaries live in this thread's scratch for c.shape. An axis's
-    faces are dropped once added, unless appended to a list faces.
+    Other temporaries live in this thread's scratch for c.shape. Unless
+    appended to a list faces, as fresh rows, each axis's faces are written
+    into one (n, m) buffer of this thread's scratch (the kernel's out),
+    which the next axis and the next call reuse; no result views it.
     """
     n, dim = c.shape[0], grid.dim
     right, face, total = scratch("face_divergence", c.shape, _divergence_scratch)
+    rows = None if faces is not None else scratch(
+        "face_fluxes", (n, c.size // n), lambda *shape: np.empty(shape))
     # |J| is reduced over the species and the cells, leaving the members
     red = (0,) + tuple(range(c.ndim - dim, c.ndim))
     div = 0.0
@@ -98,7 +102,7 @@ def _face_divergence(c, D, grid, faces=None):
         cf /= cf.sum(axis=0, keepdims=True, out=total)
         g = np.subtract(cR, c, out=cR)
         g /= h
-        J, res = solve_fluxes_batch(cf.reshape(n, -1).T, g.reshape(n, -1).T, D)
+        J, res = solve_fluxes_batch(cf.reshape(n, -1).T, g.reshape(n, -1).T, D, out=rows)
         Jf = J.T.reshape(c.shape)
         if faces is not None:
             faces.append(Jf)
@@ -107,7 +111,6 @@ def _face_divergence(c, D, grid, faces=None):
         residual = max(residual, res)
         diff = _shift(Jf, 1, ax, out=right)
         np.subtract(Jf, diff, out=diff)
-        del J, Jf
         diff /= h
         div = np.add(div, diff, out=div if k else None)
     return div, fmax, residual

@@ -570,6 +570,41 @@ def test_kernel_result_does_not_depend_on_input_layout(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", [1, 2, 7, 5_000, "cap+1"])
+def test_kernel_out_gets_the_bits_of_fresh_rows(n, m):
+    if m == "cap+1":  # two blocks from four species on
+        m = flux._STACK_VALUES // (n * n) + 1
+    D, c, grad = _interior_problem(np.random.default_rng(300 * n + m), n, m)
+    x_ref, res_ref = solve_fluxes_batch(c, grad, D)
+    out = np.full((n, m), np.nan)
+    x, res = solve_fluxes_batch(c, grad, D, out=out)
+    assert x.base is out  # the (m, n) view of out, a lone point's included
+    assert x.tobytes() == x_ref.tobytes() and res == res_ref
+
+
+@pytest.mark.parametrize("bad", ["shape", "transposed", "dtype", "fortran", "strided",
+                                 "read-only", "list"])
+def test_kernel_refuses_a_bad_out_before_any_work(bad):
+    n, m = 3, 8
+    D, c, grad = _interior_problem(np.random.default_rng(9), n, m)
+    out = {
+        "shape": lambda: np.empty((n, m + 1)),
+        "transposed": lambda: np.empty((m, n)),
+        "dtype": lambda: np.empty((n, m), dtype=np.float32),
+        "fortran": lambda: np.empty((n, m), order="F"),
+        "strided": lambda: np.empty((n, 2 * m))[:, ::2],
+        "read-only": lambda: np.empty((n, m)),
+        "list": lambda: np.empty((n, m)).tolist(),
+    }[bad]()
+    if bad == "read-only":
+        out.flags.writeable = False
+    with mock.patch.object(flux, "_species_rows", side_effect=AssertionError("worked")) as entry:
+        with pytest.raises(ValueError, match="out must be"):
+            solve_fluxes_batch(c, grad, D, out=out)
+    assert not entry.called
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("bad", ["zero-row", "nan-row", "inf-gradient"])
 def test_kernel_rejects_degenerate_points(n, bad):
     rng = np.random.default_rng(40 + n)
